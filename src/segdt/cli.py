@@ -89,10 +89,9 @@ class EvaluateConfig:
 
 @dataclass(frozen=True)
 class CalibrateConfig:
+    """The held-out split is the ensemble's own (its val_fraction and seed)."""
     epsilon: float = 1.0
     bins: int = 30
-    val_fraction: float = 0.1
-    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +334,21 @@ def cmd_calibrate(args) -> int:
     dataset = _require(args.dataset, "--dataset")
     ensemble_dir = _require(args.ensemble, "--ensemble")
     out = _prepare_out(args.out, args.force)
-    manifest = _manifest("calibrate", cfg, seeds=[cfg.seed])
+    manifest = _manifest("calibrate", cfg)
     manifest.add_input("dataset", dataset)
     manifest.add_input("ensemble", ensemble_dir)
     ensemble = ReturnEnsemble.load(ensemble_dir)
+    manifest.seeds = [ensemble.config.seed]
     gamma = ensemble.config.discount
     trajs = trajlog.annotate_dataset(trajlog.load(dataset), gammas=(gamma,))
-    # hold out the same validation split the trainer used
-    _, val = split_train_val(trajs, cfg.val_fraction, cfg.seed)
+    # hold out the validation split the ensemble's trainer used
+    _, val = split_train_val(trajs, ensemble.config.val_fraction, ensemble.config.seed)
     held_out = val if val else trajs
 
-    forecast = evaluator.calibrate(ensemble, held_out, gamma=gamma)
-    traces = [segmenter.estimate_uncertainty(t, ensemble, cfg.epsilon)
-              for t in held_out]
+    forecasts = [ensemble.predict_trajectory(t.states, t.actions) for t in held_out]
+    forecast = evaluator.calibrate(ensemble, held_out, gamma=gamma, forecasts=forecasts)
+    traces = [UncertaintyTrace(segmenter.forecast_uncertainty(p), cfg.epsilon)
+              for p in forecasts]
     histogram = evaluator.uncertainty_histogram(traces, bins=cfg.bins)
     payload = _json_safe({
         "forecast": {k: forecast[k] for k in

@@ -46,6 +46,13 @@ STATE_FIELDS = (
 )
 
 
+def clip_scalar(x, lo, hi):
+    """``np.clip`` for one float, without its per-call overhead; the same
+    result on NaN, infinities and signed zeros."""
+    x = lo if x < lo else x
+    return hi if x > hi else x
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     delta: float = 0.0
@@ -75,8 +82,8 @@ class EnvAction:
 
     def clamped(self) -> "EnvAction":
         return EnvAction(
-            float(np.clip(self.target_speed, 0.0, V_MAX)),
-            float(np.clip(self.target_steer, -1.0, 1.0)),
+            float(clip_scalar(self.target_speed, 0.0, V_MAX)),
+            float(clip_scalar(self.target_steer, -1.0, 1.0)),
         )
 
     def as_array(self) -> np.ndarray:
@@ -246,8 +253,8 @@ class HighwayEnv:
             lat = self._lat
 
         # ego longitudinal
-        dv = np.clip(action.target_speed - self._ego_speed, -ACCEL_MAX * DT, ACCEL_MAX * DT)
-        self._ego_speed = float(np.clip(self._ego_speed + dv, 0.0, V_MAX))
+        dv = clip_scalar(action.target_speed - self._ego_speed, -ACCEL_MAX * DT, ACCEL_MAX * DT)
+        self._ego_speed = float(clip_scalar(self._ego_speed + dv, 0.0, V_MAX))
         prev_pos = self._ego_pos
         self._ego_pos += self._ego_speed * DT
 
@@ -257,8 +264,9 @@ class HighwayEnv:
         self._offset += self._ego_speed * np.sin(self._heading) * DT
 
         # lead vehicle
-        lead_dv = np.clip(lat.lead_target_speed - self._lead_speed, -ACCEL_MAX * DT, ACCEL_MAX * DT)
-        self._lead_speed = float(np.clip(self._lead_speed + lead_dv, 0.0, V_MAX))
+        lead_dv = clip_scalar(lat.lead_target_speed - self._lead_speed,
+                              -ACCEL_MAX * DT, ACCEL_MAX * DT)
+        self._lead_speed = float(clip_scalar(self._lead_speed + lead_dv, 0.0, V_MAX))
         self._lead_pos += self._lead_speed * DT
 
         self._step += 1
@@ -371,11 +379,12 @@ class RuleExpert:
 
         # lane keeping: feedforward curvature plus PD on offset and heading
         curv = env._curvature(env._ego_pos)
-        desired_heading = float(np.clip(-0.08 * state.ego_lane_offset, -0.2, 0.2))
+        desired_heading = float(clip_scalar(-0.08 * state.ego_lane_offset, -0.2, 0.2))
         steer = (curv + 1.2 * (desired_heading - state.ego_heading_err)) / STEER_RATE
-        steer = float(np.clip(steer, -1.0, 1.0))
+        steer = float(clip_scalar(steer, -1.0, 1.0))
 
         if self._rng.random() < self.config.noise_rate:
-            target_speed = float(np.clip(target_speed + self._rng.uniform(-6.0, 6.0), 0.0, V_MAX))
-            steer = float(np.clip(steer + self._rng.uniform(-0.3, 0.3), -1.0, 1.0))
+            target_speed = float(clip_scalar(target_speed + self._rng.uniform(-6.0, 6.0),
+                                             0.0, V_MAX))
+            steer = float(clip_scalar(steer + self._rng.uniform(-0.3, 0.3), -1.0, 1.0))
         return EnvAction(target_speed, steer)

@@ -19,7 +19,7 @@ from .env import EnvAction, EnvConfig, ExpertConfig, HighwayEnv, RuleExpert, V_M
 from .planner import (KdUncertaintyIndex, PlannerConfig, PlannerState,
                       TargetReturnPredictor, plan_step)
 from .policy import Policy, PolicyStep
-from .return_model import ensemble_moments, ReturnDistribution
+from .return_model import mixture_moments
 
 log = logging.getLogger(__name__)
 
@@ -241,37 +241,25 @@ def _gaussian_nll_full(y, mu, var):
     return 0.5 * ((y - mu) ** 2 / var + np.log(var) + np.log(2.0 * np.pi))
 
 
-def calibrate(ensemble, trajs: list, gamma: float = 0.95) -> dict:
+def calibrate(ensemble, trajs: list, gamma: float = 0.95, forecasts=None) -> dict:
     """Held-out forecast quality of the state-conditioned return model.
 
     The ensemble row scores the exact equal-weight mixture density (NLL) and
     the mixture mean (RMSE); the moment-matched Gaussian NLL is reported
     separately since segmentation consumes the moment-matched forecast.
     Per-step records (realized return, mixture mu/sigma) support plotting.
+    ``forecasts``, when given, holds ``ensemble.predict_trajectory``'s output
+    for each of ``trajs``, so a caller that needs them too runs the ensemble
+    once.
     """
     if not trajs:
         raise ValueError("empty held-out dataset")
-    mus_m, vars_m, ys = [], [], []
-    ens_mu, ens_var = [], []
-    for traj in trajs:
-        p = ensemble.predict_trajectory(traj.states, traj.actions)
-        y = traj.returns_for(gamma)
-        ys.append(y)
-        mus_m.append(p["mu_s"])
-        vars_m.append(p["var_s"])
-        T = len(traj)
-        mom = np.array([
-            [d.mu, d.var] for d in (
-                ensemble_moments([ReturnDistribution(p["mu_s"][k, t], p["var_s"][k, t])
-                                  for k in range(ensemble.size)])
-                for t in range(T))])
-        ens_mu.append(mom[:, 0])
-        ens_var.append(mom[:, 1])
-    y = np.concatenate(ys)
-    mu_m = np.concatenate(mus_m, axis=1)      # (K, N)
-    var_m = np.concatenate(vars_m, axis=1)
-    mu_e = np.concatenate(ens_mu)
-    var_e = np.concatenate(ens_var)
+    y = np.concatenate([traj.returns_for(gamma) for traj in trajs])
+    if forecasts is None:
+        forecasts = [ensemble.predict_trajectory(t.states, t.actions) for t in trajs]
+    mu_m = np.concatenate([p["mu_s"] for p in forecasts], axis=1)    # (K, N)
+    var_m = np.concatenate([p["var_s"] for p in forecasts], axis=1)
+    mu_e, var_e = mixture_moments(mu_m, var_m)
 
     members = [
         {"nll": float(_gaussian_nll_full(y, mu_m[k], var_m[k]).mean()),

@@ -30,6 +30,7 @@ from .autodiff import Tensor, no_grad
 from .env import STATE_DIM
 from .nn import TrainingDiverged
 from .policy import PolicyStep
+from .return_model import mixture_moments
 
 log = logging.getLogger(__name__)
 
@@ -158,10 +159,9 @@ class TargetReturnPredictor:
                 mu, lv = m.forward(x)
                 mus.append(mu.data[0] * self.y_std + self.y_mean)
                 vars_.append(np.exp(lv.data[0]) * self.y_std**2)
-        mus, vars_ = np.array(mus), np.array(vars_)
-        mu = mus.mean()
-        var = max((vars_ + mus**2).mean() - mu**2, 1e-12)
-        return float(mu), float(var)
+        mu, var = mixture_moments(np.array(mus)[:, None], np.array(vars_)[:, None],
+                                  floor=1e-12)
+        return float(mu[0]), float(var[0])
 
     def predict_target(self, state: np.ndarray, h: int, eta: float) -> float:
         """Percentile-eta point of the moment-matched return forecast."""

@@ -39,20 +39,48 @@ class ReturnDistribution:
             raise ValueError(f"invalid return distribution: mu={self.mu}, var={self.var}")
 
 
-def ensemble_moments(members: list) -> ReturnDistribution:
-    """Collapse equal-weight Gaussian members to their mixture mean/variance.
+def _require_gaussians(mu: np.ndarray, var: np.ndarray) -> None:
+    """ValueError naming the first entry that is not a valid Gaussian."""
+    bad = ~(np.isfinite(mu) & np.isfinite(var) & (var > 0))
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"invalid return distribution at {tuple(map(int, at))}: "
+                         f"mu={mu[at]}, var={var[at]}")
 
-    mu = mean_k mu_k; var = mean_k (var_k + mu_k^2) - mu^2.
+
+def mixture_moments(mu: np.ndarray, var: np.ndarray, floor=None) -> tuple:
+    """Collapse K equal-weight Gaussian members to their mixture mean/variance
+    at every step: ``mu`` and ``var`` are (K, T), the results are (T,).
+
+    mu = mean_k mu_k; var = mean_k (var_k + mu_k^2) - mu^2, floored at
+    ``floor``, by default min_k var_k * 1e-12 + 1e-300 against float
+    cancellation when all members coincide.  Each step's K members are
+    summed in the order a 1-D mean over them uses, and the squared mixture
+    mean goes through pow() as a scalar ``**2`` does, so every step equals
+    the scalar formula bit for bit.
     """
+    mu = np.asarray(mu, dtype=np.float64)
+    var = np.asarray(var, dtype=np.float64)
+    if mu.ndim != 2 or mu.shape != var.shape or mu.shape[0] == 0:
+        raise ValueError(f"mixture_moments needs matching (K, T) arrays with K >= 1, "
+                         f"got {mu.shape} and {var.shape}")
+    _require_gaussians(mu, var)
+    # (T, K) rows reduce like a 1-D mean; axis 0 of (K, T) does not for K >= 8
+    mix_mu = np.ascontiguousarray(mu.T).mean(axis=1)
+    mix_var = np.ascontiguousarray((var + mu**2).T).mean(axis=1) - np.float_power(mix_mu, 2)
+    if floor is None:
+        floor = var.min(axis=0) * 1e-12 + 1e-300
+    mix_var = np.maximum(mix_var, floor)
+    _require_gaussians(mix_mu, mix_var)
+    return mix_mu, mix_var
+
+
+def ensemble_moments(members: list) -> ReturnDistribution:
+    """``mixture_moments`` of one step's member distributions."""
     if not members:
         raise ValueError("ensemble_moments requires at least one member")
-    mus = np.array([m.mu for m in members])
-    vars_ = np.array([m.var for m in members])
-    mu = mus.mean()
-    var = (vars_ + mus**2).mean() - mu**2
-    # guard against float cancellation when all members coincide
-    var = max(var, vars_.min() * 1e-12 + 1e-300)
-    return ReturnDistribution(float(mu), float(var))
+    mu, var = mixture_moments([[m.mu] for m in members], [[m.var] for m in members])
+    return ReturnDistribution(float(mu[0]), float(var[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +241,14 @@ class ReturnEnsemble:
     def _windows(self, states: np.ndarray, actions: np.ndarray):
         """One left-padded window per step t, ending at t."""
         T = states.shape[0]
-        L = self.config.seq_length
-        ws = np.zeros((T, L, STATE_DIM))
-        wa = np.zeros((T, L, ACTION_DIM))
-        mask = np.zeros((T, L), dtype=bool)
-        ns = self.normalizer.norm_states(states)
-        na = self.normalizer.norm_actions(actions)
-        for t in range(T):
-            start = max(0, t + 1 - L)
-            n = t + 1 - start
-            ws[t, L - n:] = ns[start:t + 1]
-            wa[t, L - n:] = na[start:t + 1]
-            mask[t, L - n:] = True
+        pad = self.config.seq_length - 1
+        # row t of the zero-padded arrays is step t - pad
+        rows = np.arange(T)[:, None] + np.arange(pad + 1)
+        ws = np.concatenate([np.zeros((pad, STATE_DIM)),
+                             self.normalizer.norm_states(states)])[rows]
+        wa = np.concatenate([np.zeros((pad, ACTION_DIM)),
+                             self.normalizer.norm_actions(actions)])[rows]
+        mask = rows >= pad
         return ws, wa, mask
 
     def predict_trajectory(self, states: np.ndarray, actions: np.ndarray) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trajlog
-from .return_model import ReturnDistribution, ensemble_moments
+from .return_model import ReturnDistribution, mixture_moments
 
 SEGMENT_SCHEMA_VERSION = "segtraj-v1"
 
@@ -29,12 +29,22 @@ DUMMY_H = 0
 DUMMY_RH = 0.0
 
 
+def gaussian_kl_array(mu_p, var_p, mu_q, var_q) -> np.ndarray:
+    """Elementwise KL(p || q) for univariate Gaussians given by their moments.
+
+    The squared mean gap goes through pow() as a scalar ``**2`` does, so each
+    element equals the scalar closed form bit for bit.
+    """
+    if np.any(var_p <= 0) or np.any(var_q <= 0):
+        raise ValueError(f"non-positive variance: min p.var={np.min(var_p)}, "
+                         f"min q.var={np.min(var_q)}")
+    return (0.5 * np.log(var_q / var_p)
+            + (var_p + np.float_power(mu_p - mu_q, 2)) / (2.0 * var_q) - 0.5)
+
+
 def gaussian_kl(p: ReturnDistribution, q: ReturnDistribution) -> float:
     """KL(p || q) for two univariate Gaussians."""
-    if p.var <= 0 or q.var <= 0:
-        raise ValueError(f"non-positive variance: p.var={p.var}, q.var={q.var}")
-    return float(0.5 * np.log(q.var / p.var)
-                 + (p.var + (p.mu - q.mu) ** 2) / (2.0 * q.var) - 0.5)
+    return float(gaussian_kl_array(p.mu, p.var, q.mu, q.var))
 
 
 @dataclass
@@ -81,22 +91,19 @@ class SegmentedTrajectory:
         return self.traj.returns_for(1.0)
 
 
-def estimate_uncertainty(traj, ensemble, epsilon: float) -> UncertaintyTrace:
+def forecast_uncertainty(p: dict) -> np.ndarray:
     """u_t = KL(state-conditioned || action-conditioned) of the moment-matched
-    ensemble forecasts at every step."""
+    ensemble forecasts at every step, from ``predict_trajectory``'s output."""
+    mu_s, var_s = mixture_moments(p["mu_s"], p["var_s"])
+    mu_a, var_a = mixture_moments(p["mu_a"], p["var_a"])
+    kl = gaussian_kl_array(mu_s, var_s, mu_a, var_a)
+    # clip float-cancellation negatives in the closed form
+    return np.where(kl < 0.0, 0.0, kl)
+
+
+def estimate_uncertainty(traj, ensemble, epsilon: float) -> UncertaintyTrace:
     p = ensemble.predict_trajectory(traj.states, traj.actions)
-    T = len(traj)
-    u = np.empty(T)
-    for t in range(T):
-        d_s = ensemble_moments([
-            ReturnDistribution(p["mu_s"][k, t], p["var_s"][k, t])
-            for k in range(ensemble.size)])
-        d_a = ensemble_moments([
-            ReturnDistribution(p["mu_a"][k, t], p["var_a"][k, t])
-            for k in range(ensemble.size)])
-        # clip float-cancellation negatives in the closed form
-        u[t] = max(gaussian_kl(d_s, d_a), 0.0)
-    return UncertaintyTrace(u=u, epsilon=epsilon)
+    return UncertaintyTrace(u=forecast_uncertainty(p), epsilon=epsilon)
 
 
 def segment(trace: UncertaintyTrace, c: int) -> list:

@@ -181,17 +181,13 @@ def load_binary(path) -> list:
         metas = json.loads(str(z["meta_json"]))
         terms = json.loads(str(z["terms_json"]))
         infs = json.loads(str(z["infractions_json"]))
-        trajs = []
-        off = 0
-        for k, T in enumerate(lengths):
-            sl = slice(off, off + T)
-            trajs.append(Trajectory(
-                states=z["states"][sl].copy(), actions=z["actions"][sl].copy(),
-                rewards=z["rewards"][sl].copy(), reward_terms=terms[k],
-                infractions=infs[k], meta=metas[k],
-            ))
-            off += T
-    return trajs
+        # each z[name] reads the whole array from the archive again: read once
+        states, actions, rewards = z["states"], z["actions"], z["rewards"]
+    ends = np.cumsum(lengths)
+    return [Trajectory(states=states[end - T:end], actions=actions[end - T:end],
+                       rewards=rewards[end - T:end], reward_terms=terms[k],
+                       infractions=infs[k], meta=metas[k])
+            for k, (T, end) in enumerate(zip(lengths, ends))]
 
 
 # ---------------------------------------------------------------------------

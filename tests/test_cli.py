@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from segdt import cli, trajlog
+from segdt import cli, evaluator, trajlog
 from segdt.manifest import RunManifest, hash_artifact
 from segdt.nn import TrainingDiverged
+from segdt.return_model import ReturnEnsemble, split_train_val
 
 SMOKE = Path(__file__).parents[1] / "configs" / "smoke"
 
@@ -84,6 +85,32 @@ def test_rerun_reproduces_artifact_hashes(pipeline, tmp_path):
     assert run(["segment", "--config", SMOKE / "segment.cfg", "--dataset", out,
                 "--ensemble", pipeline["ensemble"], "--out", seg2]) == 0
     assert hash_artifact(seg2) == hash_artifact(pipeline["segmented"])
+
+
+def test_calibrate_holds_out_the_trainers_validation_split(pipeline, tmp_path,
+                                                          monkeypatch):
+    cfg = tmp_path / "return.cfg"
+    cfg.write_text((SMOKE / "return.cfg").read_text()
+                   .replace("epochs = 2", "epochs = 1")
+                   .replace("iters_per_epoch = 30", "iters_per_epoch = 2"))
+    assert run(["train-return", "--config", cfg, "--dataset", pipeline["dataset"],
+                "--out", tmp_path / "ens", "--seed", 3]) == 0
+    held_out = []
+    real = evaluator.calibrate
+
+    def spy(ensemble, trajs, *args, **kwargs):
+        held_out.extend(trajs)
+        return real(ensemble, trajs, *args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "calibrate", spy)
+    assert run(["calibrate", "--dataset", pipeline["dataset"], "--ensemble",
+                tmp_path / "ens", "--out", tmp_path / "calibration.json"]) == 0
+    trained = ReturnEnsemble.load(tmp_path / "ens").config
+    assert trained.seed == 3
+    _, val = split_train_val(trajlog.load(pipeline["dataset"]), trained.val_fraction, 3)
+    assert [t.meta["seed"] for t in held_out] == [t.meta["seed"] for t in val]
+    manifest = RunManifest.load(RunManifest.manifest_path(tmp_path / "calibration.json"))
+    assert manifest.seeds == [3]
 
 
 def test_flags_override_config_file(tmp_path):

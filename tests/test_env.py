@@ -4,7 +4,7 @@ import pytest
 from segdt.env import (
     ACTION_DIM, COLLISION_GAP, LIGHT_VISIBILITY, PHASE_GREEN, PHASE_RED,
     PHASE_UNKNOWN, STATE_DIM, V_MAX, EnvAction, EnvConfig, ExpertConfig,
-    HighwayEnv, RuleExpert,
+    HighwayEnv, RuleExpert, clip_scalar,
 )
 
 
@@ -194,3 +194,14 @@ def test_action_dim_and_clamping():
     assert a.target_speed == V_MAX
     assert a.target_steer == -1.0
     assert a.as_array().shape == (ACTION_DIM,)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, V_MAX), (-1.0, 1.0), (-0.0, 0.0), (-3.0, -3.0)])
+def test_clip_scalar_matches_np_clip(lo, hi):
+    values = [np.nan, np.inf, -np.inf, 0.0, -0.0, lo, hi, -lo, -hi, 0.5 * (lo + hi),
+              np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), 1e300, -1e300, 5e-324]
+    for x in values:
+        want = float(np.clip(x, lo, hi))
+        got = float(clip_scalar(x, lo, hi))
+        assert np.array_equal(np.array(got), np.array(want), equal_nan=True), x
+        assert np.signbit(got) == np.signbit(want), x

@@ -153,6 +153,18 @@ def test_calibrate_coverage_on_well_calibrated_data():
     assert out["coverage_1sigma"] == pytest.approx(0.683, abs=0.05)
 
 
+def test_calibrate_reuses_given_forecasts():
+    rng = np.random.default_rng(3)
+    trajs = single_step_trajs(rng, 20, sigma=0.5)
+    ens = FakeEnsemble([0.3, -0.1, 0.2])
+    forecasts = [ens.predict_trajectory(t.states, t.actions) for t in trajs]
+    ens.predict_trajectory = None   # a given forecast must not be recomputed
+    out = calibrate(ens, trajs, forecasts=forecasts)
+    want = calibrate(FakeEnsemble([0.3, -0.1, 0.2]), trajs)
+    assert out["ensemble"] == want["ensemble"] and out["members"] == want["members"]
+    assert np.array_equal(out["records"]["sigma"], want["records"]["sigma"])
+
+
 def test_calibrate_rejects_empty():
     with pytest.raises(ValueError):
         calibrate(FakeEnsemble([0.0]), [])

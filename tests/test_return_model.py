@@ -5,8 +5,8 @@ from segdt import trajlog
 from segdt.env import EnvConfig, ExpertConfig
 from segdt.return_model import (
     Normalizer, ReturnDistribution, ReturnEnsemble, ReturnMemberModel,
-    ReturnModelConfig, TrainingDiverged, ensemble_moments, split_train_val,
-    train_return_models,
+    ReturnModelConfig, TrainingDiverged, ensemble_moments, mixture_moments,
+    split_train_val, train_return_models,
 )
 
 TINY = ReturnModelConfig(
@@ -59,6 +59,71 @@ def test_mixture_moments_match_sampling_oracle():
 def test_mixture_moments_empty_rejected():
     with pytest.raises(ValueError):
         ensemble_moments([])
+
+
+def scalar_moments(mus: list, vars_: list) -> tuple:
+    """The per-step formula mixture_moments replaces, one step at a time."""
+    mus, vars_ = np.array(mus), np.array(vars_)
+    mu = mus.mean()
+    var = (vars_ + mus**2).mean() - mu**2
+    var = max(var, vars_.min() * 1e-12 + 1e-300)
+    return float(mu), float(var)
+
+
+def member_forecasts(K, T, rng, spread=1.0):
+    """(K, T) member means and variances over several orders of magnitude;
+    ``spread`` scales how far members sit from their common centre."""
+    centre = rng.normal(size=T) * 10.0 ** rng.uniform(-3, 4, size=T)
+    mu = centre + spread * rng.normal(size=(K, T)) * np.abs(centre)
+    var = 10.0 ** rng.uniform(-4, 4, size=(K, T))
+    return mu, var
+
+
+# K = 9 also checks the member order of the sum, which a plain axis-0 mean
+# changes from K = 8 on
+@pytest.mark.parametrize("K", [1, 2, 5, 9])
+@pytest.mark.parametrize("spread", [1.0, 1e-13, 0.0])
+def test_mixture_moments_bitwise_equal_scalar_formula(K, spread):
+    rng = np.random.default_rng(K)
+    mu, var = member_forecasts(K, 4000, rng, spread)
+    if spread == 0.0:   # identical members: the cancellation floor decides
+        var[:] = var[0]
+    mix_mu, mix_var = mixture_moments(mu, var)
+    for t in range(mu.shape[1]):
+        want = scalar_moments([float(v) for v in mu[:, t]], [float(v) for v in var[:, t]])
+        assert (mix_mu[t], mix_var[t]) == want, f"step {t}"
+        assert ensemble_moments([ReturnDistribution(m, v) for m, v in
+                                 zip(mu[:, t], var[:, t])]) == ReturnDistribution(*want)
+
+
+def test_mixture_moments_absolute_floor():
+    mu = np.full((3, 2), 7.0)
+    var = np.full((3, 2), 1e-20)
+    _, mix_var = mixture_moments(mu, var, floor=1e-12)
+    assert np.all(mix_var == 1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_mixture_moments_rejects_invalid_member_variance(bad):
+    mu, var = np.zeros((2, 5)), np.ones((2, 5))
+    var[1, 3] = bad
+    with pytest.raises(ValueError, match=r"\(1, 3\)"):
+        mixture_moments(mu, var)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mixture_moments_rejects_non_finite_member_mean(bad):
+    mu, var = np.zeros((2, 5)), np.ones((2, 5))
+    mu[0, 2] = bad
+    with pytest.raises(ValueError, match="invalid return distribution"):
+        mixture_moments(mu, var)
+
+
+def test_mixture_moments_rejects_shape_mismatch():
+    with pytest.raises(ValueError):
+        mixture_moments(np.zeros((2, 3)), np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        mixture_moments(np.zeros((0, 3)), np.ones((0, 3)))
 
 
 def test_distribution_validates():
@@ -148,6 +213,21 @@ def test_members_disagree(trained, dataset):
     traj = dataset[0]
     p = ens.predict_trajectory(traj.states, traj.actions)
     assert not np.allclose(p["mu_s"][0], p["mu_s"][1])
+
+
+def test_windows_left_padded_per_step():
+    cfg = ReturnModelConfig(seq_length=4)
+    ens = ReturnEnsemble(cfg, [], Normalizer.identity(), [])
+    rng = np.random.default_rng(6)
+    states, actions = rng.normal(size=(6, 12)), rng.normal(size=(6, 2))
+    ws, wa, mask = ens._windows(states, actions)
+    na = Normalizer.identity().norm_actions(actions)
+    for t in range(6):
+        n = min(t + 1, 4)
+        assert mask[t].tolist() == [False] * (4 - n) + [True] * n
+        assert np.array_equal(ws[t, 4 - n:], states[t + 1 - n:t + 1])
+        assert np.array_equal(wa[t, 4 - n:], na[t + 1 - n:t + 1])
+        assert not ws[t, :4 - n].any() and not wa[t, :4 - n].any()
 
 
 def test_predict_step_apis_consistent(trained, dataset):

@@ -8,8 +8,8 @@ from segdt.return_model import Normalizer, ReturnDistribution, ReturnEnsemble, \
     ReturnMemberModel, ReturnModelConfig
 from segdt.segmenter import (
     CERTAIN, UNCERTAIN, Part, SegmentedTrajectory, UncertaintyTrace,
-    estimate_uncertainty, gaussian_kl, load_segmented, relabel, save_segmented,
-    segment, segment_dataset,
+    estimate_uncertainty, forecast_uncertainty, gaussian_kl, gaussian_kl_array,
+    load_segmented, relabel, save_segmented, segment, segment_dataset,
 )
 
 
@@ -221,6 +221,71 @@ def test_untrained_twins_give_zero_uncertainty():
     trace = estimate_uncertainty(traj, ens, epsilon=0.5)
     assert np.allclose(trace.u, 0.0, atol=1e-12)
     assert not trace.flags.any()
+
+
+def scalar_uncertainty(p: dict, t: int) -> float:
+    """The per-step formula forecast_uncertainty replaces: moment-match each
+    head's members, then a clipped KL, all on Python floats."""
+    def moments(mus, vars_):
+        mus, vars_ = np.array(mus), np.array(vars_)
+        mu = mus.mean()
+        var = max((vars_ + mus**2).mean() - mu**2, vars_.min() * 1e-12 + 1e-300)
+        return float(mu), float(var)
+
+    mu_p, var_p = moments(list(p["mu_s"][:, t]), list(p["var_s"][:, t]))
+    mu_q, var_q = moments(list(p["mu_a"][:, t]), list(p["var_a"][:, t]))
+    kl = float(0.5 * np.log(var_q / var_p)
+               + (var_p + (mu_p - mu_q) ** 2) / (2.0 * var_q) - 0.5)
+    return max(kl, 0.0)
+
+
+class StubEnsemble:
+    def __init__(self, forecast):
+        self.forecast = forecast
+
+    def predict_trajectory(self, states, actions):
+        return self.forecast
+
+
+@pytest.mark.parametrize("K", [1, 2, 5])
+@pytest.mark.parametrize("near_identical", [False, True])
+def test_uncertainty_bitwise_equal_scalar_formula(K, near_identical):
+    rng = np.random.default_rng(10 + K)
+    T = 3000
+    centre = rng.normal(size=T) * 10.0 ** rng.uniform(-2, 3, size=T)
+    scale = 1e-13 if near_identical else 1.0
+    p = {}
+    for head in ("s", "a"):
+        p["mu_" + head] = centre * (1.0 + scale * rng.normal(size=(K, T)))
+        p["var_" + head] = 10.0 ** rng.uniform(-3, 3, size=T) * (
+            1.0 + scale * rng.uniform(size=(K, T)))
+    u = forecast_uncertainty(p)
+    assert [float(v) for v in u] == [scalar_uncertainty(p, t) for t in range(T)]
+    trace = estimate_uncertainty(make_traj([0.0] * T), StubEnsemble(p), epsilon=1.0)
+    assert np.array_equal(trace.u, u)
+
+
+def test_uncertainty_rejects_invalid_member_forecast():
+    p = {k: np.ones((2, 4)) for k in ("mu_s", "var_s", "mu_a", "var_a")}
+    p["var_a"][1, 2] = 0.0
+    with pytest.raises(ValueError, match="invalid return distribution"):
+        forecast_uncertainty(p)
+    p["var_a"][1, 2] = np.nan
+    with pytest.raises(ValueError, match="invalid return distribution"):
+        forecast_uncertainty(p)
+
+
+def test_kl_array_matches_scalar_and_rejects_bad_variance():
+    rng = np.random.default_rng(4)
+    mu_p, mu_q = rng.normal(size=50), rng.normal(size=50)
+    var_p, var_q = rng.uniform(0.1, 5, size=50), rng.uniform(0.1, 5, size=50)
+    kl = gaussian_kl_array(mu_p, var_p, mu_q, var_q)
+    for i in range(50):
+        assert kl[i] == gaussian_kl(ReturnDistribution(mu_p[i], var_p[i]),
+                                    ReturnDistribution(mu_q[i], var_q[i]))
+    var_q[7] = -1.0
+    with pytest.raises(ValueError, match="non-positive variance"):
+        gaussian_kl_array(mu_p, var_p, mu_q, var_q)
 
 
 def test_trace_validation():

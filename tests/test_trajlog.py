@@ -108,13 +108,22 @@ def test_jsonl_roundtrip_bitwise(small_dataset, tmp_path):
 
 
 def test_binary_roundtrip_bitwise(small_dataset, tmp_path):
-    path = tmp_path / "d.npz"
-    trajlog.save_binary(small_dataset, path)
-    loaded = trajlog.load_binary(path)
-    for a, b in zip(small_dataset, loaded):
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.rewards, b.rewards)
-        assert a.meta == b.meta
+    # trajectories of different lengths, so a misplaced slice shows
+    trajs = small_dataset + [make_traj([0.5] * n, seed=n) for n in (1, 7, 4)]
+    assert len({len(t) for t in trajs}) >= 3
+    trajlog.save_binary(trajs, tmp_path / "d.npz")
+    trajlog.save(trajs, tmp_path / "d.jsonl")
+    packed = trajlog.load_binary(tmp_path / "d.npz")
+    jsonl = trajlog.load(tmp_path / "d.jsonl")
+    assert len(packed) == len(jsonl) == len(trajs)
+    for a, b, c in zip(trajs, packed, jsonl):
+        for loaded in (b, c):
+            assert np.array_equal(a.states, loaded.states)
+            assert np.array_equal(a.actions, loaded.actions)
+            assert np.array_equal(a.rewards, loaded.rewards)
+            assert a.reward_terms == loaded.reward_terms
+            assert a.infractions == loaded.infractions
+            assert a.meta == loaded.meta
 
 
 def test_truncated_file_fails_loudly(small_dataset, tmp_path):
