@@ -61,6 +61,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_index(idx) -> bool:
+    """True for numpy basic indexes (ints, slices, None, ...): they select
+    each element at most once, so their gradient can be added in place."""
+    for part in idx if isinstance(idx, tuple) else (idx,):
+        if part is None or part is Ellipsis or isinstance(part, slice):
+            continue
+        if isinstance(part, (int, np.integer)) and not isinstance(part, (bool, np.bool_)):
+            continue
+        return False
+    return True
+
+
 class Tensor:
     """A float64 array plus optional gradient buffer and tape record."""
 
@@ -135,13 +147,19 @@ class Tensor:
                     stack.pop()
 
         visit(self)
-        for node in topo:
-            if node.grad is None and (node.requires_grad or node._parents):
-                node.grad = np.zeros_like(node.data)
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+
+    def _accum(self, g, owned: bool):
+        """Add ``g`` into ``grad``.  The first write allocates: it keeps ``g``
+        itself when the closure just computed it (``owned``) and copies views
+        and arrays another operand may also receive."""
+        if self.grad is None:
+            self.grad = np.asarray(g) if owned else np.array(g)
+        else:
+            self.grad += g
 
     # -- elementwise arithmetic -------------------------------------------
 
@@ -154,10 +172,12 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(g):
-            if self.grad is not None:
-                self.grad += _unbroadcast(g, self.shape)
-            if other.grad is not None:
-                other.grad += _unbroadcast(g, other.shape)
+            if self.requires_grad:
+                ga = _unbroadcast(g, self.shape)
+                self._accum(ga, owned=ga is not g)
+            if other.requires_grad:
+                gb = _unbroadcast(g, other.shape)
+                other._accum(gb, owned=gb is not g)
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -165,8 +185,8 @@ class Tensor:
 
     def __neg__(self):
         def backward(g):
-            if self.grad is not None:
-                self.grad -= g
+            if self.requires_grad:
+                self._accum(-g, owned=True)
 
         return Tensor._result(-self.data, (self,), backward)
 
@@ -181,10 +201,10 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(g):
-            if self.grad is not None:
-                self.grad += _unbroadcast(g * other.data, self.shape)
-            if other.grad is not None:
-                other.grad += _unbroadcast(g * self.data, other.shape)
+            if self.requires_grad:
+                self._accum(_unbroadcast(g * other.data, self.shape), owned=True)
+            if other.requires_grad:
+                other._accum(_unbroadcast(g * self.data, other.shape), owned=True)
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -195,10 +215,11 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(g):
-            if self.grad is not None:
-                self.grad += _unbroadcast(g / other.data, self.shape)
-            if other.grad is not None:
-                other.grad += _unbroadcast(-g * self.data / other.data**2, other.shape)
+            if self.requires_grad:
+                self._accum(_unbroadcast(g / other.data, self.shape), owned=True)
+            if other.requires_grad:
+                other._accum(_unbroadcast(-g * self.data / other.data**2, other.shape),
+                             owned=True)
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -209,8 +230,8 @@ class Tensor:
         out_data = self.data**exponent
 
         def backward(g):
-            if self.grad is not None:
-                self.grad += g * exponent * self.data ** (exponent - 1)
+            if self.requires_grad:
+                self._accum(g * exponent * self.data ** (exponent - 1), owned=True)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -220,15 +241,15 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward(g):
-            if self.grad is not None:
-                self.grad += g * out_data
+            if self.requires_grad:
+                self._accum(g * out_data, owned=True)
 
         return Tensor._result(out_data, (self,), backward)
 
     def log(self):
         def backward(g):
-            if self.grad is not None:
-                self.grad += g / self.data
+            if self.requires_grad:
+                self._accum(g / self.data, owned=True)
 
         return Tensor._result(np.log(self.data), (self,), backward)
 
@@ -236,8 +257,8 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward(g):
-            if self.grad is not None:
-                self.grad += g * (1.0 - out_data**2)
+            if self.requires_grad:
+                self._accum(g * (1.0 - out_data**2), owned=True)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -245,8 +266,8 @@ class Tensor:
         out_data = np.maximum(self.data, 0.0)
 
         def backward(g):
-            if self.grad is not None:
-                self.grad += g * (self.data > 0)
+            if self.requires_grad:
+                self._accum(g * (self.data > 0), owned=True)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -260,9 +281,9 @@ class Tensor:
         out_data = x * cdf
 
         def backward(g):
-            if self.grad is not None:
+            if self.requires_grad:
                 pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-                self.grad += g * (cdf + x * pdf)
+                self._accum(g * (cdf + x * pdf), owned=True)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -272,13 +293,10 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g):
-            if self.grad is None:
+            if not self.requires_grad:
                 return
-            if axis is None:
-                self.grad += g
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self.grad += np.broadcast_to(gg, self.shape)
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+            self._accum(np.broadcast_to(gg, self.shape), owned=False)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -299,8 +317,8 @@ class Tensor:
         out_data = self.data.reshape(shape)
 
         def backward(g):
-            if self.grad is not None:
-                self.grad += g.reshape(old_shape)
+            if self.requires_grad:
+                self._accum(g.reshape(old_shape), owned=False)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -310,8 +328,8 @@ class Tensor:
         out_data = self.data.transpose(axes)
 
         def backward(g):
-            if self.grad is not None:
-                self.grad += g.transpose(inv)
+            if self.requires_grad:
+                self._accum(g.transpose(inv), owned=False)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -319,7 +337,13 @@ class Tensor:
         out_data = self.data[idx]
 
         def backward(g):
-            if self.grad is not None:
+            if not self.requires_grad:
+                return
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            if _is_basic_index(idx):
+                self.grad[idx] += g
+            else:  # integer arrays may repeat an index: accumulate each
                 np.add.at(self.grad, idx, g)
 
         return Tensor._result(out_data, (self,), backward)
@@ -334,12 +358,12 @@ class Tensor:
             raise ShapeError(f"matmul: operands {self.shape} @ {other.shape}: {exc}") from None
 
         def backward(g):
-            if self.grad is not None:
+            if self.requires_grad:
                 ga = g @ np.swapaxes(other.data, -1, -2)
-                self.grad += _unbroadcast(ga, self.shape)
-            if other.grad is not None:
+                self._accum(_unbroadcast(ga, self.shape), owned=True)
+            if other.requires_grad:
                 gb = np.swapaxes(self.data, -1, -2) @ g
-                other.grad += _unbroadcast(gb, other.shape)
+                other._accum(_unbroadcast(gb, other.shape), owned=True)
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -353,9 +377,9 @@ class Tensor:
         out_data = e / e.sum(axis=axis, keepdims=True)
 
         def backward(g):
-            if self.grad is not None:
+            if self.requires_grad:
                 dot = (g * out_data).sum(axis=axis, keepdims=True)
-                self.grad += out_data * (g - dot)
+                self._accum(out_data * (g - dot), owned=True)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -369,12 +393,11 @@ class Tensor:
         out_data = xc * inv
 
         def backward(g):
-            if self.grad is None:
+            if not self.requires_grad:
                 return
-            n = x.shape[-1]
             gm = g.mean(axis=-1, keepdims=True)
             gy = (g * out_data).mean(axis=-1, keepdims=True)
-            self.grad += inv * (g - gm - out_data * gy)
+            self._accum(inv * (g - gm - out_data * gy), owned=True)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -387,10 +410,10 @@ def concat(tensors: list, axis: int = -1) -> Tensor:
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.grad is not None:
+            if t.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
-                t.grad += g[tuple(sl)]
+                t._accum(g[tuple(sl)], owned=False)
 
     return Tensor._result(out_data, tuple(tensors), backward)
 
@@ -401,7 +424,7 @@ def stack(tensors: list, axis: int = 0) -> Tensor:
     def backward(g):
         parts = np.split(g, len(tensors), axis=axis)
         for t, part in zip(tensors, parts):
-            if t.grad is not None:
-                t.grad += np.squeeze(part, axis=axis)
+            if t.requires_grad:
+                t._accum(np.squeeze(part, axis=axis), owned=False)
 
     return Tensor._result(out_data, tuple(tensors), backward)

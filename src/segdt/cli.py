@@ -246,7 +246,7 @@ def cmd_train_policy(args) -> int:
 
 
 def cmd_build_kdtree(args) -> int:
-    cfg = _load_stage_config(IndexConfig, args, {"knn": args.knn})
+    cfg = _load_stage_config(IndexConfig, args, {"knn": args.knn, "seed": args.seed})
     segmented = _require(args.segmented, "--segmented")
     out = _prepare_out(args.out, args.force)
     manifest = _manifest("build-kdtree", cfg, seeds=[cfg.seed])
@@ -384,13 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log training progress")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **flags):
+    def add(name, fn, seeded=True, **flags):
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output artifact path")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:  # segment and calibrate draw nothing
+            p.add_argument("--seed", type=int, default=None)
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
            "--delta": dict(type=float, default=None)})
     add("train-return", cmd_train_return,
         **{"--dataset": dict(default=None)})
-    add("segment", cmd_segment,
+    add("segment", cmd_segment, seeded=False,
         **{"--dataset": dict(default=None),
            "--ensemble": dict(default=None),
            "--epsilon": dict(type=float, default=None),
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
            "--predictor": dict(default=None),
            "--episodes": dict(type=int, default=None),
            "--delta": dict(type=float, default=None)})
-    add("calibrate", cmd_calibrate,
+    add("calibrate", cmd_calibrate, seeded=False,
         **{"--dataset": dict(default=None),
            "--ensemble": dict(default=None),
            "--epsilon": dict(type=float, default=None)})

@@ -2,15 +2,19 @@
 
 Contains the module system, the causal transformer trunk shared by all three
 model roles, the AdamW optimizer, the Gaussian negative log-likelihood used
-by variance heads, and checkpoint (de)serialization.  Checkpoints are JSON
-with raw little-endian float64 parameter bytes in base64, so a save/load
-round trip is bitwise exact.
+by variance heads, ``map_members``, which trains independent ensemble members
+in parallel worker processes, and checkpoint (de)serialization.  Checkpoints
+are JSON with raw little-endian float64 parameter bytes in base64, so a
+save/load round trip is bitwise exact.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -311,6 +315,45 @@ class AdamW:
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
+
+
+# ---------------------------------------------------------------------------
+# Ensemble members in parallel
+# ---------------------------------------------------------------------------
+
+_member_fn = None  # set in each worker process, never in the caller
+
+
+def _install_member_fn(fn):
+    global _member_fn
+    _member_fn = fn
+
+
+def _call_member(k: int):
+    return _member_fn(k)
+
+
+def map_members(fn, n: int) -> list:
+    """``[fn(0), ..., fn(n - 1)]``, one forked worker process per usable CPU.
+
+    Ensemble members own their seeds and data, so each call runs exactly the
+    code a serial loop would and the results are bitwise the same.  With one
+    worker this is a plain loop.  Workers are forked, so they inherit ``fn``
+    (it may be a closure over a whole dataset) and only member indices and
+    results are pickled.  Results come back in member order; a failure
+    re-raises the exception of the lowest-index failing member, as the
+    serial loop would, once every worker has exited.
+    """
+    workers = min(n, len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [fn(k) for k in range(n)]
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_install_member_fn, initargs=(fn,))
+    try:
+        futures = [pool.submit(_call_member, k) for k in range(n)]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

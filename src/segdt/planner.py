@@ -116,6 +116,19 @@ class TargetPredictorConfig:
         return asdict(self)
 
 
+def _choice_cdf(weights: np.ndarray) -> np.ndarray:
+    """The cdf ``Generator.choice(n, p=weights / weights.sum())`` draws from."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _choice_draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """``int(rng.choice(n, p=p))`` for the ``p`` behind ``cdf``: the same
+    index from the same stream, without re-validating ``p`` on every draw."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 class _TargetMlp(nn.Module):
     """(normalized state, span fraction) -> Gaussian over the span return."""
 
@@ -184,13 +197,14 @@ class TargetReturnPredictor:
         state_mean = states.mean(axis=0)
         state_std = np.maximum(states.std(axis=0), 1e-6)
 
+        # trajectories are drawn in proportion to their length
+        cdf = _choice_cdf(np.array([len(t) for t in trajs], dtype=np.float64))
+
         def sample_batch(rng):
             xs = np.empty((config.batch_size, STATE_DIM + 1))
             ys = np.empty(config.batch_size)
-            lengths = np.array([len(t) for t in trajs], dtype=np.float64)
-            probs = lengths / lengths.sum()
             for i in range(config.batch_size):
-                traj = trajs[rng.choice(len(trajs), p=probs)]
+                traj = trajs[_choice_draw(cdf, rng)]
                 t = int(rng.integers(len(traj)))
                 h = int(rng.integers(1, config.span_max + 1))
                 xs[i, :STATE_DIM] = (traj.states[t] - state_mean) / state_std
@@ -204,9 +218,8 @@ class TargetReturnPredictor:
             y_probe = np.concatenate([y_probe, sample_batch(stat_rng)[1]])
         y_mean, y_std = float(y_probe.mean()), float(max(y_probe.std(), 1e-6))
 
-        members = []
-        for k in range(config.ensemble_size):
-            rng = np.random.default_rng(config.seed + k)
+        def train_member(k: int) -> dict:
+            rng = np.random.default_rng(config.seed + k)  # init, then batches
             member = _TargetMlp(config, rng)
             opt = nn.AdamW(member.parameters(), lr=config.learning_rate)
             for it in range(config.iters):
@@ -219,7 +232,12 @@ class TargetReturnPredictor:
                 opt.zero_grad()
                 loss.backward()
                 opt.step()
-            member.eval()
+            return member.state_dict()
+
+        members = []
+        for state in nn.map_members(train_member, config.ensemble_size):
+            member = _TargetMlp(config, np.random.default_rng(0))
+            member.load_state_dict(state)
             members.append(member)
         return cls(config, members, state_mean, state_std, y_mean, y_std)
 

@@ -388,8 +388,8 @@ def train_return_models(trajs: list, config: ReturnModelConfig,
 
     val_batches = [prep(val_source, val_returns, val_rng) for _ in range(4)]
 
-    members, history = [], []
-    for k, mseed in enumerate(mask_seeds):
+    def train_member(k: int) -> tuple:
+        mseed = mask_seeds[k]
         mrng = np.random.default_rng(mseed)
         include = mrng.random(len(train)) < config.data_mask_prob
         if not include.any():
@@ -423,7 +423,12 @@ def train_return_models(trajs: list, config: ReturnModelConfig,
             member.train()
             if progress:
                 log.info("member %d epoch %d held-out nll %.4f", k, epoch, curve[-1])
-        member.eval()
+        return member.state_dict(), curve
+
+    members, history = [], []
+    for state, curve in nn.map_members(train_member, config.ensemble_size):
+        member = ReturnMemberModel(config, np.random.default_rng(0))
+        member.load_state_dict(state)
         members.append(member)
         history.append(curve)
 

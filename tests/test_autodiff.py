@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -90,6 +94,69 @@ def test_reshape_transpose_getitem_concat_gradcheck():
     a = RNG.normal(size=(2, 3))
     b = RNG.normal(size=(2, 2))
     finite_diff_check(lambda u, v: (concat([u, v], axis=1) ** 2).sum(), [a, b])
+
+
+def test_basic_getitem_gradcheck():
+    x = RNG.normal(size=(3, 4, 5))
+    finite_diff_check(lambda t: (t[1:, None, ..., ::2] ** 2).sum()
+                      + (t[0, 2] * t[-1, :, 3:4]).sum(), [x])
+
+
+def test_repeated_integer_array_getitem_gradcheck():
+    x = RNG.normal(size=(4, 3))
+    rows = np.array([2, 0, 2, 2, 3])
+    finite_diff_check(lambda t: (t[rows] ** 2).sum() + t[:, np.array([1, 1])].sum(), [x])
+    t = Tensor(x, requires_grad=True)
+    t[rows].sum().backward()
+    assert np.array_equal(t.grad[:, 0], [1.0, 0.0, 3.0, 1.0])
+
+
+def test_node_without_gradient_gradcheck():
+    # b feeds only a branch the loss never reads: its grad stays zero, and
+    # the branch's node is never written
+    unused = []
+
+    def fn(a, b):
+        unused.append(b.exp() * a)
+        return (a * a).sum()
+
+    a, b = RNG.normal(size=(2, 3)), RNG.normal(size=(2, 3))
+    finite_diff_check(fn, [a, b])
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    fn(ta, tb).backward()
+    assert unused[-1].grad is None
+    assert np.array_equal(tb.grad, np.zeros((2, 3)))
+
+
+def _tape_nodes(root):
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes and node._parents:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def test_shared_gradient_is_not_aliased():
+    # s = y + z hands one incoming grad to y and to z; w writes into y after
+    # s's backward has run, so an aliased buffer would corrupt z's gradient.
+    # Every node owns its grad buffer, also where its child passed a view.
+    def fn(a):
+        y, z = a * 1.5, a * 2.0
+        w = y * 3.0
+        s = y + z
+        t = concat([s.reshape(3, 1).transpose((1, 0)), z.reshape(1, 3)], axis=0)
+        return (z * z).sum() + (w * w).sum() + (s * s).sum() + (t * t).sum()
+
+    finite_diff_check(fn, [RNG.normal(size=3)])
+    loss = fn(Tensor(RNG.normal(size=3), requires_grad=True))
+    loss.backward()
+    nodes = _tape_nodes(loss)
+    assert len(nodes) == 19
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            assert not np.shares_memory(u.grad, v.grad)
 
 
 def test_mean_sum_axis_gradcheck():
@@ -235,3 +302,34 @@ def test_checkpoint_format_mismatch(tmp_path):
     path.write_text('{"format": "other", "params": {}}')
     with pytest.raises(ValueError, match="format mismatch"):
         nn.load_checkpoint(path)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_map_members_in_member_order(monkeypatch):
+    parent = os.getpid()
+    _cpus(monkeypatch, 1)
+    assert nn.map_members(lambda k: (k * k, os.getpid()), 3) == [
+        (0, parent), (1, parent), (4, parent)]
+    _cpus(monkeypatch, 2)
+    out = nn.map_members(lambda k: (time.sleep(0.2 if k == 0 else 0.0), k * k, os.getpid()), 5)
+    assert [r[1] for r in out] == [0, 1, 4, 9, 16]
+    assert parent not in {r[2] for r in out}
+    assert multiprocessing.active_children() == []
+
+
+def test_map_members_raises_the_lowest_failing_member(monkeypatch):
+    def fn(k):
+        if k == 1:
+            time.sleep(0.3)  # member 3 fails first, member 1 still wins
+        if k in (1, 3):
+            raise nn.TrainingDiverged(f"member {k}: boom")
+        return k
+
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(nn.TrainingDiverged, match="member 1:"):
+            nn.map_members(fn, 5)
+        assert multiprocessing.active_children() == []

@@ -3,11 +3,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from segdt import cli, evaluator, trajlog
 from segdt.manifest import RunManifest, hash_artifact
 from segdt.nn import TrainingDiverged
+from segdt.planner import TargetReturnPredictor
 from segdt.return_model import ReturnEnsemble, split_train_val
 
 SMOKE = Path(__file__).parents[1] / "configs" / "smoke"
@@ -181,3 +183,25 @@ def test_divergence_exit_4(pipeline, tmp_path, capsys, monkeypatch):
               pipeline["dataset"], "--out", tmp_path / "ens"])
     assert rc == 4
     assert "error: code=4" in capsys.readouterr().err
+
+
+def test_build_kdtree_trains_the_predictor_with_the_seed_flag(pipeline, tmp_path):
+    members = {}
+    for seed in (5, 0):
+        out, pred = tmp_path / f"index{seed}.npz", tmp_path / f"predictor{seed}"
+        assert run(["build-kdtree", "--config", SMOKE / "index.cfg", "--segmented",
+                    pipeline["segmented"], "--out", out, "--predictor-out", pred,
+                    "--seed", seed]) == 0
+        assert RunManifest.load(RunManifest.manifest_path(out)).seeds == [seed]
+        predictor = TargetReturnPredictor.load(pred)
+        assert predictor.config.seed == seed
+        members[seed] = predictor.members[0].state_dict()
+    assert any(not np.array_equal(members[5][k], members[0][k]) for k in members[0])
+
+
+@pytest.mark.parametrize("command", ["segment", "calibrate"])
+def test_stages_that_draw_nothing_reject_seed(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--seed", 3])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err

@@ -1,11 +1,17 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from segdt import trajlog
+from segdt import nn, planner, trajlog
+from segdt.autodiff import Tensor
+from segdt.nn import TrainingDiverged
 from segdt.planner import (
     KdUncertaintyIndex, PlannerConfig, PlannerState, TargetPredictorConfig,
-    TargetReturnPredictor, _TargetMlp, initial_global_target, plan_step,
+    TargetReturnPredictor, _TargetMlp, _choice_cdf, _choice_draw,
+    initial_global_target, plan_step,
 )
 from segdt.segmenter import UncertaintyTrace
 
@@ -144,6 +150,64 @@ def test_predictor_roundtrip(trained_predictor, tmp_path):
     for h in (1, 5, 10):
         assert loaded.predict_target(s, h, 0.7) == \
             trained_predictor.predict_target(s, h, 0.7)
+
+
+def test_choice_draw_matches_generator_choice():
+    lengths = np.array([130, 7, 55, 130, 1, 99, 130, 42, 3, 130], dtype=np.float64)
+    probs = lengths / lengths.sum()
+    cdf = _choice_cdf(lengths)
+    ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(20_000):  # interleaved with integers, as sample_batch draws
+        assert _choice_draw(cdf, ours) == ref.choice(len(lengths), p=probs)
+        assert ours.integers(130) == ref.integers(130)
+        assert ours.integers(1, 101) == ref.integers(1, 101)
+
+
+def _unit_reward_trajs(n=8, length=30):
+    rng = np.random.default_rng(3)
+    return [trajlog.Trajectory(
+        states=rng.normal(size=(length - i, 12)), actions=rng.normal(size=(length - i, 2)),
+        rewards=np.ones(length - i), reward_terms=[{}] * (length - i),
+        infractions=[None] * (length - i)) for i in range(n)]
+
+
+POOLED = TargetPredictorConfig(ensemble_size=3, hidden_dim=16, n_hidden=2, iters=30,
+                               batch_size=16, span_max=10, seed=4)
+
+
+def test_parallel_predictor_members_match_serial_bitwise(monkeypatch):
+    trained = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        trained.append(TargetReturnPredictor.train(_unit_reward_trajs(), POOLED))
+    serial, pooled = trained
+    assert (pooled.y_mean, pooled.y_std) == (serial.y_mean, serial.y_std)
+    for a, b in zip(serial.members, pooled.members):
+        sa, sb = a.state_dict(), b.state_dict()
+        assert sa.keys() == sb.keys()
+        for name in sa:
+            assert sa[name].tobytes() == sb[name].tobytes(), name
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_predictor_divergence_names_lowest_failing_member(monkeypatch):
+    current = {}
+    real_map, real_nll = nn.map_members, nn.gaussian_nll
+
+    def tagged_map(fn, n):
+        return real_map(lambda k: (current.update(k=k), fn(k))[1], n)
+
+    def poisoned_nll(mu, log_var, target, mask=None):
+        if current["k"] >= 1:
+            return Tensor(np.nan) + mu.sum() * 0.0
+        return real_nll(mu, log_var, target, mask)
+
+    monkeypatch.setattr(planner.nn, "map_members", tagged_map)
+    monkeypatch.setattr(planner.nn, "gaussian_nll", poisoned_nll)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(TrainingDiverged, match="member 1:"):
+        TargetReturnPredictor.train(_unit_reward_trajs(), POOLED)
+    assert multiprocessing.active_children() == []
 
 
 # -- planning loop ----------------------------------------------------------

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -276,3 +279,52 @@ def test_divergence_aborts_with_diagnostics(dataset, monkeypatch):
     )
     with pytest.raises(TrainingDiverged, match="member 0"):
         train_return_models(dataset[:10], cfg)
+
+
+# -- members in parallel workers -------------------------------------------
+
+POOLED = ReturnModelConfig(
+    n_layers=1, n_heads=2, embed_dim=16, seq_length=5, dropout=0.1,
+    batch_size=16, ensemble_size=3, epochs=2, iters_per_epoch=4, seed=5,
+)
+
+
+def _train_on_cpus(monkeypatch, trajs, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return train_return_models(trajs, POOLED)
+
+
+def test_parallel_members_match_serial_bitwise(dataset, monkeypatch):
+    serial, serial_hist = _train_on_cpus(monkeypatch, dataset[:40], 1)
+    pooled, pooled_hist = _train_on_cpus(monkeypatch, dataset[:40], 2)
+    assert pooled.mask_seeds == serial.mask_seeds
+    assert pooled_hist == serial_hist
+    for a, b in zip(serial.members, pooled.members):
+        sa, sb = a.state_dict(), b.state_dict()
+        assert sa.keys() == sb.keys()
+        for name in sa:
+            assert sa[name].tobytes() == sb[name].tobytes(), name
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_divergence_names_lowest_failing_member(dataset, monkeypatch):
+    from segdt import nn, return_model
+    from segdt.autodiff import Tensor
+
+    current = {}
+    real_map, real_nll = nn.map_members, nn.gaussian_nll
+
+    def tagged_map(fn, n):
+        return real_map(lambda k: (current.update(k=k), fn(k))[1], n)
+
+    def poisoned_nll(mu, log_var, target, mask=None):
+        if current["k"] >= 1:  # members 1 and 2 diverge, member 0 trains
+            return Tensor(np.nan) + mu.sum() * 0.0
+        return real_nll(mu, log_var, target, mask)
+
+    monkeypatch.setattr(return_model.nn, "map_members", tagged_map)
+    monkeypatch.setattr(return_model.nn, "gaussian_nll", poisoned_nll)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(TrainingDiverged, match="member 1:"):
+        train_return_models(dataset[:40], POOLED)
+    assert multiprocessing.active_children() == []
