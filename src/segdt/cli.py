@@ -261,11 +261,9 @@ def cmd_build_kdtree(args) -> int:
     messages = [f"build-kdtree: index over {len(index)} states saved to {out}"]
     if args.predictor_out:
         pred_out = _prepare_out(args.predictor_out, args.force)
-        pred_cfg = TargetPredictorConfig(
-            hidden_dim=cfg.hidden_dim, n_hidden=cfg.n_hidden,
-            ensemble_size=cfg.ensemble_size, learning_rate=cfg.learning_rate,
-            batch_size=cfg.batch_size, iters=cfg.iters, span_max=cfg.span_max,
-            seed=cfg.seed)
+        pred_cfg = TargetPredictorConfig(**{
+            f.name: getattr(cfg, f.name)
+            for f in dataclasses.fields(TargetPredictorConfig)})
         predictor = TargetReturnPredictor.train(trajs, pred_cfg)
         predictor.save(pred_out)
         manifest.add_output("predictor", pred_out)

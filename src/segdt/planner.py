@@ -69,9 +69,6 @@ class KdUncertaintyIndex:
         _, idx = self._tree.query(z, k=k)
         return float(self._values[np.atleast_1d(idx)].mean())
 
-    def is_uncertain(self, state: np.ndarray) -> bool:
-        return self.query(state) > self.epsilon
-
     @classmethod
     def build(cls, trajs: list, traces: list, k: int = 5,
               epsilon: float = 1.0) -> "KdUncertaintyIndex":
@@ -288,7 +285,6 @@ class PlannerConfig:
     epsilon: float = 1.0        # uncertainty threshold for the index gate
     knn: int = 5
     history_length: int = 5     # max context steps fed to the policy
-    initial_global_target: float | None = None  # None -> dataset percentile
 
     def validate(self):
         if self.span_horizon < 1:

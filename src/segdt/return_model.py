@@ -274,20 +274,6 @@ class ReturnEnsemble:
                 out["var_a"][k] = np.exp(lv_a.data[:, last]) * nrm.ret_std**2
         return out
 
-    def predict_state_conditioned(self, states: np.ndarray, actions: np.ndarray,
-                                  t: int | None = None) -> list:
-        """Member distributions of R_t given history and s_t."""
-        t = states.shape[0] - 1 if t is None else t
-        p = self.predict_trajectory(states[:t + 1], actions[:t + 1])
-        return [ReturnDistribution(p["mu_s"][k, t], p["var_s"][k, t]) for k in range(self.size)]
-
-    def predict_action_conditioned(self, states: np.ndarray, actions: np.ndarray,
-                                   t: int | None = None) -> list:
-        """Member distributions of R_t given history up to a_{t-1} only."""
-        t = states.shape[0] - 1 if t is None else t
-        p = self.predict_trajectory(states[:t + 1], actions[:t + 1])
-        return [ReturnDistribution(p["mu_a"][k, t], p["var_a"][k, t]) for k in range(self.size)]
-
     # -- persistence -------------------------------------------------------
 
     def save(self, directory) -> None:

@@ -6,11 +6,14 @@ history alone: when seeing s_t changes the forecast, the environment just
 revealed something the policy could not have anticipated.  Steps whose
 uncertainty exceeds a threshold seed uncertain parts; certain steps are
 relabeled with truncated returns that never look across a boundary.
+
+A segmented file is a ``trajlog`` file under its own schema version whose
+lines add ``u``, ``h``, ``r_h``, ``epsilon`` and ``parts``; loading
+recomputes the global returns, and a step's flag is ``u > epsilon``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from . import trajlog
 from .return_model import ReturnDistribution, mixture_moments
 
-SEGMENT_SCHEMA_VERSION = "segtraj-v1"
+SEGMENT_SCHEMA_VERSION = "segtraj-v2"
 
 CERTAIN = "certain"
 UNCERTAIN = "uncertain"
@@ -181,79 +184,25 @@ def segment_dataset(trajs: list, ensemble, epsilon: float, c: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: trajectory schema extended with per-step segmentation columns
+# Persistence: the trajlog codec plus the segmentation keys
 # ---------------------------------------------------------------------------
 
 
 def save_segmented(segs: list, path) -> None:
-    with open(path, "w") as fh:
-        header = {"record": "header", "schema_version": SEGMENT_SCHEMA_VERSION,
-                  "trajectory_count": len(segs)}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for seg in segs:
-            traj = seg.traj
-            tmeta = {
-                "record": "trajectory", "length": len(traj), "meta": traj.meta,
-                "epsilon": seg.epsilon,
-                "parts": [[p.label, p.start, p.stop] for p in seg.parts],
-            }
-            fh.write(json.dumps(tmeta, sort_keys=True) + "\n")
-            R = seg.global_returns
-            for t in range(len(traj)):
-                rec = {
-                    "record": "step",
-                    "state": traj.states[t].tolist(),
-                    "action": traj.actions[t].tolist(),
-                    "reward": float(traj.rewards[t]),
-                    "u": float(seg.u[t]),
-                    "flag": bool(seg.u[t] > seg.epsilon),
-                    "h": int(seg.h[t]),
-                    "r_h": float(seg.r_h[t]),
-                    "global_return": float(R[t]),
-                }
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    trajlog.write_jsonl(path, SEGMENT_SCHEMA_VERSION, [seg.traj for seg in segs], [
+        {"epsilon": seg.epsilon,
+         "parts": [[p.label, p.start, p.stop] for p in seg.parts],
+         "u": seg.u.tolist(), "h": seg.h.tolist(), "r_h": seg.r_h.tolist()}
+        for seg in segs])
 
 
 def load_segmented(path) -> list:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty segmented dataset file")
-    header = json.loads(lines[0])
-    found = header.get("schema_version")
-    if header.get("record") != "header" or found != SEGMENT_SCHEMA_VERSION:
-        raise ValueError(f"{path}: schema version mismatch: expected "
-                         f"{SEGMENT_SCHEMA_VERSION!r}, found {found!r}")
-    segs = []
-    i = 1
-    while i < len(lines):
-        tmeta = json.loads(lines[i])
-        if tmeta.get("record") != "trajectory":
-            raise ValueError(f"{path}: line {i + 1}: expected trajectory record")
-        T = tmeta["length"]
-        i += 1
-        if i + T > len(lines):
-            raise ValueError(f"{path}: truncated file: trajectory needs {T} steps, "
-                             f"only {len(lines) - i} lines remain")
-        rows = [json.loads(lines[i + j]) for j in range(T)]
-        i += T
-        traj = trajlog.compute_returns(trajlog.Trajectory(
-            states=np.array([r["state"] for r in rows]),
-            actions=np.array([r["action"] for r in rows]),
-            rewards=np.array([r["reward"] for r in rows]),
-            reward_terms=[{} for _ in rows],
-            infractions=[None] * T,
-            meta=tmeta["meta"],
-        ), gamma=1.0)
-        segs.append(SegmentedTrajectory(
-            traj=traj,
-            u=np.array([r["u"] for r in rows]),
-            epsilon=tmeta["epsilon"],
-            parts=[Part(label, start, stop) for label, start, stop in tmeta["parts"]],
-            h=np.array([r["h"] for r in rows], dtype=np.int64),
-            r_h=np.array([r["r_h"] for r in rows]),
-        ))
-    if len(segs) != header["trajectory_count"]:
-        raise ValueError(f"{path}: truncated file: header promises "
-                         f"{header['trajectory_count']} trajectories, found {len(segs)}")
-    return segs
+    return [SegmentedTrajectory(
+        traj=trajlog.compute_returns(traj, 1.0),
+        u=np.array(cols["u"], dtype=np.float64),
+        epsilon=cols["epsilon"],
+        parts=[Part(label, start, stop) for label, start, stop in cols["parts"]],
+        h=np.array(cols["h"], dtype=np.int64),
+        r_h=np.array(cols["r_h"], dtype=np.float64),
+    ) for traj, cols in trajlog.read_jsonl(path, SEGMENT_SCHEMA_VERSION,
+                                           step_keys=("u", "h", "r_h"))]

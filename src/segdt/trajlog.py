@@ -1,7 +1,9 @@
 """Trajectory persistence, return annotation, and window sampling.
 
-Storage is newline-delimited JSON: one header record, then per trajectory a
-metadata record followed by one record per step.  Floats survive the round
+Storage is newline-delimited JSON: a header line (schema version, trajectory
+count), then one line per trajectory holding ``meta`` and the per-step
+columns as whole lists.  ``write_jsonl``/``read_jsonl`` are the only codec;
+segmented files add their own keys to each line.  Floats survive the round
 trip at full 64-bit precision (Python's repr-based JSON encoding).  A packed
 binary twin (.npz) carries the same schema version for bulk workloads.
 """
@@ -15,7 +17,7 @@ import numpy as np
 
 from .env import STATE_DIM, ACTION_DIM
 
-SCHEMA_VERSION = "traj-v1"
+SCHEMA_VERSION = "traj-v2"
 
 
 @dataclass
@@ -87,72 +89,80 @@ def annotate_dataset(trajs: list, gammas=(0.95, 1.0)) -> list:
 # ---------------------------------------------------------------------------
 
 
-def save(trajs: list, path) -> None:
+def write_jsonl(path, schema_version: str, trajs: list, extras=None) -> None:
+    """Write the header line, then one line per trajectory.
+
+    ``extras`` (one dict per trajectory, or None) adds a caller's own keys to
+    each trajectory line beside the trajectory columns.
+    """
     with open(path, "w") as fh:
-        header = {"record": "header", "schema_version": SCHEMA_VERSION,
-                  "trajectory_count": len(trajs)}
+        header = {"schema_version": schema_version, "trajectory_count": len(trajs)}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for traj in trajs:
-            tmeta = {"record": "trajectory", "length": len(traj), "meta": traj.meta}
-            fh.write(json.dumps(tmeta, sort_keys=True) + "\n")
-            for t in range(len(traj)):
-                rec = {
-                    "record": "step",
-                    "state": traj.states[t].tolist(),
-                    "action": traj.actions[t].tolist(),
-                    "reward": float(traj.rewards[t]),
-                    "reward_terms": traj.reward_terms[t],
-                    "infraction": traj.infractions[t],
-                }
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        for k, traj in enumerate(trajs):
+            rec = {
+                "meta": traj.meta,
+                "states": traj.states.tolist(),
+                "actions": traj.actions.tolist(),
+                "rewards": traj.rewards.tolist(),
+                "reward_terms": traj.reward_terms,
+                "infractions": traj.infractions,
+            }
+            rec.update(extras[k] if extras is not None else {})
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def read_jsonl(path, schema_version: str, step_keys=()) -> list:
+    """Read a file written by ``write_jsonl``, line by line.
+
+    Returns one ``(Trajectory, extras)`` pair per trajectory line, where
+    ``extras`` holds the line's keys other than the trajectory's.  The
+    per-step columns and the caller's ``step_keys`` must be lists of one
+    length.
+    """
+    columns = ("states", "actions", "rewards", "reward_terms", "infractions", *step_keys)
+    with open(path) as fh:
+        header = _parse_line(fh.readline(), path, 1)
+        found = header.get("schema_version")
+        if found != schema_version:
+            raise ValueError(f"{path}: schema version mismatch: expected "
+                             f"{schema_version!r}, found {found!r}")
+        out = []
+        for lineno, line in enumerate(fh, start=2):
+            rec = _parse_line(line, path, lineno)
+            lengths = {key: len(rec[key]) if isinstance(rec.get(key), list) else None
+                       for key in columns}
+            if "meta" not in rec or None in lengths.values() or len(set(lengths.values())) != 1:
+                raise ValueError(f"{path}: line {lineno}: expected meta and per-step "
+                                 f"lists of one length, found lengths {lengths}")
+            traj = Trajectory(
+                states=np.array(rec.pop("states")), actions=np.array(rec.pop("actions")),
+                rewards=np.array(rec.pop("rewards")), reward_terms=rec.pop("reward_terms"),
+                infractions=rec.pop("infractions"), meta=rec.pop("meta"))
+            out.append((traj, rec))
+    if len(out) != header.get("trajectory_count"):
+        raise ValueError(f"{path}: truncated file: header promises "
+                         f"{header.get('trajectory_count')} trajectories, found {len(out)}")
+    return out
+
+
+def _parse_line(line: str, path, lineno: int) -> dict:
+    """One JSON object; an empty or cut line reads as a truncated file."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {lineno}: truncated or malformed record "
+                         f"({exc})") from None
+    if not isinstance(rec, dict):
+        raise ValueError(f"{path}: line {lineno}: expected a JSON object")
+    return rec
+
+
+def save(trajs: list, path) -> None:
+    write_jsonl(path, SCHEMA_VERSION, trajs)
 
 
 def load(path) -> list:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty trajectory file")
-    header = json.loads(lines[0])
-    if header.get("record") != "header":
-        raise ValueError(f"{path}: missing header record")
-    found = header.get("schema_version")
-    if found != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema version mismatch: expected {SCHEMA_VERSION!r}, found {found!r}"
-        )
-    expected_count = header["trajectory_count"]
-
-    trajs = []
-    i = 1
-    while i < len(lines):
-        tmeta = json.loads(lines[i])
-        if tmeta.get("record") != "trajectory":
-            raise ValueError(f"{path}: line {i + 1}: expected trajectory record")
-        T = tmeta["length"]
-        i += 1
-        if i + T > len(lines):
-            raise ValueError(f"{path}: truncated file: trajectory needs {T} steps, "
-                             f"only {len(lines) - i} lines remain")
-        states, actions, rewards, terms, infs = [], [], [], [], []
-        for j in range(T):
-            rec = json.loads(lines[i + j])
-            if rec.get("record") != "step":
-                raise ValueError(f"{path}: line {i + j + 1}: expected step record")
-            states.append(rec["state"])
-            actions.append(rec["action"])
-            rewards.append(rec["reward"])
-            terms.append(rec["reward_terms"])
-            infs.append(rec["infraction"])
-        i += T
-        trajs.append(Trajectory(
-            states=np.array(states), actions=np.array(actions),
-            rewards=np.array(rewards), reward_terms=terms, infractions=infs,
-            meta=tmeta["meta"],
-        ))
-    if len(trajs) != expected_count:
-        raise ValueError(f"{path}: truncated file: header promises {expected_count} "
-                         f"trajectories, found {len(trajs)}")
-    return trajs
+    return [traj for traj, _ in read_jsonl(path, SCHEMA_VERSION)]
 
 
 def save_binary(trajs: list, path) -> None:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segdt import cli, evaluator, trajlog
+from segdt import cli, evaluator, segmenter, trajlog
 from segdt.manifest import RunManifest, hash_artifact
 from segdt.nn import TrainingDiverged
 from segdt.planner import TargetReturnPredictor
@@ -205,3 +205,31 @@ def test_stages_that_draw_nothing_reject_seed(command, capsys):
         run([command, "--seed", 3])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def write_v1_segmented(segs, path):
+    """The segtraj-v1 layout: a header record, then per trajectory a
+    metadata record followed by one record per step."""
+    recs = [{"record": "header", "schema_version": "segtraj-v1",
+             "trajectory_count": len(segs)}]
+    for seg in segs:
+        recs.append({"record": "trajectory", "length": len(seg), "meta": seg.traj.meta,
+                     "epsilon": seg.epsilon,
+                     "parts": [[p.label, p.start, p.stop] for p in seg.parts]})
+        recs += [{"record": "step", "state": seg.traj.states[t].tolist(),
+                  "action": seg.traj.actions[t].tolist(),
+                  "reward": float(seg.traj.rewards[t]), "u": float(seg.u[t]),
+                  "flag": bool(seg.u[t] > seg.epsilon), "h": int(seg.h[t]),
+                  "r_h": float(seg.r_h[t]), "global_return": float(seg.global_returns[t])}
+                 for t in range(len(seg))]
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
+
+
+def test_train_policy_rejects_other_schemas_exit_2(pipeline, tmp_path, capsys):
+    v1 = tmp_path / "seg_v1.jsonl"
+    write_v1_segmented(segmenter.load_segmented(pipeline["segmented"]), v1)
+    for segmented in (v1, pipeline["dataset"]):
+        rc = run(["train-policy", "--config", SMOKE / "policy.cfg", "--segmented",
+                  segmented, "--out", tmp_path / "policy.json", "--force"])
+        assert rc == 2
+        assert "schema version mismatch" in capsys.readouterr().err

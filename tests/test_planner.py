@@ -23,7 +23,6 @@ def test_single_point_index():
     idx = KdUncertaintyIndex(np.ones((1, 12)), np.array([2.5]), k=5, epsilon=1.0)
     assert idx.query(np.zeros(12)) == 2.5
     assert idx.query(np.full(12, 100.0)) == 2.5
-    assert idx.is_uncertain(np.zeros(12))
 
 
 def test_knn_matches_brute_force():

@@ -233,18 +233,6 @@ def test_windows_left_padded_per_step():
         assert not ws[t, :4 - n].any() and not wa[t, :4 - n].any()
 
 
-def test_predict_step_apis_consistent(trained, dataset):
-    ens, _ = trained
-    traj = dataset[0]
-    t = 6
-    p = ens.predict_trajectory(traj.states[:t + 1], traj.actions[:t + 1])
-    ds = ens.predict_state_conditioned(traj.states[:t + 1], traj.actions[:t + 1])
-    da = ens.predict_action_conditioned(traj.states[:t + 1], traj.actions[:t + 1])
-    for k in range(ens.size):
-        assert ds[k].mu == p["mu_s"][k, t] and ds[k].var == p["var_s"][k, t]
-        assert da[k].mu == p["mu_a"][k, t] and da[k].var == p["var_a"][k, t]
-
-
 def test_checkpoint_roundtrip_bitwise(trained, dataset, tmp_path):
     ens, _ = trained
     ens.save(tmp_path / "ret")

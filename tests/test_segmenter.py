@@ -301,12 +301,14 @@ def test_trace_validation():
 def test_segmented_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     segs = []
-    for _ in range(3):
+    for k in range(3):
         T = int(rng.integers(4, 12))
         traj = trajlog.compute_returns(trajlog.Trajectory(
             states=rng.normal(size=(T, 12)), actions=rng.normal(size=(T, 2)),
-            rewards=rng.normal(size=T), reward_terms=[{}] * T,
-            infractions=[None] * T, meta={"seed": 1}), 1.0)
+            rewards=rng.normal(size=T),
+            reward_terms=[{"r_speed": float(x), "r_lane": -0.1} for x in rng.normal(size=T)],
+            infractions=[None] * (T - 1) + [["collision", None, "off_road"][k]],
+            meta={"seed": k, "delta": 0.2}), 1.0)
         trace = UncertaintyTrace(u=rng.uniform(0, 2, size=T), epsilon=1.0)
         segs.append(relabel(traj, trace, segment(trace, 3)))
     path = tmp_path / "seg.jsonl"
@@ -316,11 +318,19 @@ def test_segmented_roundtrip(tmp_path):
     for a, b in zip(segs, loaded):
         assert np.array_equal(a.traj.states, b.traj.states)
         assert np.array_equal(a.traj.actions, b.traj.actions)
+        assert np.array_equal(a.traj.rewards, b.traj.rewards)
+        assert a.traj.reward_terms == b.traj.reward_terms
+        assert a.traj.infractions == b.traj.infractions
+        assert a.traj.meta == b.traj.meta
         assert np.array_equal(a.u, b.u)
-        assert np.array_equal(a.h, b.h)
+        assert a.epsilon == b.epsilon
+        assert np.array_equal(a.h, b.h) and b.h.dtype == np.int64
         assert np.array_equal(a.r_h, b.r_h)
         assert np.array_equal(a.global_returns, b.global_returns)
         assert a.parts == b.parts
+    # save -> load -> save gives the same bytes
+    save_segmented(loaded, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
 def test_segmented_truncation_fails(tmp_path):
@@ -328,8 +338,12 @@ def test_segmented_truncation_fails(tmp_path):
     trace = make_trace([0, 0, 1, 0, 0, 0])
     seg = relabel(traj, trace, segment(trace, 3))
     path = tmp_path / "seg.jsonl"
-    save_segmented([seg], path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(ValueError, match="truncated"):
-        load_segmented(path)
+    save_segmented([seg, seg], path)
+    lines = path.read_text().splitlines(keepends=True)
+    dropped = "".join(lines[:-1])
+    cut = dropped + lines[-1][:len(lines[-1]) // 2]
+    # the temporary path holds the test's name, so match past it
+    for text in (dropped, cut):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="truncated (file|or malformed record)"):
+            load_segmented(path)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from scipy import stats
 
 from segdt import trajlog
 from segdt.env import EnvConfig, ExpertConfig
+from segdt.segmenter import UncertaintyTrace, relabel, save_segmented, segment
 
 
 def make_traj(rewards, seed=0):
@@ -129,10 +133,48 @@ def test_binary_roundtrip_bitwise(small_dataset, tmp_path):
 def test_truncated_file_fails_loudly(small_dataset, tmp_path):
     path = tmp_path / "d.jsonl"
     trajlog.save(small_dataset, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-5]) + "\n")
-    with pytest.raises(ValueError, match="truncated"):
+    lines = path.read_text().splitlines(keepends=True)
+    dropped = "".join(lines[:-1])
+    cut = dropped + lines[-1][:len(lines[-1]) // 2]
+    # the temporary path holds the test's name, so match past it
+    for text in (dropped, cut):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="truncated (file|or malformed record)"):
+            trajlog.load(path)
+
+
+def test_columns_of_unequal_length_rejected(tmp_path):
+    path = tmp_path / "d.jsonl"
+    trajlog.save([make_traj([1.0, 2.0, 3.0])], path)
+    header, line = path.read_text().splitlines()
+    rec = json.loads(line)
+    rec["rewards"] = rec["rewards"][:-1]
+    path.write_text(header + "\n" + json.dumps(rec) + "\n")
+    with pytest.raises(ValueError, match="one length"):
         trajlog.load(path)
+
+
+def test_file_format_pinned(tmp_path):
+    """Key order and float encoding of both file kinds, pinned by sha256."""
+    trajs = [trajlog.Trajectory(
+        states=np.arange(T * 12).reshape(T, 12) / 7.0 - 3.0,
+        actions=np.arange(T * 2).reshape(T, 2) * 0.3 - 0.5,
+        rewards=np.array([0.1, -0.25, 1 / 3, 2.5e-17, -0.0][:T]),
+        reward_terms=[{"r_speed": t / 3, "r_lane": -0.05} for t in range(T)],
+        infractions=[None] * (T - 1) + ["collision"],
+        meta={"seed": T, "delta": 0.1},
+    ) for T in (5, 3)]
+    traces = [UncertaintyTrace(u=np.array([0.0, 1.5, 0.25, 0.5, 1 / 7][:len(t)]),
+                               epsilon=1.0) for t in trajs]
+    segs = [relabel(t, tr, segment(tr, 2)) for t, tr in zip(trajs, traces)]
+    trajlog.save(trajs, tmp_path / "d.jsonl")
+    save_segmented(segs, tmp_path / "s.jsonl")
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("d.jsonl", "s.jsonl")]
+    assert digests == [
+        "50c554b3fde21cd7ec92ca7d1fa72a9f629de13b1b0b97604c85d36c3dc6b09e",
+        "ade54c1d63c7962b61b10a8ae35396613f8b58474a1912cdc4586795f428a462",
+    ]
 
 
 def test_schema_version_mismatch(small_dataset, tmp_path):
