@@ -62,17 +62,9 @@ class SegmentConfig:
 
 
 @dataclass(frozen=True)
-class IndexConfig:
+class IndexConfig(TargetPredictorConfig):
     """KD-index plus fresh-target predictor (the two planner artifacts)."""
     knn: int = 5
-    hidden_dim: int = 64
-    n_hidden: int = 2
-    ensemble_size: int = 5
-    learning_rate: float = 1e-3
-    batch_size: int = 128
-    iters: int = 600
-    span_max: int = 100
-    seed: int = 0
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,19 @@ def clip_scalar(x, lo, hi):
     return hi if x > hi else x
 
 
+def norm_actions(a) -> np.ndarray:
+    """Actions as the networks see them: target speed mapped from [0, V_MAX]
+    to [-1, 1], steer unchanged (it is already in [-1, 1])."""
+    out = np.array(a, dtype=np.float64)
+    out[..., 0] = 2.0 * out[..., 0] / V_MAX - 1.0
+    return out
+
+
+def denorm_action(a) -> np.ndarray:
+    """One network action back in raw units: the inverse of ``norm_actions``."""
+    return np.array([(a[0] + 1.0) / 2.0 * V_MAX, a[1]])
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     delta: float = 0.0

@@ -2,10 +2,11 @@
 
 Contains the module system, the causal transformer trunk shared by all three
 model roles, the AdamW optimizer, the Gaussian negative log-likelihood used
-by variance heads, ``map_members``, which trains independent ensemble members
-in parallel worker processes, and checkpoint (de)serialization.  Checkpoints
-are JSON with raw little-endian float64 parameter bytes in base64, so a
-save/load round trip is bitwise exact.
+by variance heads, ``Standardizer``, which z-scores every raw input and
+target the networks see, ``map_members``, which trains independent ensemble
+members in parallel worker processes, and checkpoint (de)serialization.
+Checkpoints are JSON with raw little-endian float64 parameter bytes in
+base64, so a save/load round trip is bitwise exact.
 """
 
 from __future__ import annotations
@@ -274,6 +275,48 @@ def mse_loss(pred: Tensor, target: Tensor | np.ndarray, mask: np.ndarray | None 
     if m.ndim == per.ndim - 1:  # broadcast step mask over the action dim
         m = m[..., None] * np.ones(per.shape[-1])
     return (per * Tensor(m)).sum() / max(m.sum(), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Standardization
+# ---------------------------------------------------------------------------
+
+
+class Standardizer:
+    """z-scoring fitted on data: ``(x - mean) / std``, std floored at 1e-6.
+
+    Fitted on an (N, D) array it keeps per-column arrays; fitted on a 1-D
+    array it keeps Python floats, so callers' ``std**2`` stays Python's pow.
+    ``to_dict(prefix)`` writes ``<prefix>_mean`` and ``<prefix>_std``.
+    """
+
+    def __init__(self, mean, std):
+        self.mean = mean
+        self.std = std
+
+    @classmethod
+    def fit(cls, x: np.ndarray) -> "Standardizer":
+        mean, std = x.mean(axis=0), np.maximum(x.std(axis=0), 1e-6)
+        if x.ndim == 1:
+            return cls(float(mean), float(std))
+        return cls(mean, std)
+
+    def __call__(self, x):
+        return (x - self.mean) / self.std
+
+    def inverse(self, z):
+        return z * self.std + self.mean
+
+    def to_dict(self, prefix: str) -> dict:
+        return {f"{prefix}_mean": np.asarray(self.mean).tolist(),
+                f"{prefix}_std": np.asarray(self.std).tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict, prefix: str) -> "Standardizer":
+        mean, std = d[f"{prefix}_mean"], d[f"{prefix}_std"]
+        if isinstance(mean, list):
+            return cls(np.array(mean, dtype=np.float64), np.array(std, dtype=np.float64))
+        return cls(float(mean), float(std))
 
 
 # ---------------------------------------------------------------------------

@@ -53,18 +53,17 @@ class KdUncertaintyIndex:
             raise ValueError(f"{states.shape[0]} states vs {values.shape[0]} values")
         self.k = int(k)
         self.epsilon = float(epsilon)
-        self._mean = states.mean(axis=0)
-        self._std = np.maximum(states.std(axis=0), 1e-6)
+        self._standardize = nn.Standardizer.fit(states)
         self._states = states
         self._values = values
-        self._tree = cKDTree((states - self._mean) / self._std)
+        self._tree = cKDTree(self._standardize(states))
 
     def __len__(self) -> int:
         return self._values.size
 
     def query(self, state: np.ndarray) -> float:
         """Mean uncertainty of the k nearest stored states."""
-        z = (np.asarray(state, dtype=np.float64) - self._mean) / self._std
+        z = self._standardize(np.asarray(state, dtype=np.float64))
         k = min(self.k, len(self))
         _, idx = self._tree.query(z, k=k)
         return float(self._values[np.atleast_1d(idx)].mean())
@@ -148,27 +147,25 @@ class TargetReturnPredictor:
     """Ensemble percentile extractor for truncated-return targets."""
 
     def __init__(self, config: TargetPredictorConfig, members: list,
-                 state_mean, state_std, y_mean: float, y_std: float):
+                 states: nn.Standardizer, y: nn.Standardizer):
         self.config = config
         self.members = members
-        self.state_mean = np.asarray(state_mean, dtype=np.float64)
-        self.state_std = np.asarray(state_std, dtype=np.float64)
-        self.y_mean = float(y_mean)
-        self.y_std = float(y_std)
+        self.states = states
+        self.y = y
         for m in members:
             m.eval()
 
     def _moments(self, state: np.ndarray, h: int) -> tuple:
         x = np.concatenate([
-            (np.asarray(state) - self.state_mean) / self.state_std,
+            self.states(np.asarray(state)),
             [h / self.config.span_max],
         ])[None]
         mus, vars_ = [], []
         with no_grad():
             for m in self.members:
                 mu, lv = m.forward(x)
-                mus.append(mu.data[0] * self.y_std + self.y_mean)
-                vars_.append(np.exp(lv.data[0]) * self.y_std**2)
+                mus.append(self.y.inverse(mu.data[0]))
+                vars_.append(np.exp(lv.data[0]) * self.y.std**2)
         mu, var = mixture_moments(np.array(mus)[:, None], np.array(vars_)[:, None],
                                   floor=1e-12)
         return float(mu[0]), float(var[0])
@@ -190,9 +187,7 @@ class TargetReturnPredictor:
         """Fit on random-span undiscounted reward sums from the dataset."""
         if not trajs:
             raise ValueError("empty dataset")
-        states = np.concatenate([t.states for t in trajs])
-        state_mean = states.mean(axis=0)
-        state_std = np.maximum(states.std(axis=0), 1e-6)
+        states = nn.Standardizer.fit(np.concatenate([t.states for t in trajs]))
 
         # trajectories are drawn in proportion to their length
         cdf = _choice_cdf(np.array([len(t) for t in trajs], dtype=np.float64))
@@ -204,7 +199,7 @@ class TargetReturnPredictor:
                 traj = trajs[_choice_draw(cdf, rng)]
                 t = int(rng.integers(len(traj)))
                 h = int(rng.integers(1, config.span_max + 1))
-                xs[i, :STATE_DIM] = (traj.states[t] - state_mean) / state_std
+                xs[i, :STATE_DIM] = states(traj.states[t])
                 xs[i, STATE_DIM] = h / config.span_max
                 ys[i] = traj.rewards[t: t + h].sum()  # truncated by episode end
             return xs, ys
@@ -213,7 +208,7 @@ class TargetReturnPredictor:
         _, y_probe = sample_batch(stat_rng)
         for _ in range(9):
             y_probe = np.concatenate([y_probe, sample_batch(stat_rng)[1]])
-        y_mean, y_std = float(y_probe.mean()), float(max(y_probe.std(), 1e-6))
+        y = nn.Standardizer.fit(y_probe)
 
         def train_member(k: int) -> dict:
             rng = np.random.default_rng(config.seed + k)  # init, then batches
@@ -222,7 +217,7 @@ class TargetReturnPredictor:
             for it in range(config.iters):
                 xs, ys = sample_batch(rng)
                 mu, lv = member.forward(xs)
-                loss = nn.gaussian_nll(mu, lv, (ys - y_mean) / y_std)
+                loss = nn.gaussian_nll(mu, lv, y(ys))
                 if not np.isfinite(loss.item()):
                     raise TrainingDiverged(
                         f"target predictor member {k}: non-finite loss at iter {it}")
@@ -236,7 +231,7 @@ class TargetReturnPredictor:
             member = _TargetMlp(config, np.random.default_rng(0))
             member.load_state_dict(state)
             members.append(member)
-        return cls(config, members, state_mean, state_std, y_mean, y_std)
+        return cls(config, members, states, y)
 
     # -- persistence -------------------------------------------------------
 
@@ -246,9 +241,7 @@ class TargetReturnPredictor:
         manifest = {
             "kind": "target-predictor",
             "config": self.config.to_dict(),
-            "state_mean": self.state_mean.tolist(),
-            "state_std": self.state_std.tolist(),
-            "y_mean": self.y_mean, "y_std": self.y_std,
+            **self.states.to_dict("state"), **self.y.to_dict("y"),
         }
         (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
         for k, m in enumerate(self.members):
@@ -268,9 +261,8 @@ class TargetReturnPredictor:
             m = _TargetMlp(config, np.random.default_rng(0))
             m.load_state_dict(payload["params"])
             members.append(m)
-        return cls(config, members, np.array(manifest["state_mean"]),
-                   np.array(manifest["state_std"]), manifest["y_mean"],
-                   manifest["y_std"])
+        return cls(config, members, nn.Standardizer.from_dict(manifest, "state"),
+                   nn.Standardizer.from_dict(manifest, "y"))
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +332,11 @@ def plan_step(ps: PlannerState, state: np.ndarray, prev_reward: float | None,
     predictor_failed = False
     if need_reset:
         ps.h = cfg.span_horizon
+        # the predictor's own failures (a non-finite target, an invalid member
+        # forecast) fall back to the dummy condition; any other error propagates
         try:
             ps.r_h = predictor.predict_target(state, ps.h, cfg.eta)
-        except Exception as exc:  # fall back to the dummy condition
+        except (RuntimeError, ValueError) as exc:
             predictor_failed = True
             ps.r_h = 0.0
             log.warning("target predictor failed (%s); using dummy condition", exc)

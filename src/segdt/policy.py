@@ -24,7 +24,7 @@ import numpy as np
 
 from . import nn, trajlog
 from .autodiff import Tensor, no_grad, concat
-from .env import ACTION_DIM, STATE_DIM, V_MAX
+from .env import ACTION_DIM, STATE_DIM, denorm_action, norm_actions
 from .nn import TrainingDiverged
 
 log = logging.getLogger(__name__)
@@ -81,12 +81,9 @@ class PolicyConfig:
 
 @dataclass
 class PolicyNormalizer:
-    state_mean: np.ndarray
-    state_std: np.ndarray
-    rh_mean: float
-    rh_std: float
-    R_mean: float
-    R_std: float
+    states: nn.Standardizer
+    rh: nn.Standardizer
+    R: nn.Standardizer
     R_bounds: tuple   # empirical global-return range for discretization
 
     @classmethod
@@ -96,42 +93,30 @@ class PolicyNormalizer:
         if rh.size == 0:
             rh = np.zeros(1)
         R = np.concatenate([s.global_returns for s in segs])
-        return cls(
-            state_mean=states.mean(axis=0),
-            state_std=np.maximum(states.std(axis=0), 1e-6),
-            rh_mean=float(rh.mean()), rh_std=float(max(rh.std(), 1e-6)),
-            R_mean=float(R.mean()), R_std=float(max(R.std(), 1e-6)),
-            R_bounds=(float(R.min()), float(max(R.max(), R.min() + 1e-6))),
-        )
+        return cls(nn.Standardizer.fit(states), nn.Standardizer.fit(rh),
+                   nn.Standardizer.fit(R),
+                   R_bounds=(float(R.min()), float(max(R.max(), R.min() + 1e-6))))
 
     def norm_states(self, s):
-        return (s - self.state_mean) / self.state_std
+        return self.states(s)
 
-    def norm_actions(self, a):
-        out = np.array(a, dtype=np.float64)
-        out[..., 0] = 2.0 * out[..., 0] / V_MAX - 1.0
-        return out
-
-    def denorm_action(self, a):
-        return np.array([(a[0] + 1.0) / 2.0 * V_MAX, a[1]])
+    norm_actions = staticmethod(norm_actions)   # the one action scaling, in env
+    denorm_action = staticmethod(denorm_action)
 
     def norm_rh(self, r):
-        return (r - self.rh_mean) / self.rh_std
+        return self.rh(r)
 
     def norm_R(self, r):
-        return (r - self.R_mean) / self.R_std
+        return self.R(r)
 
     def to_dict(self) -> dict:
-        return {"state_mean": self.state_mean.tolist(), "state_std": self.state_std.tolist(),
-                "rh_mean": self.rh_mean, "rh_std": self.rh_std,
-                "R_mean": self.R_mean, "R_std": self.R_std,
-                "R_bounds": list(self.R_bounds)}
+        return {**self.states.to_dict("state"), **self.rh.to_dict("rh"),
+                **self.R.to_dict("R"), "R_bounds": list(self.R_bounds)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PolicyNormalizer":
-        return cls(np.array(d["state_mean"]), np.array(d["state_std"]),
-                   d["rh_mean"], d["rh_std"], d["R_mean"], d["R_std"],
-                   tuple(d["R_bounds"]))
+        return cls(nn.Standardizer.from_dict(d, "state"), nn.Standardizer.from_dict(d, "rh"),
+                   nn.Standardizer.from_dict(d, "R"), tuple(d["R_bounds"]))
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn, trajlog
 from .autodiff import Tensor, no_grad, concat
-from .env import STATE_DIM, ACTION_DIM, V_MAX
+from .env import STATE_DIM, ACTION_DIM, norm_actions
 
 log = logging.getLogger(__name__)
 
@@ -81,54 +81,6 @@ def ensemble_moments(members: list) -> ReturnDistribution:
         raise ValueError("ensemble_moments requires at least one member")
     mu, var = mixture_moments([[m.mu] for m in members], [[m.var] for m in members])
     return ReturnDistribution(float(mu[0]), float(var[0]))
-
-
-# ---------------------------------------------------------------------------
-# Normalization
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Normalizer:
-    state_mean: np.ndarray
-    state_std: np.ndarray
-    ret_mean: float
-    ret_std: float
-
-    @classmethod
-    def fit(cls, trajs: list, gamma: float) -> "Normalizer":
-        states = np.concatenate([t.states for t in trajs])
-        rets = np.concatenate([t.returns_for(gamma) for t in trajs])
-        return cls(
-            state_mean=states.mean(axis=0),
-            state_std=np.maximum(states.std(axis=0), 1e-6),
-            ret_mean=float(rets.mean()),
-            ret_std=float(max(rets.std(), 1e-6)),
-        )
-
-    @classmethod
-    def identity(cls) -> "Normalizer":
-        return cls(np.zeros(STATE_DIM), np.ones(STATE_DIM), 0.0, 1.0)
-
-    def norm_states(self, s: np.ndarray) -> np.ndarray:
-        return (s - self.state_mean) / self.state_std
-
-    def norm_actions(self, a: np.ndarray) -> np.ndarray:
-        out = np.array(a, dtype=np.float64)
-        out[..., 0] = 2.0 * out[..., 0] / V_MAX - 1.0
-        return out
-
-    def norm_returns(self, r: np.ndarray) -> np.ndarray:
-        return (r - self.ret_mean) / self.ret_std
-
-    def to_dict(self) -> dict:
-        return {"state_mean": self.state_mean.tolist(), "state_std": self.state_std.tolist(),
-                "ret_mean": self.ret_mean, "ret_std": self.ret_std}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Normalizer":
-        return cls(np.array(d["state_mean"]), np.array(d["state_std"]),
-                   d["ret_mean"], d["ret_std"])
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +173,15 @@ class ReturnMemberModel(nn.Module):
 
 
 class ReturnEnsemble:
-    """K member pairs plus the normalizer; immutable after training."""
+    """K member pairs plus their state and return standardizers; immutable
+    after training."""
 
     def __init__(self, config: ReturnModelConfig, members: list,
-                 normalizer: Normalizer, mask_seeds: list):
+                 states: nn.Standardizer, returns: nn.Standardizer, mask_seeds: list):
         self.config = config
         self.members = members
-        self.normalizer = normalizer
+        self.states = states
+        self.returns = returns
         self.mask_seeds = mask_seeds
         for m in members:
             m.eval()
@@ -244,10 +198,8 @@ class ReturnEnsemble:
         pad = self.config.seq_length - 1
         # row t of the zero-padded arrays is step t - pad
         rows = np.arange(T)[:, None] + np.arange(pad + 1)
-        ws = np.concatenate([np.zeros((pad, STATE_DIM)),
-                             self.normalizer.norm_states(states)])[rows]
-        wa = np.concatenate([np.zeros((pad, ACTION_DIM)),
-                             self.normalizer.norm_actions(actions)])[rows]
+        ws = np.concatenate([np.zeros((pad, STATE_DIM)), self.states(states)])[rows]
+        wa = np.concatenate([np.zeros((pad, ACTION_DIM)), norm_actions(actions)])[rows]
         mask = rows >= pad
         return ws, wa, mask
 
@@ -263,15 +215,15 @@ class ReturnEnsemble:
         T = states.shape[0]
         K = self.size
         out = {k: np.empty((K, T)) for k in ("mu_s", "var_s", "mu_a", "var_a")}
-        nrm = self.normalizer
+        ret = self.returns
         with no_grad():
             for k, member in enumerate(self.members):
                 mu_s, lv_s, mu_a, lv_a = member.forward(ws, wa, mask)
                 last = -1  # each window's final slot is step t
-                out["mu_s"][k] = mu_s.data[:, last] * nrm.ret_std + nrm.ret_mean
-                out["var_s"][k] = np.exp(lv_s.data[:, last]) * nrm.ret_std**2
-                out["mu_a"][k] = mu_a.data[:, last] * nrm.ret_std + nrm.ret_mean
-                out["var_a"][k] = np.exp(lv_a.data[:, last]) * nrm.ret_std**2
+                out["mu_s"][k] = ret.inverse(mu_s.data[:, last])
+                out["var_s"][k] = np.exp(lv_s.data[:, last]) * ret.std**2
+                out["mu_a"][k] = ret.inverse(mu_a.data[:, last])
+                out["var_a"][k] = np.exp(lv_a.data[:, last]) * ret.std**2
         return out
 
     # -- persistence -------------------------------------------------------
@@ -287,7 +239,7 @@ class ReturnEnsemble:
             "config": cfg,
             "config_hash": hashlib.sha256(
                 json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
-            "normalizer": self.normalizer.to_dict(),
+            "normalizer": {**self.states.to_dict("state"), **self.returns.to_dict("ret")},
         }
         (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
         for k, member in enumerate(self.members):
@@ -307,8 +259,9 @@ class ReturnEnsemble:
             member = ReturnMemberModel(config, np.random.default_rng(0))
             member.load_state_dict(payload["params"])
             members.append(member)
-        return cls(config, members, Normalizer.from_dict(manifest["normalizer"]),
-                   manifest["mask_seeds"])
+        nrm = manifest["normalizer"]
+        return cls(config, members, nn.Standardizer.from_dict(nrm, "state"),
+                   nn.Standardizer.from_dict(nrm, "ret"), manifest["mask_seeds"])
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +308,12 @@ def train_return_models(trajs: list, config: ReturnModelConfig,
     ``history`` holds per-member, per-epoch held-out NLL curves.
     """
     train, val = split_train_val(trajs, config.val_fraction, config.seed)
-    normalizer = Normalizer.fit(train, config.discount)
+    states = nn.Standardizer.fit(np.concatenate([t.states for t in train]))
+    returns = nn.Standardizer.fit(
+        np.concatenate([t.returns_for(config.discount) for t in train]))
 
     def norm_cols(ts):
-        return [normalizer.norm_returns(t.returns_for(config.discount)) for t in ts]
+        return [returns(t.returns_for(config.discount)) for t in ts]
 
     master = np.random.default_rng(config.seed)
     mask_seeds = [int(master.integers(2**31)) for _ in range(config.ensemble_size)]
@@ -368,8 +323,8 @@ def train_return_models(trajs: list, config: ReturnModelConfig,
 
     def prep(ts, rets, rng):
         b = _window_batch(ts, rets, config, rng)
-        b["states"] = normalizer.norm_states(b["states"]) * b["mask"][..., None]
-        b["actions"] = normalizer.norm_actions(b["actions"]) * b["mask"][..., None]
+        b["states"] = states(b["states"]) * b["mask"][..., None]
+        b["actions"] = norm_actions(b["actions"]) * b["mask"][..., None]
         return b
 
     val_batches = [prep(val_source, val_returns, val_rng) for _ in range(4)]
@@ -418,5 +373,5 @@ def train_return_models(trajs: list, config: ReturnModelConfig,
         members.append(member)
         history.append(curve)
 
-    ensemble = ReturnEnsemble(config, members, normalizer, mask_seeds)
+    ensemble = ReturnEnsemble(config, members, states, returns, mask_seeds)
     return ensemble, history

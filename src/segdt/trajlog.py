@@ -35,6 +35,11 @@ class Trajectory:
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
         if len(self) == 0:
             raise ValueError("trajectory must contain at least one step")
+        counts = {name: len(getattr(self, name))
+                  for name in ("actions", "rewards", "reward_terms", "infractions")}
+        if set(counts.values()) != {len(self)}:
+            raise ValueError(f"trajectory has {len(self)} states but per-step "
+                             f"entries {counts}")
         if not np.all(np.isfinite(self.rewards)):
             raise ValueError("trajectory contains non-finite rewards")
 
@@ -139,9 +144,12 @@ def read_jsonl(path, schema_version: str, step_keys=()) -> list:
                 rewards=np.array(rec.pop("rewards")), reward_terms=rec.pop("reward_terms"),
                 infractions=rec.pop("infractions"), meta=rec.pop("meta"))
             out.append((traj, rec))
-    if len(out) != header.get("trajectory_count"):
-        raise ValueError(f"{path}: truncated file: header promises "
-                         f"{header.get('trajectory_count')} trajectories, found {len(out)}")
+    count = header.get("trajectory_count")
+    if len(out) != count:
+        fault = ("more trajectory records than the header promises"
+                 if isinstance(count, int) and len(out) > count else "truncated file")
+        raise ValueError(f"{path}: {fault}: header promises {count} trajectories, "
+                         f"found {len(out)}")
     return out
 
 
@@ -193,6 +201,10 @@ def load_binary(path) -> list:
         infs = json.loads(str(z["infractions_json"]))
         # each z[name] reads the whole array from the archive again: read once
         states, actions, rewards = z["states"], z["actions"], z["rewards"]
+    rows = {"states": len(states), "actions": len(actions), "rewards": len(rewards)}
+    if set(rows.values()) != {int(lengths.sum())}:
+        raise ValueError(f"{path}: lengths sum to {int(lengths.sum())} steps, "
+                         f"stored rows {rows}")
     ends = np.cumsum(lengths)
     return [Trajectory(states=states[end - T:end], actions=actions[end - T:end],
                        rewards=rewards[end - T:end], reward_terms=terms[k],

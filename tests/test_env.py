@@ -4,7 +4,7 @@ import pytest
 from segdt.env import (
     ACTION_DIM, COLLISION_GAP, LIGHT_VISIBILITY, PHASE_GREEN, PHASE_RED,
     PHASE_UNKNOWN, STATE_DIM, V_MAX, EnvAction, EnvConfig, ExpertConfig,
-    HighwayEnv, RuleExpert, clip_scalar,
+    HighwayEnv, RuleExpert, clip_scalar, denorm_action, norm_actions,
 )
 
 
@@ -205,3 +205,12 @@ def test_clip_scalar_matches_np_clip(lo, hi):
         got = float(clip_scalar(x, lo, hi))
         assert np.array_equal(np.array(got), np.array(want), equal_nan=True), x
         assert np.signbit(got) == np.signbit(want), x
+
+
+def test_action_scaling_maps_speed_range_and_inverts():
+    raw = np.array([[0.0, 0.3], [V_MAX, -1.0], [10.0, 1.0]])
+    scaled = norm_actions(raw)
+    assert np.array_equal(scaled, [[-1.0, 0.3], [1.0, -1.0], [-0.5, 1.0]])
+    assert np.array_equal(raw, [[0.0, 0.3], [V_MAX, -1.0], [10.0, 1.0]])  # not in place
+    for a, z in zip(raw, scaled):
+        assert np.array_equal(denorm_action(z), a)

@@ -9,6 +9,7 @@ from segdt.evaluator import (
     rollout, run_episode, theorem_check, uncertainty_histogram,
     unreachable_target_gap,
 )
+from segdt.nn import Standardizer
 from segdt.planner import KdUncertaintyIndex, PlannerConfig
 from segdt.policy import Policy, PolicyConfig, PolicyNormalizer, \
     SequencePolicyModel
@@ -22,8 +23,8 @@ def tiny_policy(kind="unrest"):
                        seq_length=5, dropout=0.0)
     model = SequencePolicyModel(cfg, np.random.default_rng(0))
     nrm = PolicyNormalizer(
-        state_mean=np.zeros(12), state_std=np.ones(12),
-        rh_mean=0.0, rh_std=1.0, R_mean=0.0, R_std=1.0, R_bounds=(-10.0, 10.0))
+        Standardizer(np.zeros(12), np.ones(12)), Standardizer(0.0, 1.0),
+        Standardizer(0.0, 1.0), R_bounds=(-10.0, 10.0))
     return Policy(model, cfg, nrm)
 
 

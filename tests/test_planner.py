@@ -89,8 +89,8 @@ def constant_predictor(mu=2.0, sigma=1.0):
     cfg = TargetPredictorConfig(ensemble_size=1, hidden_dim=8, n_hidden=1)
     member = _TargetMlp(cfg, np.random.default_rng(0)).eval()
     # zero-init head -> normalized N(0, 1); denormalization supplies (mu, sigma)
-    return TargetReturnPredictor(cfg, [member], np.zeros(12), np.ones(12),
-                                 y_mean=mu, y_std=sigma)
+    return TargetReturnPredictor(cfg, [member], nn.Standardizer(np.zeros(12), np.ones(12)),
+                                 nn.Standardizer(float(mu), float(sigma)))
 
 
 def test_median_target_is_mean():
@@ -180,7 +180,7 @@ def test_parallel_predictor_members_match_serial_bitwise(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
         trained.append(TargetReturnPredictor.train(_unit_reward_trajs(), POOLED))
     serial, pooled = trained
-    assert (pooled.y_mean, pooled.y_std) == (serial.y_mean, serial.y_std)
+    assert (pooled.y.mean, pooled.y.std) == (serial.y.mean, serial.y.std)
     for a, b in zip(serial.members, pooled.members):
         sa, sb = a.state_dict(), b.state_dict()
         assert sa.keys() == sb.keys()
@@ -304,10 +304,12 @@ def test_global_target_clamps_at_zero():
     assert policy.contexts[2][-1][2] == 0.0  # policy never sees negative targets
 
 
-def test_predictor_failure_falls_back_to_dummy():
+# the predictor's two failure modes: a non-finite target, an invalid forecast
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_predictor_failure_falls_back_to_dummy(error):
     class BrokenPredictor:
         def predict_target(self, state, h, eta):
-            raise RuntimeError("boom")
+            raise error("boom")
 
     cfg = PlannerConfig(span_horizon=4, epsilon=1.0, knn=1, history_length=3)
     ps = PlannerState.initial(cfg, 5.0)
@@ -316,6 +318,16 @@ def test_predictor_failure_falls_back_to_dummy():
     assert ps.trace[0]["predictor_failed"]
     assert ps.trace[0]["dummy"]
     assert policy.contexts[0][-1][0] == 0
+
+
+def test_predictor_bug_propagates():
+    class BuggyPredictor:
+        def predict_target(self, state, h, eta):
+            raise TypeError("bug in the predictor")
+
+    ps = PlannerState.initial(PlannerConfig(span_horizon=4, history_length=3), 5.0)
+    with pytest.raises(TypeError, match="bug in the predictor"):
+        plan_step(ps, state_at(0), None, StubPolicy(), gate_index([]), BuggyPredictor())
 
 
 def test_history_window_bounded():

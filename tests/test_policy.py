@@ -3,7 +3,7 @@ import pytest
 
 from segdt import trajlog
 from segdt.env import V_MAX
-from segdt.nn import TrainingDiverged
+from segdt.nn import Standardizer, TrainingDiverged
 from segdt.policy import (
     Policy, PolicyConfig, PolicyNormalizer, PolicyStep, SequencePolicyModel,
     discretize_global_return, train_policy,
@@ -23,8 +23,8 @@ def tiny_config(**kw):
 def identity_policy(config):
     model = SequencePolicyModel(config, np.random.default_rng(3))
     nrm = PolicyNormalizer(
-        state_mean=np.zeros(12), state_std=np.ones(12),
-        rh_mean=0.0, rh_std=1.0, R_mean=0.0, R_std=1.0, R_bounds=(-10.0, 10.0))
+        Standardizer(np.zeros(12), np.ones(12)), Standardizer(0.0, 1.0),
+        Standardizer(0.0, 1.0), R_bounds=(-10.0, 10.0))
     return Policy(model, config, nrm)
 
 

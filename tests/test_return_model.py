@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from segdt import trajlog
-from segdt.env import EnvConfig, ExpertConfig
+from segdt.env import EnvConfig, ExpertConfig, norm_actions
+from segdt.nn import Standardizer
 from segdt.return_model import (
-    Normalizer, ReturnDistribution, ReturnEnsemble, ReturnMemberModel,
+    ReturnDistribution, ReturnEnsemble, ReturnMemberModel,
     ReturnModelConfig, TrainingDiverged, ensemble_moments, mixture_moments,
     split_train_val, train_return_models,
 )
@@ -17,6 +18,8 @@ TINY = ReturnModelConfig(
     learning_rate=1e-3, batch_size=32, ensemble_size=2, epochs=3,
     iters_per_epoch=30, val_fraction=0.1, seed=0,
 )
+# states and returns passed through unscaled
+IDENTITY = (Standardizer(np.zeros(12), np.ones(12)), Standardizer(0.0, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +145,7 @@ def test_distribution_validates():
 def test_zero_init_heads_predict_standard_normal():
     member = ReturnMemberModel(TINY, np.random.default_rng(1))
     member.eval()
-    ens = ReturnEnsemble(TINY, [member], Normalizer.identity(), [0])
+    ens = ReturnEnsemble(TINY, [member], *IDENTITY, [0])
     rng = np.random.default_rng(2)
     states, actions = rng.normal(size=(4, 12)), rng.normal(size=(4, 2))
     p = ens.predict_trajectory(states, actions)
@@ -158,7 +161,7 @@ def _causality_ensemble():
     member.head_state.weight.data[...] = rng.normal(0, 0.1, member.head_state.weight.shape)
     member.head_action.weight.data[...] = rng.normal(0, 0.1, member.head_action.weight.shape)
     member.eval()
-    return ReturnEnsemble(cfg, [member], Normalizer.identity(), [0])
+    return ReturnEnsemble(cfg, [member], *IDENTITY, [0])
 
 
 def test_state_head_sees_current_state_not_current_action():
@@ -220,11 +223,11 @@ def test_members_disagree(trained, dataset):
 
 def test_windows_left_padded_per_step():
     cfg = ReturnModelConfig(seq_length=4)
-    ens = ReturnEnsemble(cfg, [], Normalizer.identity(), [])
+    ens = ReturnEnsemble(cfg, [], *IDENTITY, [])
     rng = np.random.default_rng(6)
     states, actions = rng.normal(size=(6, 12)), rng.normal(size=(6, 2))
     ws, wa, mask = ens._windows(states, actions)
-    na = Normalizer.identity().norm_actions(actions)
+    na = norm_actions(actions)
     for t in range(6):
         n = min(t + 1, 4)
         assert mask[t].tolist() == [False] * (4 - n) + [True] * n

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segdt import trajlog
-from segdt.return_model import Normalizer, ReturnDistribution, ReturnEnsemble, \
+from segdt.nn import Standardizer
+from segdt.return_model import ReturnDistribution, ReturnEnsemble, \
     ReturnMemberModel, ReturnModelConfig
 from segdt.segmenter import (
     CERTAIN, UNCERTAIN, Part, SegmentedTrajectory, UncertaintyTrace,
@@ -216,7 +217,8 @@ def test_untrained_twins_give_zero_uncertainty():
     cfg = ReturnModelConfig(n_layers=1, n_heads=2, embed_dim=16, seq_length=5,
                             dropout=0.0, ensemble_size=1)
     member = ReturnMemberModel(cfg, np.random.default_rng(0)).eval()
-    ens = ReturnEnsemble(cfg, [member], Normalizer.identity(), [0])
+    ens = ReturnEnsemble(cfg, [member], Standardizer(np.zeros(12), np.ones(12)),
+                         Standardizer(0.0, 1.0), [0])
     traj = make_traj(list(np.random.default_rng(1).uniform(0, 1, size=8)))
     trace = estimate_uncertainty(traj, ens, epsilon=0.5)
     assert np.allclose(trace.u, 0.0, atol=1e-12)

@@ -81,6 +81,15 @@ def test_nonfinite_reward_rejected():
         make_traj([1.0, np.nan])
 
 
+@pytest.mark.parametrize("column", ["actions", "rewards", "reward_terms", "infractions"])
+def test_misaligned_step_columns_rejected(column):
+    columns = dict(states=np.zeros((3, 12)), actions=np.zeros((3, 2)), rewards=np.zeros(3),
+                   reward_terms=[{}] * 3, infractions=[None] * 3)
+    columns[column] = columns[column][:2]
+    with pytest.raises(ValueError, match="3 states but per-step entries"):
+        trajlog.Trajectory(**columns)
+
+
 @pytest.fixture(scope="module")
 def small_dataset():
     return trajlog.collect_dataset(EnvConfig(delta=0.1), ExpertConfig(seed=0),
@@ -141,6 +150,32 @@ def test_truncated_file_fails_loudly(small_dataset, tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match="truncated (file|or malformed record)"):
             trajlog.load(path)
+
+
+def test_extra_records_named(small_dataset, tmp_path):
+    path = tmp_path / "d.jsonl"
+    trajlog.save(small_dataset, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines + lines[-1:]))
+    with pytest.raises(ValueError, match="more trajectory records than the header promises: "
+                                         "header promises 3 trajectories, found 4"):
+        trajlog.load(path)
+
+
+@pytest.mark.parametrize("lengths, message", [
+    ([3, 2], "lengths sum to 5 steps"),           # fewer steps than stored rows
+    ([4, 3], "4 states but per-step entries"),    # right total, wrong split
+], ids=["short", "split"])
+def test_binary_lengths_must_match_stored_steps(tmp_path, lengths, message):
+    path = tmp_path / "d.npz"
+    trajlog.save_binary([make_traj([1.0] * 3), make_traj([2.0] * 4, seed=1)], path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    assert arrays["lengths"].tolist() == [3, 4]
+    arrays["lengths"] = np.array(lengths)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=message):
+        trajlog.load_binary(path)
 
 
 def test_columns_of_unequal_length_rejected(tmp_path):
