@@ -6,11 +6,16 @@ closures in reverse topological (creation) order.  Everything is float64 so
 gradients can be checked against central finite differences at tight
 tolerances.  Broadcasting is supported for elementwise ops and the batch
 dimensions of matmul; nothing fancier is needed by the models built on top.
+
+``gelu``, ``layernorm`` and ``softmax`` are also plain array functions: the
+``Tensor`` ops and the models' tape-free ``infer`` paths both call them, so
+the two paths compute each formula the same way.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -19,6 +24,9 @@ __all__ = [
     "is_grad_enabled",
     "concat",
     "stack",
+    "gelu",
+    "layernorm",
+    "softmax",
 ]
 
 
@@ -46,6 +54,27 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
         return False
+
+
+def gelu(x: np.ndarray) -> tuple:
+    """Exact (erf-based) GELU: returns ``(x * cdf, cdf)``, with ``cdf`` the
+    standard normal cdf at ``x`` that the backward pass reuses."""
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    return x * cdf, cdf
+
+
+def layernorm(x: np.ndarray, eps: float = 1e-5) -> tuple:
+    """Last axis to zero mean, unit variance (no affine): returns
+    ``(normalized, 1 / sqrt(var + eps))``."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return xc * inv, inv
+
+
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -273,12 +302,8 @@ class Tensor:
 
     def gelu(self):
         """Exact (erf-based) GELU."""
-        from scipy.special import erf
-
         x = self.data
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        cdf = 0.5 * (1.0 + erf(x * inv_sqrt2))
-        out_data = x * cdf
+        out_data, cdf = gelu(x)
 
         def backward(g):
             if self.requires_grad:
@@ -372,9 +397,7 @@ class Tensor:
     # -- softmax / normalization -------------------------------------------
 
     def softmax(self, axis: int = -1):
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out_data = e / e.sum(axis=axis, keepdims=True)
+        out_data = softmax(self.data, axis)
 
         def backward(g):
             if self.requires_grad:
@@ -385,12 +408,7 @@ class Tensor:
 
     def layernorm(self, eps: float = 1e-5):
         """Normalize the last axis to zero mean, unit variance (no affine)."""
-        x = self.data
-        mu = x.mean(axis=-1, keepdims=True)
-        xc = x - mu
-        var = (xc**2).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        out_data = xc * inv
+        out_data, inv = layernorm(self.data, eps)
 
         def backward(g):
             if not self.requires_grad:

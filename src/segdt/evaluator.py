@@ -329,7 +329,7 @@ def _enumerate_returns(mdp: TabularMdp, state: int, steps: int) -> set:
     return out
 
 
-def _count_policy(mdp: TabularMdp, rng: np.random.Generator | None = None) -> dict:
+def _count_policy(mdp: TabularMdp) -> dict:
     """Exact conditional action counts P(a | t, s, remaining return) from the
     exhaustive behavior dataset (all action sequences, delta=0 dynamics)."""
     counts: dict = {}

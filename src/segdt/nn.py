@@ -5,6 +5,8 @@ model roles, the AdamW optimizer, the Gaussian negative log-likelihood used
 by variance heads, ``Standardizer``, which z-scores every raw input and
 target the networks see, ``map_members``, which trains independent ensemble
 members in parallel worker processes, and checkpoint (de)serialization.
+Each layer's ``__call__`` records the tape for training; its ``infer``
+returns the same array's bits from plain ndarrays, with no tape.
 Checkpoints are JSON with raw little-endian float64 parameter bytes in
 base64, so a save/load round trip is bitwise exact.
 """
@@ -12,6 +14,7 @@ base64, so a save/load round trip is bitwise exact.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import multiprocessing
 import os
@@ -19,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .autodiff import Tensor, ShapeError, concat
+from .autodiff import Tensor, ShapeError, concat, gelu, layernorm, softmax
 
 NEG_INF = -1e9  # finite mask constant; keeps softmax NaN-free on padded rows
 
@@ -126,6 +129,12 @@ class Linear(Module):
             out = out + self.bias
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        out = x @ self.weight.data
+        if self.bias is not None:
+            out = out + self.bias.data
+        return out
+
 
 class Embedding(Module):
     def __init__(self, num: int, dim: int, rng: np.random.Generator):
@@ -134,6 +143,9 @@ class Embedding(Module):
 
     def __call__(self, idx: np.ndarray) -> Tensor:
         return self.weight[np.asarray(idx, dtype=np.intp)]
+
+    def infer(self, idx: np.ndarray) -> np.ndarray:
+        return self.weight.data[np.asarray(idx, dtype=np.intp)]
 
 
 class LayerNorm(Module):
@@ -144,6 +156,9 @@ class LayerNorm(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return x.layernorm() * self.gain + self.shift
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return layernorm(x)[0] * self.gain.data + self.shift.data
 
 
 class Dropout(Module):
@@ -158,6 +173,24 @@ class Dropout(Module):
             return x
         keep = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
         return x * Tensor(keep)
+
+
+@functools.lru_cache(maxsize=None)   # T never exceeds a trunk's max_tokens
+def causal_mask(T: int) -> np.ndarray:
+    """Read-only (T, T) additive mask: NEG_INF above the diagonal, else 0;
+    built once per length and shared by every caller."""
+    mask = np.triu(np.full((T, T), NEG_INF), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _attention_mask(T: int, key_mask: np.ndarray | None) -> np.ndarray:
+    """The causal mask, plus NEG_INF on padded keys: (T, T) or (B, 1, T, T)."""
+    mask = causal_mask(T)
+    if key_mask is None:
+        return mask
+    pad = np.where(key_mask, 0.0, NEG_INF)[:, None, None, :]  # (B,1,1,T)
+    return mask[None, None, :, :] + pad
 
 
 class CausalSelfAttention(Module):
@@ -188,15 +221,23 @@ class CausalSelfAttention(Module):
         v = qkv[:, :, 2 * D:3 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
 
         scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(hd))  # (B,H,T,T)
-        mask = np.triu(np.full((T, T), NEG_INF), k=1)
-        if key_mask is not None:
-            pad = np.where(key_mask, 0.0, NEG_INF)[:, None, None, :]  # (B,1,1,T)
-            mask = mask[None, None, :, :] + pad  # (B,1,T,T)
-        scores = scores + Tensor(mask)
+        scores = scores + Tensor(_attention_mask(T, key_mask))
         att = scores.softmax(axis=-1)
         att = self.drop(att, rng)
         out = (att @ v).transpose((0, 2, 1, 3)).reshape(B, T, D)
         return self.drop(self.proj(out), rng)
+
+    def infer(self, x: np.ndarray, key_mask: np.ndarray | None = None) -> np.ndarray:
+        B, T, D = x.shape
+        H, hd = self.heads, self.head_dim
+        qkv = self.qkv.infer(x)
+        q = qkv[:, :, 0 * D:1 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
+        k = qkv[:, :, 1 * D:2 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
+        v = qkv[:, :, 2 * D:3 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
+        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
+        att = softmax(scores + _attention_mask(T, key_mask), axis=-1)
+        out = (att @ v).transpose((0, 2, 1, 3)).reshape(B, T, D)
+        return self.proj.infer(out)
 
 
 class TransformerBlock(Module):
@@ -214,6 +255,10 @@ class TransformerBlock(Module):
         h = self.drop(self.fc2(self.fc1(self.ln2(x)).gelu()), rng)
         return x + h
 
+    def infer(self, x: np.ndarray, key_mask=None) -> np.ndarray:
+        x = x + self.attn.infer(self.ln1.infer(x), key_mask)
+        return x + self.fc2.infer(gelu(self.fc1.infer(self.ln2.infer(x)))[0])
+
 
 class CausalTransformer(Module):
     """GPT-style trunk over pre-embedded token sequences."""
@@ -227,16 +272,27 @@ class CausalTransformer(Module):
         self.ln_f = LayerNorm(dim)
         self.drop = Dropout(dropout)
 
+    def _check_length(self, T: int) -> None:
+        if T > self.max_tokens:
+            raise ShapeError(f"sequence of {T} tokens exceeds trunk capacity {self.max_tokens}")
+
     def __call__(self, tokens: Tensor, key_mask: np.ndarray | None = None,
                  rng: np.random.Generator | None = None) -> Tensor:
         B, T, D = tokens.shape
-        if T > self.max_tokens:
-            raise ShapeError(f"sequence of {T} tokens exceeds trunk capacity {self.max_tokens}")
+        self._check_length(T)
         x = tokens + self.pos_emb[np.arange(T)]
         x = self.drop(x, rng)
         for block in self.blocks:
             x = block(x, key_mask, rng)
         return self.ln_f(x)
+
+    def infer(self, tokens: np.ndarray, key_mask: np.ndarray | None = None) -> np.ndarray:
+        T = tokens.shape[1]
+        self._check_length(T)
+        x = tokens + self.pos_emb.data[np.arange(T)]
+        for block in self.blocks:
+            x = block.infer(x, key_mask)
+        return self.ln_f.infer(x)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +362,18 @@ class Standardizer:
 
     def inverse(self, z):
         return z * self.std + self.mean
+
+    def inverse_var(self, var):
+        """A variance in z units back in raw units: ``var * std**2``.
+
+        ``std**2`` keeps Python's pow for a float ``std``; where that square
+        overflows, the ValueError names it, as for any invalid forecast.
+        """
+        try:
+            scale = self.std**2
+        except OverflowError:
+            raise ValueError(f"variance scale std**2 overflows at std={self.std}") from None
+        return var * scale
 
     def to_dict(self, prefix: str) -> dict:
         return {f"{prefix}_mean": np.asarray(self.mean).tolist(),

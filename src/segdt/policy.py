@@ -23,7 +23,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import nn, trajlog
-from .autodiff import Tensor, no_grad, concat
+from .autodiff import Tensor, concat
 from .env import ACTION_DIM, STATE_DIM, denorm_action, norm_actions
 from .nn import TrainingDiverged
 
@@ -163,14 +163,45 @@ class SequencePolicyModel(nn.Module):
         dummy_tok = self.dummy_emb * Tensor(np.ones((B, L, 1)))
         return tok * Tensor(1.0 - dummy) + dummy_tok * Tensor(dummy)
 
+    def _return_tokens_infer(self, batch) -> np.ndarray:
+        """``_return_tokens(batch).data`` without the tape."""
+        cfg = self.config
+        B, L = batch["h"].shape
+        if cfg.kind == "dt":
+            return self.embed_R.infer(np.asarray(batch["R"][..., None], dtype=np.float64))
+        tok = self.embed_rh.infer(np.asarray(batch["r_h"][..., None], dtype=np.float64))
+        if cfg.use_return_span:
+            tok = tok + self.embed_h.infer(np.clip(batch["h"], 0, cfg.h_max))
+        dummy = (batch["h"] == 0).astype(np.float64)[..., None]   # (B, L, 1)
+        dummy_tok = self.dummy_emb.data * np.ones((B, L, 1))
+        return tok * (1.0 - dummy) + dummy_tok * dummy
+
+    def _layout(self, batch) -> tuple:
+        """Token key mask (B, per * L) and the state-token positions (L,)."""
+        per, L = self.config.tokens_per_step, batch["mask"].shape[1]
+        return np.repeat(batch["mask"], per, axis=1), per * np.arange(L) + (per - 2)
+
+    def _global_onehots(self, batch) -> np.ndarray | None:
+        """(B, L, global_bins) one-hot global returns, or None when unused."""
+        cfg = self.config
+        if not (cfg.kind == "unrest" and cfg.use_global_return):
+            return None
+        B, L = batch["R_raw"].shape
+        return np.stack([
+            np.stack([discretize_global_return(batch["R_raw"][b, t],
+                                               batch["R_bounds"], cfg.global_bins)
+                      for t in range(L)])
+            for b in range(B)])
+
     def forward(self, batch, rng=None) -> Tensor:
         """Predicted actions (B, L, 2) in normalized space, tanh-bounded.
 
         ``batch`` carries normalized states/actions/r_h/R, integer h, raw
         global returns (``R_raw``) for the one-hot path, and a boolean mask.
+        This is the taped training path; ``infer`` is its tape-free twin.
         """
         cfg = self.config
-        states, actions, mask = batch["states"], batch["actions"], batch["mask"]
+        states, actions = batch["states"], batch["actions"]
         B, L, _ = states.shape
         d = cfg.embed_dim
         per = cfg.tokens_per_step
@@ -181,18 +212,35 @@ class SequencePolicyModel(nn.Module):
             tokens = concat([xr, xs, xa], axis=2).reshape(B, per * L, d)
         else:
             tokens = concat([xs, xa], axis=2).reshape(B, per * L, d)
-        key_mask = np.repeat(mask, per, axis=1)
+        key_mask, s_idx = self._layout(batch)
         hidden = self.trunk(tokens, key_mask, rng)
-        s_idx = per * np.arange(L) + (per - 2)   # state-token positions
         feat = hidden[:, s_idx]                  # (B, L, d)
-        if cfg.kind == "unrest" and cfg.use_global_return:
-            onehots = np.stack([
-                np.stack([discretize_global_return(batch["R_raw"][b, t],
-                                                   batch["R_bounds"], cfg.global_bins)
-                          for t in range(L)])
-                for b in range(B)])
+        onehots = self._global_onehots(batch)
+        if onehots is not None:
             feat = concat([feat, Tensor(onehots)], axis=2)
         return self.head(feat).tanh()
+
+    def infer(self, batch) -> np.ndarray:
+        """``forward(batch).data`` bit for bit, on plain arrays: the same
+        numpy ops in the same order and on the same shapes, with no tape."""
+        states = np.asarray(batch["states"], dtype=np.float64)
+        actions = np.asarray(batch["actions"], dtype=np.float64)
+        B, L, _ = states.shape
+        d = self.config.embed_dim
+        per = self.config.tokens_per_step
+        xs = self.embed_state.infer(states).reshape(B, L, 1, d)
+        xa = self.embed_action.infer(actions).reshape(B, L, 1, d)
+        if per == 3:
+            xr = self._return_tokens_infer(batch).reshape(B, L, 1, d)
+            tokens = np.concatenate([xr, xs, xa], axis=2).reshape(B, per * L, d)
+        else:
+            tokens = np.concatenate([xs, xa], axis=2).reshape(B, per * L, d)
+        key_mask, s_idx = self._layout(batch)
+        feat = self.trunk.infer(tokens, key_mask)[:, s_idx]
+        onehots = self._global_onehots(batch)
+        if onehots is not None:
+            feat = np.concatenate([feat, onehots], axis=2)
+        return np.tanh(self.head.infer(feat))
 
 
 class Policy:
@@ -235,10 +283,8 @@ class Policy:
 
     def act(self, steps: list) -> np.ndarray:
         """Deterministic action for the final context step, in raw units."""
-        batch = self._batch_from_steps(steps)
-        with no_grad():
-            pred = self.model.forward(batch)
-        return self.normalizer.denorm_action(pred.data[0, -1])
+        pred = self.model.infer(self._batch_from_steps(steps))
+        return self.normalizer.denorm_action(pred[0, -1])
 
     # -- persistence -------------------------------------------------------
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn, trajlog
-from .autodiff import Tensor, no_grad, concat
+from .autodiff import Tensor, concat
 from .env import STATE_DIM, ACTION_DIM, norm_actions
 
 log = logging.getLogger(__name__)
@@ -131,8 +131,17 @@ class ReturnMemberModel(nn.Module):
         self.head_state = nn.Linear(d, 2, rng, zero_init=True)
         self.head_action = nn.Linear(d, 2, rng, zero_init=True)
 
-    def _tokens(self, states: np.ndarray, actions: np.ndarray, mask: np.ndarray):
-        """Interleave [start, s_1, a_1, ..., s_L, a_L]; returns tokens + key mask."""
+    @staticmethod
+    def _key_mask(mask: np.ndarray) -> np.ndarray:
+        """Key mask of [start, s_1, a_1, ..., s_L, a_L] from the step mask."""
+        B, L = mask.shape
+        key_mask = np.ones((B, 2 * L + 1), dtype=bool)
+        key_mask[:, 1::2] = mask                    # s tokens
+        key_mask[:, 2::2] = mask                    # a tokens
+        return key_mask
+
+    def _tokens(self, states: np.ndarray, actions: np.ndarray) -> Tensor:
+        """Interleave [start, s_1, a_1, ..., s_L, a_L] as (B, 2L+1, d) tokens."""
         B, L, _ = states.shape
         d = self.config.embed_dim
         xs = self.embed_state(Tensor(states))       # (B, L, d)
@@ -140,21 +149,18 @@ class ReturnMemberModel(nn.Module):
         bos = (self.start_token * Tensor(np.ones((B, 1, 1)))).reshape(B, 1, d)
         stacked = concat([xs.reshape(B, L, 1, d), xa.reshape(B, L, 1, d)], axis=2)
         inter = stacked.reshape(B, 2 * L, d)
-        tokens = concat([bos, inter], axis=1)       # (B, 2L+1, d)
-        key_mask = np.ones((B, 2 * L + 1), dtype=bool)
-        key_mask[:, 1::2] = mask                    # s tokens
-        key_mask[:, 2::2] = mask                    # a tokens
-        return tokens, key_mask
+        return concat([bos, inter], axis=1)
 
     def forward(self, states, actions, mask, rng=None):
         """Both heads over a window batch.
 
         Returns (mu_s, logvar_s, mu_a, logvar_a), each (B, L): the state head
         reads at token 2i+1 (s_i visible), the action head at token 2i (only
-        tokens strictly before s_i visible).
+        tokens strictly before s_i visible).  This is the taped training
+        path; ``infer`` is its tape-free twin.
         """
         B, L, _ = states.shape
-        tokens, key_mask = self._tokens(states, actions, mask)
+        tokens, key_mask = self._tokens(states, actions), self._key_mask(mask)
         hs = self.trunk_state(tokens, key_mask, rng)
         ha = self.trunk_action(tokens, key_mask, rng)
         s_idx = 1 + 2 * np.arange(L)
@@ -165,6 +171,26 @@ class ReturnMemberModel(nn.Module):
         # exactly mu=0, log-var=0 at initialization
         return (out_s[:, :, 0], out_s[:, :, 1].tanh() * 5.0,
                 out_a[:, :, 0], out_a[:, :, 1].tanh() * 5.0)
+
+    def infer(self, states, actions, mask) -> tuple:
+        """``forward``'s four arrays bit for bit, on plain arrays: the same
+        numpy ops in the same order and on the same shapes, with no tape."""
+        states = np.asarray(states, dtype=np.float64)
+        actions = np.asarray(actions, dtype=np.float64)
+        B, L, _ = states.shape
+        d = self.config.embed_dim
+        xs = self.embed_state.infer(states)
+        xa = self.embed_action.infer(actions)
+        bos = (self.start_token.data * np.ones((B, 1, 1))).reshape(B, 1, d)
+        stacked = np.concatenate([xs.reshape(B, L, 1, d), xa.reshape(B, L, 1, d)], axis=2)
+        tokens = np.concatenate([bos, stacked.reshape(B, 2 * L, d)], axis=1)
+        key_mask = self._key_mask(mask)
+        hs = self.trunk_state.infer(tokens, key_mask)
+        ha = self.trunk_action.infer(tokens, key_mask)
+        out_s = self.head_state.infer(hs[:, 1 + 2 * np.arange(L)])
+        out_a = self.head_action.infer(ha[:, 2 * np.arange(L)])
+        return (out_s[:, :, 0], np.tanh(out_s[:, :, 1]) * 5.0,
+                out_a[:, :, 0], np.tanh(out_a[:, :, 1]) * 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +242,13 @@ class ReturnEnsemble:
         K = self.size
         out = {k: np.empty((K, T)) for k in ("mu_s", "var_s", "mu_a", "var_a")}
         ret = self.returns
-        with no_grad():
-            for k, member in enumerate(self.members):
-                mu_s, lv_s, mu_a, lv_a = member.forward(ws, wa, mask)
-                last = -1  # each window's final slot is step t
-                out["mu_s"][k] = ret.inverse(mu_s.data[:, last])
-                out["var_s"][k] = np.exp(lv_s.data[:, last]) * ret.std**2
-                out["mu_a"][k] = ret.inverse(mu_a.data[:, last])
-                out["var_a"][k] = np.exp(lv_a.data[:, last]) * ret.std**2
+        for k, member in enumerate(self.members):
+            mu_s, lv_s, mu_a, lv_a = member.infer(ws, wa, mask)
+            last = -1  # each window's final slot is step t
+            out["mu_s"][k] = ret.inverse(mu_s[:, last])
+            out["var_s"][k] = ret.inverse_var(np.exp(lv_s[:, last]))
+            out["mu_a"][k] = ret.inverse(mu_a[:, last])
+            out["var_a"][k] = ret.inverse_var(np.exp(lv_a[:, last]))
         return out
 
     # -- persistence -------------------------------------------------------
@@ -289,14 +314,13 @@ def split_train_val(trajs: list, val_fraction: float, seed: int):
 def _heldout_nll(member: ReturnMemberModel, batches: list) -> float:
     """Masked mean Gaussian NLL (constants dropped) over fixed val batches."""
     total, count = 0.0, 0.0
-    with no_grad():
-        for b in batches:
-            mu_s, lv_s, mu_a, lv_a = member.forward(b["states"], b["actions"], b["mask"])
-            m = b["mask"].astype(float)
-            for mu, lv in ((mu_s, lv_s), (mu_a, lv_a)):
-                per = (mu.data - b["returns"]) ** 2 * np.exp(-lv.data) + lv.data
-                total += (per * m).sum()
-                count += m.sum()
+    for b in batches:
+        mu_s, lv_s, mu_a, lv_a = member.infer(b["states"], b["actions"], b["mask"])
+        m = b["mask"].astype(float)
+        for mu, lv in ((mu_s, lv_s), (mu_a, lv_a)):
+            per = (mu - b["returns"]) ** 2 * np.exp(-lv) + lv
+            total += (per * m).sum()
+            count += m.sum()
     return total / max(count, 1.0)
 
 

@@ -32,10 +32,13 @@ SMOKE = Path(__file__).parents[1] / "configs" / "smoke"
 
 
 def report(criterion: int, name: str, ok: bool, detail: str, t0: float,
-           limit_s: float, capsys=None):
+           limit_s: float, capsys=None, fixture_s: float | None = None):
+    """Print the criterion's line; ``fixture_s`` is the shared session
+    fixture's own time, shown beside the test's and outside its budget."""
     elapsed = time.time() - t0
+    timing = f"{elapsed:.1f}s" + ("" if fixture_s is None else f"; fixture {fixture_s:.1f}s")
     line = (f"[acceptance] criterion {criterion} ({name}): "
-            f"{'PASS' if ok else 'FAIL'} — {detail} [{elapsed:.1f}s]")
+            f"{'PASS' if ok else 'FAIL'} — {detail} [{timing}]")
     if capsys is not None:   # emit even when the test passes
         with capsys.disabled():
             print("\n" + line, flush=True)
@@ -222,6 +225,7 @@ def test_criterion_4_kdtree_exactness(capsys):
 
 @pytest.fixture(scope="session")
 def return_study():
+    t0 = time.time()
     trajs = trajlog.collect_dataset(EnvConfig(delta=0.1), ExpertConfig(),
                                     episodes=300, base_seed=500)
     trajs = trajlog.annotate_dataset(trajs, gammas=(0.95,))
@@ -236,6 +240,7 @@ def return_study():
         calib = evaluator.calibrate(ensemble, val, gamma=cfg.discount)
         study["seeds"].append({"seed": seed, "ensemble": ensemble,
                                "calib": calib})
+    study["fixture_s"] = time.time() - t0
     return study
 
 
@@ -252,7 +257,8 @@ def test_criterion_5_ensemble_calibration(return_study, capsys):
               f"{np.mean(best_nlls):.4f} (per-seed ens "
               + ", ".join(f"{v:.3f}" for v in ens_nlls) + "; best "
               + ", ".join(f"{v:.3f}" for v in best_nlls) + ")")
-    report(5, "calibration direction", ok, detail, t0, 600, capsys=capsys)
+    report(5, "calibration direction", ok, detail, t0, 600, capsys=capsys,
+           fixture_s=return_study["fixture_s"])
 
 
 def test_criterion_6_uncertainty_at_latent_reveal(return_study, capsys):
@@ -301,6 +307,7 @@ def test_criterion_7_deterministic_alignment(capsys):
 
 @pytest.fixture(scope="session")
 def policy_study():
+    t0 = time.time()
     delta = 0.2
     env_cfg = EnvConfig(delta=delta)
     study = {"env_cfg": env_cfg, "seeds": []}
@@ -352,6 +359,7 @@ def policy_study():
             "index": index, "predictor": predictor, "target": target,
             "planner_cfg": planner_cfg,
         })
+    study["fixture_s"] = time.time() - t0
     return study
 
 
@@ -368,7 +376,8 @@ def test_criterion_8_stochastic_benchmark(policy_study, capsys):
     detail = ("3 seeds x 100 episodes at delta=0.2 — " + "; ".join(
         f"{k}: score {v['score']:.3f}, success {v['success']:.2f}"
         for k, v in means.items()))
-    report(8, "stochastic benchmark direction", ok, detail, t0, 1200, capsys=capsys)
+    report(8, "stochastic benchmark direction", ok, detail, t0, 1200, capsys=capsys,
+           fixture_s=policy_study["fixture_s"])
 
 
 def test_criterion_9_planner_bookkeeping(policy_study, capsys):

@@ -1,0 +1,147 @@
+"""Each model's tape-free ``infer`` returns its taped ``forward``'s arrays bit
+for bit, and a policy decision builds no ``Tensor``."""
+
+import numpy as np
+import pytest
+
+from segdt import autodiff, nn
+from segdt.autodiff import Tensor, no_grad
+from segdt.planner import TargetPredictorConfig, _TargetMlp
+from segdt.policy import Policy, PolicyConfig, PolicyNormalizer, PolicyStep, \
+    SequencePolicyModel
+from segdt.return_model import ReturnMemberModel, ReturnModelConfig
+
+
+def randomized(module, seed=0):
+    """Every parameter redrawn, so zero-init heads and unit gains carry signal."""
+    rng = np.random.default_rng(seed)
+    for p in module.parameters():
+        p.data[...] = rng.normal(0.0, 0.5, size=p.data.shape)
+    return module.eval()
+
+
+def left_padded_mask(B, L, rng):
+    """Row 0 full; the others start with 0 to L - 1 padded steps."""
+    pads = np.concatenate([[0], rng.integers(0, L, size=B - 1)])
+    return np.arange(L)[None, :] >= pads[:, None]
+
+
+def test_causal_mask_is_built_once_and_read_only():
+    m = nn.causal_mask(6)
+    assert m is nn.causal_mask(6)
+    assert not m.flags.writeable
+    assert np.array_equal(m, np.triu(np.full((6, 6), nn.NEG_INF), k=1))
+
+
+@pytest.mark.parametrize("B", [1, 3])
+def test_transformer_trunk_infer_matches_forward(B):
+    rng = np.random.default_rng(1)
+    trunk = randomized(nn.CausalTransformer(8, 2, 2, 9, rng, dropout=0.1), 2)
+    for T in range(1, 10):
+        x = rng.normal(size=(B, T, 8))
+        for key_mask in (None, left_padded_mask(B, T, rng)):
+            with no_grad():
+                want = trunk(Tensor(x), key_mask).data
+            assert np.array_equal(trunk.infer(x, key_mask), want)
+
+
+POLICY_CASES = {
+    "unrest": dict(kind="unrest"),
+    "unrest-no-span": dict(kind="unrest", use_return_span=False),
+    "unrest-global": dict(kind="unrest", use_global_return=True, global_bins=7),
+    "dt": dict(kind="dt"),
+    "bc": dict(kind="bc"),
+}
+
+
+def policy_batch(cfg, B, L, rng):
+    mask = left_padded_mask(B, L, rng)
+    m = mask[..., None]
+    # spans from the dummy 0 to well above the embedding table's h_max
+    h = rng.integers(0, cfg.h_max + 6, size=(B, L))
+    h.flat[0], h.flat[-1] = 0, cfg.h_max + 3
+    return {
+        "states": rng.normal(size=(B, L, 12)) * m,
+        "actions": rng.normal(size=(B, L, 2)) * m,
+        "h": h,
+        "r_h": rng.normal(size=(B, L)),
+        "R": rng.normal(size=(B, L)),
+        "R_raw": rng.normal(0.0, 4.0, size=(B, L)),
+        "R_bounds": (-5.0, 5.0),
+        "mask": mask,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(POLICY_CASES))
+def test_policy_infer_matches_forward(case):
+    cfg = PolicyConfig(n_layers=2, n_heads=2, embed_dim=16, seq_length=4, dropout=0.1,
+                       h_max=6, **POLICY_CASES[case])
+    model = randomized(SequencePolicyModel(cfg, np.random.default_rng(0)), 3)
+    rng = np.random.default_rng(4)
+    for B in (1, 5):
+        for L in range(1, cfg.seq_length + 1):
+            batch = policy_batch(cfg, B, L, rng)
+            with no_grad():
+                want = model.forward(batch).data
+            got = model.infer(batch)
+            assert got.shape == (B, L, 2)
+            assert np.array_equal(got, want), (case, B, L)
+
+
+def test_policy_act_builds_no_tensor(monkeypatch):
+    cfg = PolicyConfig(n_layers=1, n_heads=2, embed_dim=16, seq_length=5, h_max=6)
+    model = randomized(SequencePolicyModel(cfg, np.random.default_rng(0)), 5)
+    policy = Policy(model, cfg, PolicyNormalizer(
+        nn.Standardizer(np.zeros(12), np.ones(12)), nn.Standardizer(0.5, 2.0),
+        nn.Standardizer(1.0, 3.0), R_bounds=(-10.0, 10.0)))
+    rng = np.random.default_rng(6)
+    steps = [PolicyStep(state=rng.normal(size=12), action=rng.normal(size=2),
+                        h=h, r_h=1.5, R=4.0) for h in (3, 0, 9)]
+    steps[-1].action = None
+    with no_grad():
+        want = policy.normalizer.denorm_action(
+            model.forward(policy._batch_from_steps(steps)).data[0, -1])
+    built = []
+    init = autodiff.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(autodiff.Tensor, "__init__", counting)
+    got = policy.act(steps)
+    assert not built
+    assert np.array_equal(got, want)
+
+
+def test_return_member_infer_matches_forward():
+    cfg = ReturnModelConfig(n_layers=2, n_heads=2, embed_dim=16, seq_length=5, dropout=0.1)
+    member = randomized(ReturnMemberModel(cfg, np.random.default_rng(0)), 7)
+    rng = np.random.default_rng(8)
+    for B in (1, 4):
+        for L in range(1, cfg.seq_length + 1):
+            mask = left_padded_mask(B, L, rng)
+            states = rng.normal(size=(B, L, 12)) * mask[..., None]
+            actions = rng.normal(size=(B, L, 2)) * mask[..., None]
+            with no_grad():
+                want = [t.data for t in member.forward(states, actions, mask)]
+            got = member.infer(states, actions, mask)
+            assert len(got) == 4
+            for g, w in zip(got, want):
+                assert g.shape == (B, L)
+                assert np.array_equal(g, w), (B, L)
+
+
+@pytest.mark.parametrize("n_hidden", [1, 2])
+def test_target_mlp_infer_matches_forward(n_hidden):
+    cfg = TargetPredictorConfig(hidden_dim=16, n_hidden=n_hidden)
+    mlp = randomized(_TargetMlp(cfg, np.random.default_rng(0)), 9)
+    rng = np.random.default_rng(10)
+    for B in (1, 2, 7):
+        x = rng.normal(size=(B, 13))
+        with no_grad():
+            want = [t.data for t in mlp.forward(x)]
+        got = mlp.infer(x)
+        for g, w in zip(got, want):
+            assert g.shape == (B,)
+            assert np.array_equal(g, w)

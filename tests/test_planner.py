@@ -320,6 +320,18 @@ def test_predictor_failure_falls_back_to_dummy(error):
     assert policy.contexts[0][-1][0] == 0
 
 
+def test_overflowing_predictor_scale_falls_back_to_dummy():
+    # sigma**2 overflows a float: the predictor reports an invalid forecast
+    cfg = PlannerConfig(span_horizon=4, epsilon=1.0, knn=1, history_length=3)
+    ps = PlannerState.initial(cfg, 5.0)
+    policy = StubPolicy()
+    plan_step(ps, state_at(0), None, policy, gate_index([]),
+              constant_predictor(mu=0.0, sigma=1e200))
+    assert ps.trace[0]["predictor_failed"]
+    assert ps.trace[0]["dummy"]
+    assert policy.contexts[0][-1][0] == 0
+
+
 def test_predictor_bug_propagates():
     class BuggyPredictor:
         def predict_target(self, state, h, eta):
