@@ -21,7 +21,6 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "no_grad",
-    "is_grad_enabled",
     "concat",
     "stack",
     "gelu",
@@ -35,10 +34,6 @@ class ShapeError(ValueError):
 
 
 _GRAD_ENABLED = True
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 class no_grad:

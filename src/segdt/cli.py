@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,9 +197,12 @@ def cmd_segment(args) -> int:
     manifest = _manifest("segment", cfg)
     manifest.add_input("dataset", dataset)
     manifest.add_input("ensemble", ensemble_dir)
+    t0 = time.perf_counter()
     trajs = trajlog.annotate_dataset(trajlog.load(dataset), gammas=(1.0,))
     ensemble = ReturnEnsemble.load(ensemble_dir)
+    t1 = time.perf_counter()
     segs = segmenter.segment_dataset(trajs, ensemble, cfg.epsilon, cfg.c)
+    t2 = time.perf_counter()
 
     u_all = np.concatenate([s.u for s in segs])
     if u_all.size and cfg.epsilon >= u_all.max():
@@ -211,9 +215,14 @@ def cmd_segment(args) -> int:
               file=sys.stderr)
 
     segmenter.save_segmented(segs, out)
+    frac = float((u_all > cfg.epsilon).mean()) if u_all.size else 0.0
+    manifest.metrics.update(load_s=t1 - t0, forecast_s=t2 - t1,
+                            save_s=time.perf_counter() - t2, uncertain_fraction=frac)
+    if u_all.size:
+        for name, q in (("u_p50", 0.5), ("u_p90", 0.9), ("u_p99", 0.99), ("u_max", 1.0)):
+            manifest.metrics[name] = float(np.quantile(u_all, q))
     manifest.add_output("segmented", out)
     manifest.write(RunManifest.manifest_path(out))
-    frac = float((u_all > cfg.epsilon).mean()) if u_all.size else 0.0
     print(f"segment: wrote {len(segs)} trajectories to {out} "
           f"(uncertain-step fraction {frac:.3f})")
     return EXIT_OK

@@ -56,6 +56,8 @@ class RunManifest:
     outputs: dict = dataclasses.field(default_factory=dict)
     seeds: list = dataclasses.field(default_factory=list)
     wall_clock_s: float = 0.0
+    # stage figures: phase timings in seconds and what the data looked like
+    metrics: dict = dataclasses.field(default_factory=dict)
     revision: str = dataclasses.field(default_factory=revision_string)
     version: str = MANIFEST_VERSION
 

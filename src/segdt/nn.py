@@ -184,9 +184,11 @@ def causal_mask(T: int) -> np.ndarray:
     return mask
 
 
-def _attention_mask(T: int, key_mask: np.ndarray | None) -> np.ndarray:
-    """The causal mask, plus NEG_INF on padded keys: (T, T) or (B, 1, T, T)."""
-    mask = causal_mask(T)
+def _attention_mask(T: int, key_mask: np.ndarray | None,
+                    rows: slice = slice(None)) -> np.ndarray:
+    """The causal mask's query ``rows``, plus NEG_INF on padded keys:
+    (R, T) or (B, 1, R, T)."""
+    mask = causal_mask(T)[rows]
     if key_mask is None:
         return mask
     pad = np.where(key_mask, 0.0, NEG_INF)[:, None, None, :]  # (B,1,1,T)
@@ -227,16 +229,21 @@ class CausalSelfAttention(Module):
         out = (att @ v).transpose((0, 2, 1, 3)).reshape(B, T, D)
         return self.drop(self.proj(out), rng)
 
-    def infer(self, x: np.ndarray, key_mask: np.ndarray | None = None) -> np.ndarray:
+    def infer(self, x: np.ndarray, key_mask: np.ndarray | None = None,
+              rows: slice = slice(None)) -> np.ndarray:
+        """The attention output at the query positions ``rows`` only; keys and
+        values still come from every position."""
         B, T, D = x.shape
         H, hd = self.heads, self.head_dim
         qkv = self.qkv.infer(x)
-        q = qkv[:, :, 0 * D:1 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
+        q = qkv[:, rows, 0 * D:1 * D]
+        R = q.shape[1]
+        q = q.reshape(B, R, H, hd).transpose((0, 2, 1, 3))
         k = qkv[:, :, 1 * D:2 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
         v = qkv[:, :, 2 * D:3 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
         scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
-        att = softmax(scores + _attention_mask(T, key_mask), axis=-1)
-        out = (att @ v).transpose((0, 2, 1, 3)).reshape(B, T, D)
+        att = softmax(scores + _attention_mask(T, key_mask, rows), axis=-1)
+        out = (att @ v).transpose((0, 2, 1, 3)).reshape(B, R, D)
         return self.proj.infer(out)
 
 
@@ -255,8 +262,10 @@ class TransformerBlock(Module):
         h = self.drop(self.fc2(self.fc1(self.ln2(x)).gelu()), rng)
         return x + h
 
-    def infer(self, x: np.ndarray, key_mask=None) -> np.ndarray:
-        x = x + self.attn.infer(self.ln1.infer(x), key_mask)
+    def infer(self, x: np.ndarray, key_mask=None, rows: slice = slice(None)) -> np.ndarray:
+        """The block's output at positions ``rows`` (every position attends as
+        usual); those rows equal the full output's bit for bit."""
+        x = x[:, rows] + self.attn.infer(self.ln1.infer(x), key_mask, rows)
         return x + self.fc2.infer(gelu(self.fc1.infer(self.ln2.infer(x)))[0])
 
 
@@ -286,12 +295,19 @@ class CausalTransformer(Module):
             x = block(x, key_mask, rng)
         return self.ln_f(x)
 
-    def infer(self, tokens: np.ndarray, key_mask: np.ndarray | None = None) -> np.ndarray:
+    def infer(self, tokens: np.ndarray, key_mask: np.ndarray | None = None,
+              rows: slice = slice(None)) -> np.ndarray:
+        """The trunk's output at positions ``rows``, bit for bit those rows of
+        the full output.  Every block but the last runs on all positions, as
+        the last one attends to them; the last block and ``ln_f`` run on
+        ``rows`` only.  Keep at least two rows per call: a one-row product
+        goes to GEMV, whose bits can differ from the GEMM row's."""
         T = tokens.shape[1]
         self._check_length(T)
         x = tokens + self.pos_emb.data[np.arange(T)]
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             x = block.infer(x, key_mask)
+        x = self.blocks[-1].infer(x, key_mask, rows) if self.blocks else x[:, rows]
         return self.ln_f.infer(x)
 
 

@@ -7,6 +7,11 @@ conditioned trunk reading at the previous action token (a learned start
 token for the first step).  Members share token embedders within the pair,
 differ in initialization and in which trajectories they train on
 (Bernoulli data masks), and are combined by exact mixture moments.
+
+``forward`` is the taped training path and ``infer`` its tape-free twin with
+the same bits.  Forecasts read one slot per window, so ``predict_trajectory``
+calls ``infer_last``, which skips the last block's rows no head reads and
+returns the same bits as ``infer``'s final slot.
 """
 
 from __future__ import annotations
@@ -27,16 +32,6 @@ log = logging.getLogger(__name__)
 
 
 from .nn import TrainingDiverged  # noqa: F401  (re-exported for callers)
-
-
-@dataclass(frozen=True)
-class ReturnDistribution:
-    mu: float
-    var: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mu) and np.isfinite(self.var) and self.var > 0):
-            raise ValueError(f"invalid return distribution: mu={self.mu}, var={self.var}")
 
 
 def _require_gaussians(mu: np.ndarray, var: np.ndarray) -> None:
@@ -73,14 +68,6 @@ def mixture_moments(mu: np.ndarray, var: np.ndarray, floor=None) -> tuple:
     mix_var = np.maximum(mix_var, floor)
     _require_gaussians(mix_mu, mix_var)
     return mix_mu, mix_var
-
-
-def ensemble_moments(members: list) -> ReturnDistribution:
-    """``mixture_moments`` of one step's member distributions."""
-    if not members:
-        raise ValueError("ensemble_moments requires at least one member")
-    mu, var = mixture_moments([[m.mu] for m in members], [[m.var] for m in members])
-    return ReturnDistribution(float(mu[0]), float(var[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +159,52 @@ class ReturnMemberModel(nn.Module):
         return (out_s[:, :, 0], out_s[:, :, 1].tanh() * 5.0,
                 out_a[:, :, 0], out_a[:, :, 1].tanh() * 5.0)
 
+    def _infer_tokens(self, states, actions) -> np.ndarray:
+        """``_tokens`` on plain arrays: the same numpy ops in the same order."""
+        B, L, _ = np.shape(states)
+        d = self.config.embed_dim
+        xs = self.embed_state.infer(np.asarray(states, dtype=np.float64))
+        xa = self.embed_action.infer(np.asarray(actions, dtype=np.float64))
+        bos = (self.start_token.data * np.ones((B, 1, 1))).reshape(B, 1, d)
+        stacked = np.concatenate([xs.reshape(B, L, 1, d), xa.reshape(B, L, 1, d)], axis=2)
+        return np.concatenate([bos, stacked.reshape(B, 2 * L, d)], axis=1)
+
+    @staticmethod
+    def _heads_out(out_s, out_a) -> tuple:
+        """(mu_s, logvar_s, mu_a, logvar_a) from the heads' (..., 2) outputs,
+        as ``forward`` bounds them."""
+        return (out_s[..., 0], np.tanh(out_s[..., 1]) * 5.0,
+                out_a[..., 0], np.tanh(out_a[..., 1]) * 5.0)
+
     def infer(self, states, actions, mask) -> tuple:
         """``forward``'s four arrays bit for bit, on plain arrays: the same
         numpy ops in the same order and on the same shapes, with no tape."""
-        states = np.asarray(states, dtype=np.float64)
-        actions = np.asarray(actions, dtype=np.float64)
-        B, L, _ = states.shape
-        d = self.config.embed_dim
-        xs = self.embed_state.infer(states)
-        xa = self.embed_action.infer(actions)
-        bos = (self.start_token.data * np.ones((B, 1, 1))).reshape(B, 1, d)
-        stacked = np.concatenate([xs.reshape(B, L, 1, d), xa.reshape(B, L, 1, d)], axis=2)
-        tokens = np.concatenate([bos, stacked.reshape(B, 2 * L, d)], axis=1)
-        key_mask = self._key_mask(mask)
+        L = np.shape(states)[1]
+        tokens, key_mask = self._infer_tokens(states, actions), self._key_mask(mask)
         hs = self.trunk_state.infer(tokens, key_mask)
         ha = self.trunk_action.infer(tokens, key_mask)
-        out_s = self.head_state.infer(hs[:, 1 + 2 * np.arange(L)])
-        out_a = self.head_action.infer(ha[:, 2 * np.arange(L)])
-        return (out_s[:, :, 0], np.tanh(out_s[:, :, 1]) * 5.0,
-                out_a[:, :, 0], np.tanh(out_a[:, :, 1]) * 5.0)
+        return self._heads_out(self.head_state.infer(hs[:, 1 + 2 * np.arange(L)]),
+                               self.head_action.infer(ha[:, 2 * np.arange(L)]))
+
+    def infer_last(self, states, actions, mask) -> tuple:
+        """``infer``'s four arrays at each window's final slot, as (B,) arrays
+        with the same bits, computing only what those slots read.
+
+        Both trunks run their last block on tokens 2L-2 (a_{L-1}, read by the
+        action head) and 2L-1 (s_L, read by the state head) only.  Each
+        2-wide head then runs on a zero (B, L, d) buffer whose final slot holds
+        that row: the bits of a product this narrow depend on its row count
+        and on where the row sits, so the heads keep ``infer``'s shape.
+        """
+        B, L, _ = np.shape(states)
+        tokens, key_mask = self._infer_tokens(states, actions), self._key_mask(mask)
+        rows = slice(2 * L - 2, 2 * L)
+        buf_s = np.zeros((B, L, self.config.embed_dim))
+        buf_a = np.zeros_like(buf_s)
+        buf_s[:, -1] = self.trunk_state.infer(tokens, key_mask, rows)[:, 1]
+        buf_a[:, -1] = self.trunk_action.infer(tokens, key_mask, rows)[:, 0]
+        out = self._heads_out(self.head_state.infer(buf_s), self.head_action.infer(buf_a))
+        return tuple(x[:, -1] for x in out)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +257,12 @@ class ReturnEnsemble:
         out = {k: np.empty((K, T)) for k in ("mu_s", "var_s", "mu_a", "var_a")}
         ret = self.returns
         for k, member in enumerate(self.members):
-            mu_s, lv_s, mu_a, lv_a = member.infer(ws, wa, mask)
-            last = -1  # each window's final slot is step t
-            out["mu_s"][k] = ret.inverse(mu_s[:, last])
-            out["var_s"][k] = ret.inverse_var(np.exp(lv_s[:, last]))
-            out["mu_a"][k] = ret.inverse(mu_a[:, last])
-            out["var_a"][k] = ret.inverse_var(np.exp(lv_a[:, last]))
+            # each window's final slot is step t
+            mu_s, lv_s, mu_a, lv_a = member.infer_last(ws, wa, mask)
+            out["mu_s"][k] = ret.inverse(mu_s)
+            out["var_s"][k] = ret.inverse_var(np.exp(lv_s))
+            out["mu_a"][k] = ret.inverse(mu_a)
+            out["var_a"][k] = ret.inverse_var(np.exp(lv_a))
         return out
 
     # -- persistence -------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trajlog
-from .return_model import ReturnDistribution, mixture_moments
+from .return_model import mixture_moments
 
 SEGMENT_SCHEMA_VERSION = "segtraj-v2"
 
@@ -43,11 +43,6 @@ def gaussian_kl_array(mu_p, var_p, mu_q, var_q) -> np.ndarray:
                          f"min q.var={np.min(var_q)}")
     return (0.5 * np.log(var_q / var_p)
             + (var_p + np.float_power(mu_p - mu_q, 2)) / (2.0 * var_q) - 0.5)
-
-
-def gaussian_kl(p: ReturnDistribution, q: ReturnDistribution) -> float:
-    """KL(p || q) for two univariate Gaussians."""
-    return float(gaussian_kl_array(p.mu, p.var, q.mu, q.var))
 
 
 @dataclass

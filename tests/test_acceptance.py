@@ -20,10 +20,9 @@ from segdt.planner import (KdUncertaintyIndex, PlannerConfig, PlannerState,
                            TargetPredictorConfig, TargetReturnPredictor,
                            initial_global_target, plan_step)
 from segdt.policy import PolicyConfig, train_policy
-from segdt.return_model import (ReturnDistribution, ReturnModelConfig,
-                                ensemble_moments, split_train_val,
+from segdt.return_model import (ReturnModelConfig, mixture_moments, split_train_val,
                                 train_return_models)
-from segdt.segmenter import UNCERTAIN, UncertaintyTrace, gaussian_kl
+from segdt.segmenter import UNCERTAIN, UncertaintyTrace, gaussian_kl_array
 
 from gradcheck import finite_diff_check
 from test_segmenter import make_trace, make_traj, oracle_uncertain_mask
@@ -117,31 +116,32 @@ def test_criterion_2_distribution_math(capsys):
 
     worst_mom = 0.0
     for _ in range(5):
-        members = [ReturnDistribution(float(rng.uniform(-3, 3)),
-                                      float(rng.uniform(0.2, 4.0)))
+        members = [(float(rng.uniform(-3, 3)), float(rng.uniform(0.2, 4.0)))
                    for _ in range(5)]
-        mix = ensemble_moments(members)
+        mix_mu, mix_var = mixture_moments([[mu] for mu, _ in members],
+                                          [[var] for _, var in members])
+        mix_mu, mix_var = float(mix_mu[0]), float(mix_var[0])
         picks = rng.integers(len(members), size=1_000_000)
         samples = np.concatenate([
-            rng.normal(members[k].mu, np.sqrt(members[k].var),
-                       size=int((picks == k).sum()))
-            for k in range(len(members))])
+            rng.normal(mu, np.sqrt(var), size=int((picks == k).sum()))
+            for k, (mu, var) in enumerate(members)])
         worst_mom = max(worst_mom,
-                        abs(mix.mu - samples.mean()) / max(abs(samples.mean()), 1e-6),
-                        abs(mix.var - samples.var()) / samples.var())
-        assert abs(mix.mu - samples.mean()) <= 0.01 * max(abs(samples.mean()), np.sqrt(mix.var))
-        assert abs(mix.var - samples.var()) <= 0.01 * samples.var()
+                        abs(mix_mu - samples.mean()) / max(abs(samples.mean()), 1e-6),
+                        abs(mix_var - samples.var()) / samples.var())
+        assert abs(mix_mu - samples.mean()) <= 0.01 * max(abs(samples.mean()), np.sqrt(mix_var))
+        assert abs(mix_var - samples.var()) <= 0.01 * samples.var()
 
     worst_kl = 0.0
     for _ in range(50):
-        p = ReturnDistribution(float(rng.uniform(-3, 3)), float(rng.uniform(0.2, 4)))
-        q = ReturnDistribution(float(rng.uniform(-3, 3)), float(rng.uniform(0.2, 4)))
-        x = rng.normal(p.mu, np.sqrt(p.var), size=400_000)
-        mc = (-0.5 * (x - p.mu) ** 2 / p.var - 0.5 * np.log(p.var)
-              + 0.5 * (x - q.mu) ** 2 / q.var + 0.5 * np.log(q.var)).mean()
-        err = abs(gaussian_kl(p, q) - mc) / max(abs(mc), 1e-12)
+        mu_p, var_p = float(rng.uniform(-3, 3)), float(rng.uniform(0.2, 4))
+        mu_q, var_q = float(rng.uniform(-3, 3)), float(rng.uniform(0.2, 4))
+        x = rng.normal(mu_p, np.sqrt(var_p), size=400_000)
+        mc = (-0.5 * (x - mu_p) ** 2 / var_p - 0.5 * np.log(var_p)
+              + 0.5 * (x - mu_q) ** 2 / var_q + 0.5 * np.log(var_q)).mean()
+        err = abs(float(gaussian_kl_array(mu_p, var_p, mu_q, var_q)) - mc) / max(abs(mc), 1e-12)
         worst_kl = max(worst_kl, err)
-        assert err <= 0.02, f"KL({p}, {q}): closed form vs MC off by {err:.4f}"
+        assert err <= 0.02, (f"KL(N({mu_p}, {var_p}), N({mu_q}, {var_q})): "
+                             f"closed form vs MC off by {err:.4f}")
     report(2, "distribution math", True,
            f"moments worst rel err {worst_mom:.5f} (tol 0.01); "
            f"KL worst rel err {worst_kl:.5f} over 50 pairs (tol 0.02)", t0, 60, capsys=capsys)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from segdt import cli, evaluator, segmenter, trajlog
+from segdt.config import parse_flat_file
 from segdt.manifest import RunManifest, hash_artifact
 from segdt.nn import TrainingDiverged
 from segdt.planner import TargetReturnPredictor
@@ -75,6 +76,19 @@ def test_manifests_record_inputs_and_outputs(pipeline):
     assert set(m.inputs) == {"dataset", "ensemble"}
     assert m.outputs["segmented"]["sha256"] == hash_artifact(pipeline["segmented"])
     assert m.inputs["dataset"]["sha256"] == hash_artifact(pipeline["dataset"])
+
+
+def test_segment_manifest_records_stage_metrics(pipeline):
+    m = RunManifest.load(RunManifest.manifest_path(pipeline["segmented"]))
+    u = np.concatenate([s.u for s in segmenter.load_segmented(pipeline["segmented"])])
+    epsilon = float(parse_flat_file(SMOKE / "segment.cfg")["epsilon"])
+    assert set(m.metrics) == {"load_s", "forecast_s", "save_s", "uncertain_fraction",
+                              "u_p50", "u_p90", "u_p99", "u_max"}
+    assert all(m.metrics[k] >= 0.0 for k in ("load_s", "forecast_s", "save_s"))
+    assert m.metrics["uncertain_fraction"] == (u > epsilon).mean()
+    for name, q in (("u_p50", 0.5), ("u_p90", 0.9), ("u_p99", 0.99), ("u_max", 1.0)):
+        assert m.metrics[name] == np.quantile(u, q), name
+    assert m.metrics["u_max"] == u.max()
 
 
 def test_rerun_reproduces_artifact_hashes(pipeline, tmp_path):

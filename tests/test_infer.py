@@ -1,5 +1,6 @@
 """Each model's tape-free ``infer`` returns its taped ``forward``'s arrays bit
-for bit, and a policy decision builds no ``Tensor``."""
+for bit, ``infer`` restricted to some rows returns those rows' bits, and a
+policy decision builds no ``Tensor``."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from segdt.autodiff import Tensor, no_grad
 from segdt.planner import TargetPredictorConfig, _TargetMlp
 from segdt.policy import Policy, PolicyConfig, PolicyNormalizer, PolicyStep, \
     SequencePolicyModel
-from segdt.return_model import ReturnMemberModel, ReturnModelConfig
+from segdt.return_model import ReturnEnsemble, ReturnMemberModel, ReturnModelConfig
 
 
 def randomized(module, seed=0):
@@ -43,6 +44,22 @@ def test_transformer_trunk_infer_matches_forward(B):
             with no_grad():
                 want = trunk(Tensor(x), key_mask).data
             assert np.array_equal(trunk.infer(x, key_mask), want)
+
+
+@pytest.mark.parametrize("B", [1, 3])
+def test_transformer_trunk_infer_rows_match_forward_rows(B):
+    rng = np.random.default_rng(11)
+    trunk = randomized(nn.CausalTransformer(8, 2, 2, 9, rng, dropout=0.1), 12)
+    for T in range(2, 10):
+        x = rng.normal(size=(B, T, 8))
+        for key_mask in (None, left_padded_mask(B, T, rng)):
+            with no_grad():
+                want = trunk(Tensor(x), key_mask).data
+            for start in range(T - 1):
+                rows = slice(start, start + 2)
+                got = trunk.infer(x, key_mask, rows)
+                assert got.shape == (B, 2, 8)
+                assert np.array_equal(got, want[:, rows]), (T, start)
 
 
 POLICY_CASES = {
@@ -130,6 +147,34 @@ def test_return_member_infer_matches_forward():
             for g, w in zip(got, want):
                 assert g.shape == (B, L)
                 assert np.array_equal(g, w), (B, L)
+
+
+SMOKE_ARCH = dict(n_layers=1, n_heads=2, embed_dim=16, seq_length=5)
+DEFAULT_ARCH = dict(n_layers=2, n_heads=4, embed_dim=64, seq_length=10)
+
+
+@pytest.mark.parametrize("arch", [SMOKE_ARCH, DEFAULT_ARCH], ids=["smoke", "default"])
+def test_return_member_infer_last_matches_infer_final_slot(arch):
+    """``infer_last`` on the left-padded windows ``predict_trajectory`` builds,
+    one per step, equals ``infer``'s final slot for every trajectory length."""
+    cfg = ReturnModelConfig(dropout=0.1, **arch)
+    ensemble = ReturnEnsemble(
+        cfg, [randomized(ReturnMemberModel(cfg, np.random.default_rng(0)), 13)],
+        nn.Standardizer(np.zeros(12), np.ones(12)), nn.Standardizer(0.0, 1.0), [0])
+    member = ensemble.members[0]
+    rng = np.random.default_rng(14)
+    for T in range(1, cfg.seq_length + 3):
+        states, actions = rng.normal(size=(T, 12)), rng.uniform(-1, 1, size=(T, 2))
+        windows = ensemble._windows(states, actions)
+        want = member.infer(*windows)
+        got = member.infer_last(*windows)
+        assert len(got) == 4
+        for g, w in zip(got, want):
+            assert g.shape == (T,)
+            assert np.array_equal(g, w[:, -1]), T
+        forecast = ensemble.predict_trajectory(states, actions)
+        assert np.array_equal(forecast["mu_s"][0], want[0][:, -1])
+        assert np.array_equal(forecast["mu_a"][0], want[2][:, -1])
 
 
 @pytest.mark.parametrize("n_hidden", [1, 2])

@@ -37,6 +37,7 @@ def test_manifest_roundtrip(tmp_path):
     m = RunManifest.start("collect", {"episodes": 3}, seeds=[0, 1, 2])
     m.add_input("prior", artifact)
     m.add_output("dataset", artifact)
+    m.metrics["load_s"] = 0.25
     out = RunManifest.manifest_path(artifact)
     m.write(out)
     assert out.name == "data.bin.manifest.json"
@@ -48,6 +49,16 @@ def test_manifest_roundtrip(tmp_path):
     assert loaded.outputs["dataset"]["sha256"] == sha256_file(artifact)
     assert loaded.wall_clock_s >= 0.0
     assert loaded.version == MANIFEST_VERSION
+    assert loaded.metrics == {"load_s": 0.25}
+
+
+def test_manifest_without_metrics_still_loads(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"version": MANIFEST_VERSION, "command": "collect",
+                                "config_hash": "y", "wall_clock_s": 1.5}))
+    loaded = RunManifest.load(path)
+    assert loaded.metrics == {}
+    assert loaded.wall_clock_s == 1.5
 
 
 def test_manifest_version_check(tmp_path):

@@ -8,8 +8,8 @@ from segdt import trajlog
 from segdt.env import EnvConfig, ExpertConfig, norm_actions
 from segdt.nn import Standardizer
 from segdt.return_model import (
-    ReturnDistribution, ReturnEnsemble, ReturnMemberModel,
-    ReturnModelConfig, TrainingDiverged, ensemble_moments, mixture_moments,
+    ReturnEnsemble, ReturnMemberModel, ReturnModelConfig, TrainingDiverged,
+    mixture_moments,
     split_train_val, train_return_models,
 )
 
@@ -38,33 +38,26 @@ def trained(dataset):
 
 
 def test_mixture_moments_identical_members():
-    d = ReturnDistribution(2.0, 3.0)
-    out = ensemble_moments([d, d, d])
-    assert out.mu == pytest.approx(2.0)
-    assert out.var == pytest.approx(3.0)
+    mu, var = mixture_moments(np.full((3, 1), 2.0), np.full((3, 1), 3.0))
+    assert mu[0] == pytest.approx(2.0)
+    assert var[0] == pytest.approx(3.0)
 
 
 def test_mixture_moments_hand_computed():
     # members N(0, 1) and N(2, 1): mu = 1, var = mean(1+0, 1+4) - 1 = 1.5 + 1
-    out = ensemble_moments([ReturnDistribution(0.0, 1.0), ReturnDistribution(2.0, 1.0)])
-    assert out.mu == pytest.approx(1.0)
-    assert out.var == pytest.approx(2.0)
+    mu, var = mixture_moments([[0.0], [2.0]], [[1.0], [1.0]])
+    assert mu[0] == pytest.approx(1.0)
+    assert var[0] == pytest.approx(2.0)
 
 
 def test_mixture_moments_match_sampling_oracle():
     rng = np.random.default_rng(0)
-    members = [ReturnDistribution(float(rng.normal()), float(rng.uniform(0.5, 2.0)))
-               for _ in range(5)]
-    out = ensemble_moments(members)
+    members = [(float(rng.normal()), float(rng.uniform(0.5, 2.0))) for _ in range(5)]
+    mu, var = mixture_moments([[m] for m, _ in members], [[v] for _, v in members])
     draws = np.concatenate([
-        rng.normal(m.mu, np.sqrt(m.var), size=200_000) for m in members])
-    assert out.mu == pytest.approx(draws.mean(), abs=0.01)
-    assert out.var == pytest.approx(draws.var(), rel=0.01)
-
-
-def test_mixture_moments_empty_rejected():
-    with pytest.raises(ValueError):
-        ensemble_moments([])
+        rng.normal(m, np.sqrt(v), size=200_000) for m, v in members])
+    assert mu[0] == pytest.approx(draws.mean(), abs=0.01)
+    assert var[0] == pytest.approx(draws.var(), rel=0.01)
 
 
 def scalar_moments(mus: list, vars_: list) -> tuple:
@@ -98,8 +91,6 @@ def test_mixture_moments_bitwise_equal_scalar_formula(K, spread):
     for t in range(mu.shape[1]):
         want = scalar_moments([float(v) for v in mu[:, t]], [float(v) for v in var[:, t]])
         assert (mix_mu[t], mix_var[t]) == want, f"step {t}"
-        assert ensemble_moments([ReturnDistribution(m, v) for m, v in
-                                 zip(mu[:, t], var[:, t])]) == ReturnDistribution(*want)
 
 
 def test_mixture_moments_absolute_floor():
@@ -130,13 +121,6 @@ def test_mixture_moments_rejects_shape_mismatch():
         mixture_moments(np.zeros((2, 3)), np.ones((3, 2)))
     with pytest.raises(ValueError):
         mixture_moments(np.zeros((0, 3)), np.ones((0, 3)))
-
-
-def test_distribution_validates():
-    with pytest.raises(ValueError):
-        ReturnDistribution(0.0, -1.0)
-    with pytest.raises(ValueError):
-        ReturnDistribution(np.nan, 1.0)
 
 
 # -- untrained member behavior ---------------------------------------------

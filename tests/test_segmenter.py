@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from segdt import trajlog
 from segdt.nn import Standardizer
-from segdt.return_model import ReturnDistribution, ReturnEnsemble, \
-    ReturnMemberModel, ReturnModelConfig
+from segdt.return_model import ReturnEnsemble, ReturnMemberModel, ReturnModelConfig
 from segdt.segmenter import (
     CERTAIN, UNCERTAIN, Part, SegmentedTrajectory, UncertaintyTrace,
-    estimate_uncertainty, forecast_uncertainty, gaussian_kl, gaussian_kl_array,
+    estimate_uncertainty, forecast_uncertainty, gaussian_kl_array,
     load_segmented, relabel, save_segmented, segment, segment_dataset,
 )
 
@@ -33,17 +32,15 @@ def make_traj(rewards):
 
 
 def test_kl_self_divergence_zero():
-    d = ReturnDistribution(1.3, 2.7)
-    assert gaussian_kl(d, d) == pytest.approx(0.0, abs=1e-12)
+    assert gaussian_kl_array(1.3, 2.7, 1.3, 2.7) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_unit_mean_shift():
-    assert gaussian_kl(ReturnDistribution(1.0, 1.0),
-                       ReturnDistribution(0.0, 1.0)) == pytest.approx(0.5)
+    assert gaussian_kl_array(1.0, 1.0, 0.0, 1.0) == pytest.approx(0.5)
 
 
 def test_kl_variance_two_vs_one():
-    got = gaussian_kl(ReturnDistribution(0.0, 2.0), ReturnDistribution(0.0, 1.0))
+    got = gaussian_kl_array(0.0, 2.0, 0.0, 1.0)
     assert got == pytest.approx(0.5 * (1.0 - np.log(2.0)), abs=1e-12)
     assert got == pytest.approx(0.1534, abs=5e-5)
 
@@ -51,29 +48,24 @@ def test_kl_variance_two_vs_one():
 def test_kl_nonnegative_random_pairs():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        p = ReturnDistribution(float(rng.normal()), float(rng.uniform(0.1, 5)))
-        q = ReturnDistribution(float(rng.normal()), float(rng.uniform(0.1, 5)))
-        assert gaussian_kl(p, q) >= 0.0
+        p = float(rng.normal()), float(rng.uniform(0.1, 5))
+        q = float(rng.normal()), float(rng.uniform(0.1, 5))
+        assert gaussian_kl_array(*p, *q) >= 0.0
 
 
 def test_kl_monte_carlo_cross_check():
     rng = np.random.default_rng(1)
-    p = ReturnDistribution(0.7, 1.6)
-    q = ReturnDistribution(-0.4, 0.9)
-    x = rng.normal(p.mu, np.sqrt(p.var), size=400_000)
-    log_ratio = (-0.5 * (x - p.mu) ** 2 / p.var - 0.5 * np.log(p.var)
-                 + 0.5 * (x - q.mu) ** 2 / q.var + 0.5 * np.log(q.var))
-    assert gaussian_kl(p, q) == pytest.approx(log_ratio.mean(), rel=0.02)
+    (mu_p, var_p), (mu_q, var_q) = (0.7, 1.6), (-0.4, 0.9)
+    x = rng.normal(mu_p, np.sqrt(var_p), size=400_000)
+    log_ratio = (-0.5 * (x - mu_p) ** 2 / var_p - 0.5 * np.log(var_p)
+                 + 0.5 * (x - mu_q) ** 2 / var_q + 0.5 * np.log(var_q))
+    assert gaussian_kl_array(mu_p, var_p, mu_q, var_q) == pytest.approx(log_ratio.mean(),
+                                                                         rel=0.02)
 
 
 def test_kl_rejects_bad_variance():
-    p = ReturnDistribution(0.0, 1.0)
-    # bypass ReturnDistribution's own validation to reach gaussian_kl's check
-    bad = ReturnDistribution.__new__(ReturnDistribution)
-    object.__setattr__(bad, "mu", 0.0)
-    object.__setattr__(bad, "var", 0.0)
-    with pytest.raises(ValueError):
-        gaussian_kl(p, bad)
+    with pytest.raises(ValueError, match="non-positive variance"):
+        gaussian_kl_array(0.0, 1.0, 0.0, 0.0)
 
 
 # -- segmentation -----------------------------------------------------------
@@ -283,8 +275,8 @@ def test_kl_array_matches_scalar_and_rejects_bad_variance():
     var_p, var_q = rng.uniform(0.1, 5, size=50), rng.uniform(0.1, 5, size=50)
     kl = gaussian_kl_array(mu_p, var_p, mu_q, var_q)
     for i in range(50):
-        assert kl[i] == gaussian_kl(ReturnDistribution(mu_p[i], var_p[i]),
-                                    ReturnDistribution(mu_q[i], var_q[i]))
+        assert kl[i] == gaussian_kl_array(float(mu_p[i]), float(var_p[i]),
+                                          float(mu_q[i]), float(var_q[i]))
     var_q[7] = -1.0
     with pytest.raises(ValueError, match="non-positive variance"):
         gaussian_kl_array(mu_p, var_p, mu_q, var_q)
