@@ -370,7 +370,13 @@ class Tensor:
 
     # -- linear algebra ----------------------------------------------------
 
-    def matmul(self, other):
+    def matmul(self, other, rows: tuple | None = None):
+        """``self @ other``.  ``rows = (T, index)`` says that ``self`` holds
+        the rows ``index`` (axis -2) of a T-row operand: ``self``'s gradient
+        is then computed on the output gradient zero-padded back to T rows,
+        and those rows are kept.  The bits of a row of ``g @ W.T`` can depend
+        on the product's row count, and the padding gives each row the bits
+        of the T-row product's."""
         other = Tensor._coerce(other)
         try:
             out_data = self.data @ other.data
@@ -379,7 +385,13 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                ga = g @ np.swapaxes(other.data, -1, -2)
+                if rows is None:
+                    ga = g @ np.swapaxes(other.data, -1, -2)
+                else:
+                    T, index = rows
+                    full = np.zeros(g.shape[:-2] + (T, g.shape[-1]))
+                    full[..., index, :] = g
+                    ga = (full @ np.swapaxes(other.data, -1, -2))[..., index, :]
                 self._accum(_unbroadcast(ga, self.shape), owned=True)
             if other.requires_grad:
                 gb = np.swapaxes(self.data, -1, -2) @ g

@@ -172,12 +172,17 @@ def cmd_train_return(args) -> int:
     out = _prepare_out(args.out, args.force)
     manifest = _manifest("train-return", cfg, seeds=[cfg.seed])
     manifest.add_input("dataset", dataset)
+    t0 = time.perf_counter()
     trajs = trajlog.annotate_dataset(trajlog.load(dataset),
                                      gammas=(cfg.discount,))
+    t1 = time.perf_counter()
     ensemble, history = train_return_models(trajs, cfg, progress=args.verbose)
+    t2 = time.perf_counter()
     ensemble.save(out)
     (out / "training_history.json").write_text(
         json.dumps({"heldout_nll": history}, indent=2))
+    manifest.metrics.update(load_s=t1 - t0, train_s=t2 - t1,
+                            save_s=time.perf_counter() - t2)
     manifest.add_output("ensemble", out)
     manifest.write(RunManifest.manifest_path(out))
     final = [curve[-1] for curve in history]
@@ -236,9 +241,14 @@ def cmd_train_policy(args) -> int:
     out = _prepare_out(args.out, args.force)
     manifest = _manifest("train-policy", cfg, seeds=[cfg.seed])
     manifest.add_input("segmented", segmented)
+    t0 = time.perf_counter()
     segs = segmenter.load_segmented(segmented)
+    t1 = time.perf_counter()
     trained, curve = train_policy(segs, cfg, progress=args.verbose)
+    t2 = time.perf_counter()
     trained.save(out)
+    manifest.metrics.update(load_s=t1 - t0, train_s=t2 - t1,
+                            save_s=time.perf_counter() - t2, loss_curve=curve)
     manifest.add_output("policy", out)
     manifest.write(RunManifest.manifest_path(out))
     print(f"train-policy: {cfg.kind} policy saved to {out}; "

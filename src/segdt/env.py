@@ -13,7 +13,7 @@ The policy-visible state is a 12-float vector; the lead vehicle's latents
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -6,7 +6,13 @@ by variance heads, ``Standardizer``, which z-scores every raw input and
 target the networks see, ``map_members``, which trains independent ensemble
 members in parallel worker processes, and checkpoint (de)serialization.
 Each layer's ``__call__`` records the tape for training; its ``infer``
-returns the same array's bits from plain ndarrays, with no tape.
+returns the same array's bits from plain ndarrays, with no tape.  On both
+paths a trunk can compute only the rows its caller reads (``rows=``): the
+last block, its dropout and ``ln_f`` then run on those rows, with the bits,
+gradients and rng draws of the every-row call.  ``Dropout`` draws its mask
+at the full shape, the pruned ``Linear`` layers pad their input gradient
+back to every row (``Tensor.matmul``), and ``CausalTransformer._last_rows``
+sends a single-row read through every row.
 Checkpoints are JSON with raw little-endian float64 parameter bytes in
 base64, so a save/load round trip is bitwise exact.
 """
@@ -22,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .autodiff import Tensor, ShapeError, concat, gelu, layernorm, softmax
+from .autodiff import Tensor, ShapeError, gelu, layernorm, softmax
 
 NEG_INF = -1e9  # finite mask constant; keeps softmax NaN-free on padded rows
 
@@ -123,8 +129,11 @@ class Linear(Module):
         self.weight = Parameter(w)
         self.bias = Parameter(np.zeros(out_dim)) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
+    def __call__(self, x: Tensor, rows: tuple | None = None) -> Tensor:
+        """``rows = (T, index)``: ``x`` holds those rows of a T-row input, and
+        its gradient is computed on the zero-padded T-row gradient (see
+        ``Tensor.matmul``)."""
+        out = x.matmul(self.weight, rows)
         if self.bias is not None:
             out = out + self.bias
         return out
@@ -162,16 +171,28 @@ class LayerNorm(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; identity in eval mode.  Uses the rng passed at call."""
+    """Inverted dropout; identity in eval mode.  Uses the rng passed at call.
+
+    ``rows = (T, index)`` says that ``x`` holds the rows ``index`` (axis -2)
+    of a T-row activation: the mask is drawn at the full T-row shape and
+    those rows are kept, so the rng stream and each row's mask are the ones
+    an unpruned call draws.
+    """
 
     def __init__(self, p: float):
         super().__init__()
         self.p = p
 
-    def __call__(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+    def __call__(self, x: Tensor, rng: np.random.Generator | None,
+                 rows: tuple | None = None) -> Tensor:
         if not self.training or self.p <= 0.0 or rng is None:
             return x
-        keep = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
+        if rows is None:
+            keep = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
+        else:
+            T, index = rows
+            shape = x.shape[:-2] + (T, x.shape[-1])
+            keep = ((rng.random(shape) >= self.p) / (1.0 - self.p))[..., index, :]
         return x * Tensor(keep)
 
 
@@ -214,20 +235,26 @@ class CausalSelfAttention(Module):
         self.drop = Dropout(dropout)
 
     def __call__(self, x: Tensor, key_mask: np.ndarray | None = None,
-                 rng: np.random.Generator | None = None) -> Tensor:
+                 rng: np.random.Generator | None = None,
+                 rows: slice = slice(None)) -> Tensor:
+        """The attention output at the query positions ``rows`` only, as
+        ``infer`` computes it; keys and values still come from every position."""
         B, T, D = x.shape
         H, hd = self.heads, self.head_dim
+        pad = None if rows == slice(None) else (T, rows)   # for Linear and Dropout
         qkv = self.qkv(x)  # (B, T, 3D)
-        q = qkv[:, :, 0 * D:1 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
+        q = qkv[:, rows, 0 * D:1 * D]
+        R = q.shape[1]
+        q = q.reshape(B, R, H, hd).transpose((0, 2, 1, 3))
         k = qkv[:, :, 1 * D:2 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
         v = qkv[:, :, 2 * D:3 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
 
-        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(hd))  # (B,H,T,T)
-        scores = scores + Tensor(_attention_mask(T, key_mask))
+        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(hd))  # (B,H,R,T)
+        scores = scores + Tensor(_attention_mask(T, key_mask, rows))
         att = scores.softmax(axis=-1)
-        att = self.drop(att, rng)
-        out = (att @ v).transpose((0, 2, 1, 3)).reshape(B, T, D)
-        return self.drop(self.proj(out), rng)
+        att = self.drop(att, rng, pad)
+        out = (att @ v).transpose((0, 2, 1, 3)).reshape(B, R, D)
+        return self.drop(self.proj(out, pad), rng, pad)
 
     def infer(self, x: np.ndarray, key_mask: np.ndarray | None = None,
               rows: slice = slice(None)) -> np.ndarray:
@@ -257,9 +284,15 @@ class TransformerBlock(Module):
         self.fc2 = Linear(4 * dim, dim, rng)
         self.drop = Dropout(dropout)
 
-    def __call__(self, x: Tensor, key_mask=None, rng=None) -> Tensor:
-        x = x + self.attn(self.ln1(x), key_mask, rng)
-        h = self.drop(self.fc2(self.fc1(self.ln2(x)).gelu()), rng)
+    def __call__(self, x: Tensor, key_mask=None, rng=None,
+                 rows: slice = slice(None)) -> Tensor:
+        """The block's output at positions ``rows``, as ``infer`` computes it
+        (every position attends as usual), with the gradients and dropout
+        draws of the every-row call."""
+        pad = None if rows == slice(None) else (x.shape[1], rows)
+        res = x if pad is None else x[:, rows]
+        x = res + self.attn(self.ln1(x), key_mask, rng, rows)
+        h = self.drop(self.fc2(self.fc1(self.ln2(x), pad).gelu(), pad), rng, pad)
         return x + h
 
     def infer(self, x: np.ndarray, key_mask=None, rows: slice = slice(None)) -> np.ndarray:
@@ -285,30 +318,46 @@ class CausalTransformer(Module):
         if T > self.max_tokens:
             raise ShapeError(f"sequence of {T} tokens exceeds trunk capacity {self.max_tokens}")
 
+    @staticmethod
+    def _last_rows(T: int, rows: slice) -> tuple:
+        """(the rows the last block computes, the rows kept after ``ln_f``)
+        for a call that reads ``rows``.  A selection of fewer than two
+        positions computes every row and is kept afterwards: a one-row
+        product goes to GEMV, whose bits can differ from the GEMM row's."""
+        if len(range(T)[rows]) < 2:
+            return slice(None), rows
+        return rows, slice(None)
+
     def __call__(self, tokens: Tensor, key_mask: np.ndarray | None = None,
-                 rng: np.random.Generator | None = None) -> Tensor:
+                 rng: np.random.Generator | None = None,
+                 rows: slice = slice(None)) -> Tensor:
+        """The taped twin of ``infer``: the output at positions ``rows``, with
+        the bits, gradients and rng draws of the every-row call's rows."""
         B, T, D = tokens.shape
         self._check_length(T)
+        run, keep = self._last_rows(T, rows)
         x = tokens + self.pos_emb[np.arange(T)]
         x = self.drop(x, rng)
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             x = block(x, key_mask, rng)
-        return self.ln_f(x)
+        x = self.blocks[-1](x, key_mask, rng, run) if self.blocks else x[:, run]
+        x = self.ln_f(x)
+        return x if keep == slice(None) else x[:, keep]
 
     def infer(self, tokens: np.ndarray, key_mask: np.ndarray | None = None,
               rows: slice = slice(None)) -> np.ndarray:
         """The trunk's output at positions ``rows``, bit for bit those rows of
         the full output.  Every block but the last runs on all positions, as
         the last one attends to them; the last block and ``ln_f`` run on
-        ``rows`` only.  Keep at least two rows per call: a one-row product
-        goes to GEMV, whose bits can differ from the GEMM row's."""
+        ``rows`` only (see ``_last_rows`` for a single row)."""
         T = tokens.shape[1]
         self._check_length(T)
+        run, keep = self._last_rows(T, rows)
         x = tokens + self.pos_emb.data[np.arange(T)]
         for block in self.blocks[:-1]:
             x = block.infer(x, key_mask)
-        x = self.blocks[-1].infer(x, key_mask, rows) if self.blocks else x[:, rows]
-        return self.ln_f.infer(x)
+        x = self.blocks[-1].infer(x, key_mask, run) if self.blocks else x[:, run]
+        return self.ln_f.infer(x)[:, keep]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ All three policy kinds share one causal trunk over per-step token groups:
 * ``bc``     — (state, action) tokens; no return conditioning at all.
 
 Actions are regressed with MSE in a normalized action space and bounded
-through tanh.
+through tanh.  The loss reads only each step's state token, so ``forward``
+runs the trunk's last block on those rows alone, with the bits, gradients
+and dropout draws of the every-row call (see ``nn.CausalTransformer``).
+``infer``, which ``Policy.act`` calls at batch 1, keeps every row: there the
+pruned decision measured no faster.
 """
 
 from __future__ import annotations
@@ -177,9 +181,10 @@ class SequencePolicyModel(nn.Module):
         return tok * (1.0 - dummy) + dummy_tok * dummy
 
     def _layout(self, batch) -> tuple:
-        """Token key mask (B, per * L) and the state-token positions (L,)."""
-        per, L = self.config.tokens_per_step, batch["mask"].shape[1]
-        return np.repeat(batch["mask"], per, axis=1), per * np.arange(L) + (per - 2)
+        """Token key mask (B, per * L) and the state-token positions, a slice:
+        token per-2 of each step's group."""
+        per = self.config.tokens_per_step
+        return np.repeat(batch["mask"], per, axis=1), slice(per - 2, None, per)
 
     def _global_onehots(self, batch) -> np.ndarray | None:
         """(B, L, global_bins) one-hot global returns, or None when unused."""
@@ -212,9 +217,8 @@ class SequencePolicyModel(nn.Module):
             tokens = concat([xr, xs, xa], axis=2).reshape(B, per * L, d)
         else:
             tokens = concat([xs, xa], axis=2).reshape(B, per * L, d)
-        key_mask, s_idx = self._layout(batch)
-        hidden = self.trunk(tokens, key_mask, rng)
-        feat = hidden[:, s_idx]                  # (B, L, d)
+        key_mask, s_rows = self._layout(batch)
+        feat = self.trunk(tokens, key_mask, rng, s_rows)   # (B, L, d)
         onehots = self._global_onehots(batch)
         if onehots is not None:
             feat = concat([feat, Tensor(onehots)], axis=2)
@@ -235,8 +239,8 @@ class SequencePolicyModel(nn.Module):
             tokens = np.concatenate([xr, xs, xa], axis=2).reshape(B, per * L, d)
         else:
             tokens = np.concatenate([xs, xa], axis=2).reshape(B, per * L, d)
-        key_mask, s_idx = self._layout(batch)
-        feat = self.trunk.infer(tokens, key_mask)[:, s_idx]
+        key_mask, s_rows = self._layout(batch)
+        feat = self.trunk.infer(tokens, key_mask)[:, s_rows]
         onehots = self._global_onehots(batch)
         if onehots is not None:
             feat = np.concatenate([feat, onehots], axis=2)

@@ -9,9 +9,13 @@ differ in initialization and in which trajectories they train on
 (Bernoulli data masks), and are combined by exact mixture moments.
 
 ``forward`` is the taped training path and ``infer`` its tape-free twin with
-the same bits.  Forecasts read one slot per window, so ``predict_trajectory``
-calls ``infer_last``, which skips the last block's rows no head reads and
-returns the same bits as ``infer``'s final slot.
+the same bits.  Both run each trunk's last block on the rows its head reads
+only (s_1..s_L for the state trunk, start..a_{L-1} for the action trunk),
+with the bits, gradients and dropout draws of the every-row call (see
+``nn.CausalTransformer`` for the rules that keep them).  Forecasts read one
+slot per window, so ``predict_trajectory`` calls ``infer_last``, which skips
+the last block's rows no head reads and returns the same bits as
+``infer``'s final slot.
 """
 
 from __future__ import annotations
@@ -146,18 +150,23 @@ class ReturnMemberModel(nn.Module):
         tokens strictly before s_i visible).  This is the taped training
         path; ``infer`` is its tape-free twin.
         """
-        B, L, _ = states.shape
+        L = states.shape[1]
         tokens, key_mask = self._tokens(states, actions), self._key_mask(mask)
-        hs = self.trunk_state(tokens, key_mask, rng)
-        ha = self.trunk_action(tokens, key_mask, rng)
-        s_idx = 1 + 2 * np.arange(L)
-        a_idx = 2 * np.arange(L)
-        out_s = self.head_state(hs[:, s_idx])   # (B, L, 2)
-        out_a = self.head_action(ha[:, a_idx])  # (B, L, 2)
+        s_rows, a_rows = self._read_rows(L)
+        hs = self.trunk_state(tokens, key_mask, rng, s_rows)    # (B, L, d)
+        ha = self.trunk_action(tokens, key_mask, rng, a_rows)
+        out_s = self.head_state(hs)   # (B, L, 2)
+        out_a = self.head_action(ha)  # (B, L, 2)
         # log-variance is soft-bounded to [-5, 5]; zero-init heads still give
         # exactly mu=0, log-var=0 at initialization
         return (out_s[:, :, 0], out_s[:, :, 1].tanh() * 5.0,
                 out_a[:, :, 0], out_a[:, :, 1].tanh() * 5.0)
+
+    @staticmethod
+    def _read_rows(L: int) -> tuple:
+        """The token rows the heads read: s_1..s_L for the state head and
+        start, a_1..a_{L-1} for the action head."""
+        return slice(1, 2 * L, 2), slice(0, 2 * L, 2)
 
     def _infer_tokens(self, states, actions) -> np.ndarray:
         """``_tokens`` on plain arrays: the same numpy ops in the same order."""
@@ -179,12 +188,11 @@ class ReturnMemberModel(nn.Module):
     def infer(self, states, actions, mask) -> tuple:
         """``forward``'s four arrays bit for bit, on plain arrays: the same
         numpy ops in the same order and on the same shapes, with no tape."""
-        L = np.shape(states)[1]
         tokens, key_mask = self._infer_tokens(states, actions), self._key_mask(mask)
-        hs = self.trunk_state.infer(tokens, key_mask)
-        ha = self.trunk_action.infer(tokens, key_mask)
-        return self._heads_out(self.head_state.infer(hs[:, 1 + 2 * np.arange(L)]),
-                               self.head_action.infer(ha[:, 2 * np.arange(L)]))
+        s_rows, a_rows = self._read_rows(np.shape(states)[1])
+        hs = self.trunk_state.infer(tokens, key_mask, s_rows)
+        ha = self.trunk_action.infer(tokens, key_mask, a_rows)
+        return self._heads_out(self.head_state.infer(hs), self.head_action.infer(ha))
 
     def infer_last(self, states, actions, mask) -> tuple:
         """``infer``'s four arrays at each window's final slot, as (B,) arrays

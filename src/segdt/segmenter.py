@@ -14,7 +14,7 @@ recomputes the global returns, and a step's flag is ``u > epsilon``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

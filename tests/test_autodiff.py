@@ -263,6 +263,20 @@ def test_key_mask_removes_padding():
     assert np.allclose(out[0, 2:], base[0, 2:])
 
 
+@pytest.mark.parametrize("rows", [slice(1, None, 3), slice(2, 6)], ids=["strided", "contiguous"])
+def test_trunk_rows_gradcheck(rows):
+    """The row-restricted taped trunk, whose last block pads its input-gradient
+    products back to every row, against central differences."""
+    rng = np.random.default_rng(12)
+    trunk = nn.CausalTransformer(dim=8, heads=2, layers=2, max_tokens=7, rng=rng, dropout=0.0)
+    x = rng.normal(size=(2, 7, 8))
+    # pad only row 0, which neither slice reads: a query row whose keys are
+    # all masked sits at NEG_INF, where central differences lose precision
+    key_mask = np.array([[True] * 7, [False] + [True] * 6])
+    w = rng.normal(size=(2, len(range(7)[rows]), 8))
+    finite_diff_check(lambda t: (trunk(t, key_mask, rows=rows) * w).sum(), [x])
+
+
 def test_adamw_minimizes_quadratic():
     p = nn.Parameter(np.array([5.0, -3.0]))
     opt = nn.AdamW([p], lr=0.2)

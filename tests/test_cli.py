@@ -11,6 +11,7 @@ from segdt.config import parse_flat_file
 from segdt.manifest import RunManifest, hash_artifact
 from segdt.nn import TrainingDiverged
 from segdt.planner import TargetReturnPredictor
+from segdt.policy import Policy, train_policy
 from segdt.return_model import ReturnEnsemble, split_train_val
 
 SMOKE = Path(__file__).parents[1] / "configs" / "smoke"
@@ -89,6 +90,18 @@ def test_segment_manifest_records_stage_metrics(pipeline):
     for name, q in (("u_p50", 0.5), ("u_p90", 0.9), ("u_p99", 0.99), ("u_max", 1.0)):
         assert m.metrics[name] == np.quantile(u, q), name
     assert m.metrics["u_max"] == u.max()
+
+
+def test_trainer_manifests_record_stage_metrics(pipeline):
+    ret = RunManifest.load(RunManifest.manifest_path(pipeline["ensemble"]))
+    pol = RunManifest.load(RunManifest.manifest_path(pipeline["policy"]))
+    assert set(ret.metrics) == {"load_s", "train_s", "save_s"}
+    assert set(pol.metrics) == {"load_s", "train_s", "save_s", "loss_curve"}
+    for m in (ret, pol):
+        assert all(m.metrics[k] >= 0.0 for k in ("load_s", "train_s", "save_s"))
+    config = Policy.load(pipeline["policy"]).config
+    _, curve = train_policy(segmenter.load_segmented(pipeline["segmented"]), config)
+    assert len(curve) == config.epochs and pol.metrics["loss_curve"] == curve
 
 
 def test_rerun_reproduces_artifact_hashes(pipeline, tmp_path):

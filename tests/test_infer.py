@@ -1,16 +1,19 @@
 """Each model's tape-free ``infer`` returns its taped ``forward``'s arrays bit
-for bit, ``infer`` restricted to some rows returns those rows' bits, and a
-policy decision builds no ``Tensor``."""
+for bit, ``infer`` restricted to some rows returns those rows' bits, a
+policy decision builds no ``Tensor``, and training on the row-restricted
+trunk gives the bits of training on every row."""
 
 import numpy as np
 import pytest
 
-from segdt import autodiff, nn
+from segdt import autodiff, nn, trajlog
 from segdt.autodiff import Tensor, no_grad
 from segdt.planner import TargetPredictorConfig, _TargetMlp
 from segdt.policy import Policy, PolicyConfig, PolicyNormalizer, PolicyStep, \
-    SequencePolicyModel
-from segdt.return_model import ReturnEnsemble, ReturnMemberModel, ReturnModelConfig
+    SequencePolicyModel, train_policy
+from segdt.return_model import ReturnEnsemble, ReturnMemberModel, ReturnModelConfig, \
+    train_return_models
+from segdt.segmenter import Part, SegmentedTrajectory
 
 
 def randomized(module, seed=0):
@@ -190,3 +193,76 @@ def test_target_mlp_infer_matches_forward(n_hidden):
         for g, w in zip(got, want):
             assert g.shape == (B,)
             assert np.array_equal(g, w)
+
+
+# ---------------------------------------------------------------------------
+# Training on the row-restricted trunk against training on every row
+# ---------------------------------------------------------------------------
+
+
+def every_row_trunk(monkeypatch):
+    """The reference: each trunk call runs every row and selects afterwards."""
+    call, infer = nn.CausalTransformer.__call__, nn.CausalTransformer.infer
+
+    def full_call(self, tokens, key_mask=None, rng=None, rows=slice(None)):
+        return call(self, tokens, key_mask, rng)[:, rows]
+
+    def full_infer(self, tokens, key_mask=None, rows=slice(None)):
+        return infer(self, tokens, key_mask)[:, rows]
+
+    monkeypatch.setattr(nn.CausalTransformer, "__call__", full_call)
+    monkeypatch.setattr(nn.CausalTransformer, "infer", full_infer)
+
+
+def synthetic_segments(seed):
+    """Segmented episodes, some shorter than a window (left padding), with
+    dummy (h = 0) and certain steps."""
+    rng = np.random.default_rng(seed)
+    segs = []
+    for T in (4, 9, 17, 30, 23, 12, 7, 26):
+        traj = trajlog.Trajectory(
+            states=rng.normal(size=(T, 12)), actions=rng.uniform(-1, 1, size=(T, 2)) * [5.0, 0.2],
+            rewards=rng.normal(size=T), reward_terms=[{}] * T, infractions=[None] * T)
+        traj = trajlog.annotate_dataset([traj])[0]
+        h = rng.integers(0, 12, size=T)
+        h[rng.random(T) < 0.3] = 0
+        segs.append(SegmentedTrajectory(
+            traj=traj, u=np.zeros(T), epsilon=1.0, parts=[Part("certain", 0, T)],
+            h=h, r_h=np.where(h > 0, rng.normal(size=T), 0.0)))
+    return segs
+
+
+def assert_same_state(a: dict, b: dict):
+    assert a.keys() == b.keys()
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
+
+
+# the default architecture: the 16-d smoke one does not show every BLAS effect
+TRAIN_ARCH = dict(n_layers=2, n_heads=4, embed_dim=64, batch_size=64, dropout=0.1,
+                  epochs=3, iters_per_epoch=1)
+
+
+@pytest.mark.parametrize("seq_length", [10, 1])
+@pytest.mark.parametrize("kind", ["unrest", "dt", "bc"])
+def test_train_policy_on_read_rows_matches_every_row(kind, seq_length, monkeypatch):
+    segs = synthetic_segments(21)
+    cfg = PolicyConfig(kind=kind, seq_length=seq_length, seed=4, **TRAIN_ARCH)
+    policy, curve = train_policy(segs, cfg)
+    every_row_trunk(monkeypatch)
+    ref_policy, ref_curve = train_policy(segs, cfg)
+    assert len(curve) == 3 and curve == ref_curve
+    assert_same_state(policy.model.state_dict(), ref_policy.model.state_dict())
+
+
+@pytest.mark.parametrize("seq_length", [10, 1])
+def test_train_return_models_on_read_rows_matches_every_row(seq_length, monkeypatch):
+    trajs = [s.traj for s in synthetic_segments(22)]
+    cfg = ReturnModelConfig(seq_length=seq_length, ensemble_size=2, val_fraction=0.25,
+                            seed=6, **TRAIN_ARCH)
+    ensemble, history = train_return_models(trajs, cfg)
+    every_row_trunk(monkeypatch)
+    ref_ensemble, ref_history = train_return_models(trajs, cfg)
+    assert [len(c) for c in history] == [4, 4] and history == ref_history
+    for member, ref in zip(ensemble.members, ref_ensemble.members):
+        assert_same_state(member.state_dict(), ref.state_dict())

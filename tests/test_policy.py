@@ -8,8 +8,7 @@ from segdt.policy import (
     Policy, PolicyConfig, PolicyNormalizer, PolicyStep, SequencePolicyModel,
     discretize_global_return, train_policy,
 )
-from segdt.segmenter import Part, SegmentedTrajectory, UncertaintyTrace, \
-    relabel, segment
+from segdt.segmenter import Part, SegmentedTrajectory
 
 
 def tiny_config(**kw):

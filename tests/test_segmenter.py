@@ -7,9 +7,9 @@ from segdt import trajlog
 from segdt.nn import Standardizer
 from segdt.return_model import ReturnEnsemble, ReturnMemberModel, ReturnModelConfig
 from segdt.segmenter import (
-    CERTAIN, UNCERTAIN, Part, SegmentedTrajectory, UncertaintyTrace,
-    estimate_uncertainty, forecast_uncertainty, gaussian_kl_array,
-    load_segmented, relabel, save_segmented, segment, segment_dataset,
+    CERTAIN, UNCERTAIN, Part, UncertaintyTrace, estimate_uncertainty,
+    forecast_uncertainty, gaussian_kl_array, load_segmented, relabel,
+    save_segmented, segment,
 )
 
 
