@@ -154,10 +154,14 @@ def cmd_collect(args) -> int:
     manifest = _manifest("collect", cfg,
                          seeds=range(cfg.base_seed, cfg.base_seed + cfg.episodes))
     env_config = EnvConfig(delta=cfg.delta, episode_horizon=cfg.episode_horizon)
+    t0 = time.perf_counter()
     trajs = trajlog.collect_dataset(env_config, ExpertConfig(),
                                     episodes=cfg.episodes,
                                     base_seed=cfg.base_seed)
+    t1 = time.perf_counter()
     trajlog.save(trajs, out)
+    manifest.metrics.update(collect_s=t1 - t0, save_s=time.perf_counter() - t1,
+                            steps=sum(len(t) for t in trajs))
     manifest.add_output("dataset", out)
     manifest.write(RunManifest.manifest_path(out))
     n_success = sum(t.meta.get("route_completion", 0.0) >= 1.0 for t in trajs)
@@ -262,23 +266,31 @@ def cmd_build_kdtree(args) -> int:
     out = _prepare_out(args.out, args.force)
     manifest = _manifest("build-kdtree", cfg, seeds=[cfg.seed])
     manifest.add_input("segmented", segmented)
+    pred_out = _prepare_out(args.predictor_out, args.force) if args.predictor_out else None
+    t0 = time.perf_counter()
     segs = segmenter.load_segmented(segmented)
     trajs = [s.traj for s in segs]
+    t1 = time.perf_counter()
     traces = _traces_from_segs(segs)
     epsilon = segs[0].epsilon if segs else 1.0
     index = KdUncertaintyIndex.build(trajs, traces, k=cfg.knn, epsilon=epsilon)
-    index.save(out)
-    manifest.add_output("index", out)
-    messages = [f"build-kdtree: index over {len(index)} states saved to {out}"]
-    if args.predictor_out:
-        pred_out = _prepare_out(args.predictor_out, args.force)
+    t2 = time.perf_counter()
+    predictor = None
+    if pred_out is not None:
         pred_cfg = TargetPredictorConfig(**{
             f.name: getattr(cfg, f.name)
             for f in dataclasses.fields(TargetPredictorConfig)})
         predictor = TargetReturnPredictor.train(trajs, pred_cfg)
+    t3 = time.perf_counter()
+    index.save(out)
+    manifest.add_output("index", out)
+    messages = [f"build-kdtree: index over {len(index)} states saved to {out}"]
+    if pred_out is not None:
         predictor.save(pred_out)
         manifest.add_output("predictor", pred_out)
         messages.append(f"target predictor saved to {pred_out}")
+    manifest.metrics.update(load_s=t1 - t0, build_s=t2 - t1, train_s=t3 - t2,
+                            save_s=time.perf_counter() - t3)
     manifest.write(RunManifest.manifest_path(out))
     print("; ".join(messages))
     return EXIT_OK
@@ -346,10 +358,12 @@ def cmd_calibrate(args) -> int:
     manifest = _manifest("calibrate", cfg)
     manifest.add_input("dataset", dataset)
     manifest.add_input("ensemble", ensemble_dir)
+    t0 = time.perf_counter()
     ensemble = ReturnEnsemble.load(ensemble_dir)
     manifest.seeds = [ensemble.config.seed]
     gamma = ensemble.config.discount
     trajs = trajlog.annotate_dataset(trajlog.load(dataset), gammas=(gamma,))
+    t1 = time.perf_counter()
     # hold out the validation split the ensemble's trainer used
     _, val = split_train_val(trajs, ensemble.config.val_fraction, ensemble.config.seed)
     held_out = val if val else trajs
@@ -367,7 +381,10 @@ def cmd_calibrate(args) -> int:
         "flagged_fraction": float(np.mean(
             np.concatenate([tr.u for tr in traces]) > cfg.epsilon)),
     })
+    t2 = time.perf_counter()
     out.write_text(json.dumps(payload, indent=2))
+    manifest.metrics.update(load_s=t1 - t0, forecast_s=t2 - t1,
+                            save_s=time.perf_counter() - t2)
     manifest.add_output("calibration", out)
     manifest.write(RunManifest.manifest_path(out))
     qs = histogram["quantiles"]

@@ -7,9 +7,11 @@ revealed something the policy could not have anticipated.  Steps whose
 uncertainty exceeds a threshold seed uncertain parts; certain steps are
 relabeled with truncated returns that never look across a boundary.
 
-A segmented file is a ``trajlog`` file under its own schema version whose
-lines add ``u``, ``h``, ``r_h``, ``epsilon`` and ``parts``; loading
-recomputes the global returns, and a step's flag is ``u > epsilon``.
+A segmented file is a ``trajlog`` archive under its own schema version that
+adds the flat step columns ``u``, ``h`` and ``r_h``, one ``epsilon`` per
+trajectory, and the parts as (label code, start, stop) rows with a count per
+trajectory; loading recomputes the global returns, and a step's flag is
+``u > epsilon``.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import numpy as np
 from . import trajlog
 from .return_model import mixture_moments
 
-SEGMENT_SCHEMA_VERSION = "segtraj-v2"
+SEGMENT_SCHEMA_VERSION = "segtraj-v3"
 
 CERTAIN = "certain"
 UNCERTAIN = "uncertain"
+LABELS = (CERTAIN, UNCERTAIN)   # a part's label code in segmented files
 
 # sentinel condition carried by uncertain steps; the policy routes it to a
 # learned dummy embedding instead of reading the numbers
@@ -179,25 +182,35 @@ def segment_dataset(trajs: list, ensemble, epsilon: float, c: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: the trajlog codec plus the segmentation keys
+# Persistence: the trajlog codec plus the segmentation columns
 # ---------------------------------------------------------------------------
 
 
 def save_segmented(segs: list, path) -> None:
-    trajlog.write_jsonl(path, SEGMENT_SCHEMA_VERSION, [seg.traj for seg in segs], [
-        {"epsilon": seg.epsilon,
-         "parts": [[p.label, p.start, p.stop] for p in seg.parts],
-         "u": seg.u.tolist(), "h": seg.h.tolist(), "r_h": seg.r_h.tolist()}
-        for seg in segs])
+    trajlog.write_columns(
+        path, SEGMENT_SCHEMA_VERSION, [seg.traj for seg in segs],
+        u=trajlog.concat_steps([seg.u for seg in segs]),
+        h=trajlog.concat_steps([seg.h for seg in segs], dtype=np.int64),
+        r_h=trajlog.concat_steps([seg.r_h for seg in segs]),
+        epsilon=np.array([seg.epsilon for seg in segs], dtype=np.float64),
+        part_counts=np.array([len(seg.parts) for seg in segs], dtype=np.int64),
+        parts=np.array([(LABELS.index(p.label), p.start, p.stop)
+                        for seg in segs for p in seg.parts], dtype=np.int64).reshape(-1, 3))
 
 
 def load_segmented(path) -> list:
-    return [SegmentedTrajectory(
-        traj=trajlog.compute_returns(traj, 1.0),
-        u=np.array(cols["u"], dtype=np.float64),
-        epsilon=cols["epsilon"],
-        parts=[Part(label, start, stop) for label, start, stop in cols["parts"]],
-        h=np.array(cols["h"], dtype=np.int64),
-        r_h=np.array(cols["r_h"], dtype=np.float64),
-    ) for traj, cols in trajlog.read_jsonl(path, SEGMENT_SCHEMA_VERSION,
-                                           step_keys=("u", "h", "r_h"))]
+    trajs, cols = trajlog.read_columns(path, SEGMENT_SCHEMA_VERSION, step_keys=("u", "h", "r_h"),
+                                       other_keys=("epsilon", "part_counts", "parts"))
+    counts = cols["part_counts"]
+    if (cols["epsilon"].shape != (len(trajs),) or counts.shape != (len(trajs),)
+            or cols["parts"].shape != (int(counts.sum()), 3)):
+        raise ValueError(f"{path}: {len(trajs)} trajectories, but epsilon has shape "
+                         f"{cols['epsilon'].shape}, part_counts {counts.shape} and parts "
+                         f"{cols['parts'].shape}")
+    parts = [Part(LABELS[code], start, stop) for code, start, stop in cols["parts"].tolist()]
+    ends = np.cumsum(counts).tolist()
+    return [SegmentedTrajectory(traj=trajlog.compute_returns(traj, 1.0), u=u, epsilon=epsilon,
+                                parts=parts[end - k:end], h=h, r_h=r_h)
+            for traj, u, h, r_h, epsilon, k, end in zip(
+                trajs, cols["u"], cols["h"], cols["r_h"], cols["epsilon"].tolist(),
+                counts.tolist(), ends)]

@@ -1,23 +1,27 @@
 """Trajectory persistence, return annotation, and window sampling.
 
-Storage is newline-delimited JSON: a header line (schema version, trajectory
-count), then one line per trajectory holding ``meta`` and the per-step
-columns as whole lists.  ``write_jsonl``/``read_jsonl`` are the only codec;
-segmented files add their own keys to each line.  Floats survive the round
-trip at full 64-bit precision (Python's repr-based JSON encoding).  A packed
-binary twin (.npz) carries the same schema version for bulk workloads.
+Storage is one schema-versioned columnar codec, ``write_columns`` /
+``read_columns``: an uncompressed npz archive holding ``lengths`` (steps per
+trajectory), the per-step columns flat in trajectory order, the reward terms
+as a float matrix with a presence mask over the sorted union of term names,
+and ``infractions`` and ``meta`` as one sorted-key JSON text each.  A file
+is read in one pass and every trajectory's arrays are views of its flat
+columns; every float survives the round trip bit for bit.  Segmented files
+(``segmenter``) add their own columns under their own schema version.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
+from itertools import chain, compress, cycle, islice
 
 import numpy as np
 
 from .env import STATE_DIM, ACTION_DIM
 
-SCHEMA_VERSION = "traj-v2"
+SCHEMA_VERSION = "traj-v3"
 
 
 @dataclass
@@ -93,123 +97,141 @@ def annotate_dataset(trajs: list, gammas=(0.95, 1.0)) -> list:
 # Persistence
 # ---------------------------------------------------------------------------
 
+# the members every file holds, before a caller's own columns
+_STEP_MEMBERS = ("states", "actions", "rewards", "term_values", "term_present")
+_MEMBERS = ("schema_version", "lengths", *_STEP_MEMBERS, "term_names", "infractions", "meta")
 
-def write_jsonl(path, schema_version: str, trajs: list, extras=None) -> None:
-    """Write the header line, then one line per trajectory.
 
-    ``extras`` (one dict per trajectory, or None) adds a caller's own keys to
-    each trajectory line beside the trajectory columns.
+def concat_steps(per_traj, dtype=np.float64, shape=()) -> np.ndarray:
+    """One flat column from per-trajectory step arrays; no trajectories give
+    zero rows of the given trailing ``shape``."""
+    return np.concatenate([np.empty((0, *shape), dtype=dtype), *per_traj], dtype=dtype)
+
+
+def _json_bytes(obj) -> np.ndarray:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return np.frombuffer(text.encode(), dtype=np.uint8)
+
+
+def write_columns(path, schema_version: str, trajs: list, **columns) -> None:
+    """Write ``trajs``, plus a caller's own named ``columns``, as one
+    uncompressed npz archive at exactly ``path``.
+
+    Reward-term names must be str and their values float, so that no round
+    trip changes a type.  The archive's entries carry a fixed timestamp, so
+    equal inputs give equal bytes.
     """
-    with open(path, "w") as fh:
-        header = {"schema_version": schema_version, "trajectory_count": len(trajs)}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for k, traj in enumerate(trajs):
-            rec = {
-                "meta": traj.meta,
-                "states": traj.states.tolist(),
-                "actions": traj.actions.tolist(),
-                "rewards": traj.rewards.tolist(),
-                "reward_terms": traj.reward_terms,
-                "infractions": traj.infractions,
-            }
-            rec.update(extras[k] if extras is not None else {})
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    rows = [terms for t in trajs for terms in t.reward_terms]
+    names = list(chain.from_iterable(rows))
+    values = list(chain.from_iterable(map(dict.values, rows)))
+    if not (all(issubclass(kind, str) for kind in set(map(type, names)))
+            and all(issubclass(kind, float) for kind in set(map(type, values)))):
+        name, value = next((name, value) for name, value in zip(names, values)
+                           if not isinstance(name, str) or not isinstance(value, float))
+        raise ValueError(f"{path}: reward term {name!r} = {value!r}: term names must be "
+                         f"str and values float")
+    columns_of = {name: j for j, name in enumerate(sorted(set(names)))}
+    step_of = np.repeat(np.arange(len(rows)), list(map(len, rows)))
+    column = np.array([columns_of[name] for name in names], dtype=np.int64)
+    term_values = np.zeros((len(rows), len(columns_of)))
+    term_values[step_of, column] = values
+    term_present = np.zeros((len(rows), len(columns_of)), dtype=bool)
+    term_present[step_of, column] = True
+    with open(path, "wb") as fh:   # a file handle: savez appends no .npz suffix
+        np.savez(
+            fh,
+            schema_version=np.array(schema_version),
+            lengths=np.array([len(t) for t in trajs], dtype=np.int64),
+            states=concat_steps([t.states for t in trajs], shape=(STATE_DIM,)),
+            actions=concat_steps([t.actions for t in trajs], shape=(ACTION_DIM,)),
+            rewards=concat_steps([t.rewards for t in trajs]),
+            term_values=term_values,
+            term_present=term_present,
+            term_names=np.array(list(columns_of), dtype=str),
+            infractions=_json_bytes([t.infractions for t in trajs]),
+            meta=_json_bytes([t.meta for t in trajs]),
+            **columns,
+        )
 
 
-def read_jsonl(path, schema_version: str, step_keys=()) -> list:
-    """Read a file written by ``write_jsonl``, line by line.
+def _read_archive(path) -> dict:
+    """Every member of the npz archive at ``path``, each read once."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            raise ValueError(f"{path}: not an npz archive; files of an earlier format "
+                             f"must be collected and segmented again")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                return {name: archive[name] for name in archive.files}
+        except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: cut or corrupt archive "
+                             f"({type(exc).__name__}: {exc})") from None
 
-    Returns one ``(Trajectory, extras)`` pair per trajectory line, where
-    ``extras`` holds the line's keys other than the trajectory's.  The
-    per-step columns and the caller's ``step_keys`` must be lists of one
-    length.
+
+def read_columns(path, schema_version: str, step_keys=(), other_keys=()) -> tuple:
+    """Read a file written by ``write_columns``.
+
+    Returns the trajectories, whose step arrays are views of the archive's
+    flat columns, and a dict of the caller's columns: each of ``step_keys``
+    (flat one-dimensional step columns) as per-trajectory views, each of
+    ``other_keys`` as stored.  The archive must hold exactly these members,
+    and every step column must have as many rows as ``lengths`` sums to.
     """
-    columns = ("states", "actions", "rewards", "reward_terms", "infractions", *step_keys)
-    with open(path) as fh:
-        header = _parse_line(fh.readline(), path, 1)
-        found = header.get("schema_version")
-        if found != schema_version:
-            raise ValueError(f"{path}: schema version mismatch: expected "
-                             f"{schema_version!r}, found {found!r}")
-        out = []
-        for lineno, line in enumerate(fh, start=2):
-            rec = _parse_line(line, path, lineno)
-            lengths = {key: len(rec[key]) if isinstance(rec.get(key), list) else None
-                       for key in columns}
-            if "meta" not in rec or None in lengths.values() or len(set(lengths.values())) != 1:
-                raise ValueError(f"{path}: line {lineno}: expected meta and per-step "
-                                 f"lists of one length, found lengths {lengths}")
-            traj = Trajectory(
-                states=np.array(rec.pop("states")), actions=np.array(rec.pop("actions")),
-                rewards=np.array(rec.pop("rewards")), reward_terms=rec.pop("reward_terms"),
-                infractions=rec.pop("infractions"), meta=rec.pop("meta"))
-            out.append((traj, rec))
-    count = header.get("trajectory_count")
-    if len(out) != count:
-        fault = ("more trajectory records than the header promises"
-                 if isinstance(count, int) and len(out) > count else "truncated file")
-        raise ValueError(f"{path}: {fault}: header promises {count} trajectories, "
-                         f"found {len(out)}")
-    return out
-
-
-def _parse_line(line: str, path, lineno: int) -> dict:
-    """One JSON object; an empty or cut line reads as a truncated file."""
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: line {lineno}: truncated or malformed record "
-                         f"({exc})") from None
-    if not isinstance(rec, dict):
-        raise ValueError(f"{path}: line {lineno}: expected a JSON object")
-    return rec
+    arrays = _read_archive(path)
+    found = str(arrays["schema_version"]) if "schema_version" in arrays else None
+    if found != schema_version:
+        raise ValueError(f"{path}: schema version mismatch: expected "
+                         f"{schema_version!r}, found {found!r}")
+    expected = {*_MEMBERS, *step_keys, *other_keys}
+    if set(arrays) != expected:
+        raise ValueError(f"{path}: missing members {sorted(expected - set(arrays))}, "
+                         f"unexpected members {sorted(set(arrays) - expected)}")
+    lengths = arrays["lengths"]
+    steps, n_names = int(lengths.sum()), len(arrays["term_names"])
+    shapes = {key: arrays[key].shape for key in (*_STEP_MEMBERS, *step_keys)}
+    wanted = {"states": (steps, STATE_DIM), "actions": (steps, ACTION_DIM), "rewards": (steps,),
+              "term_values": (steps, n_names), "term_present": (steps, n_names),
+              **{key: (steps,) for key in step_keys}}
+    if lengths.ndim != 1 or np.any(lengths < 1) or shapes != wanted:
+        raise ValueError(f"{path}: lengths sum to {steps} steps over {lengths.size} "
+                         f"trajectories, stored step columns have shapes {shapes}")
+    metas = json.loads(arrays["meta"].tobytes())
+    infs = json.loads(arrays["infractions"].tobytes())
+    if len(metas) != len(lengths) or [len(x) for x in infs] != lengths.tolist():
+        raise ValueError(f"{path}: lengths {lengths.tolist()} disagree with "
+                         f"{len(metas)} meta records and infraction counts "
+                         f"{[len(x) for x in infs]}")
+    names = arrays["term_names"].tolist()
+    # one flat stream of (name, value) pairs, cut into each step's dict
+    present = arrays["term_present"]
+    named = compress(zip(cycle(names), arrays["term_values"].ravel().tolist()),
+                     present.ravel().tolist())
+    terms = [dict(islice(named, count)) for count in present.sum(axis=1).tolist()]
+    ends = np.cumsum(lengths).tolist()
+    spans = [(end - T, end) for T, end in zip(lengths.tolist(), ends)]
+    states, actions, rewards = arrays["states"], arrays["actions"], arrays["rewards"]
+    trajs = [Trajectory(states=states[a:b], actions=actions[a:b], rewards=rewards[a:b],
+                        reward_terms=terms[a:b], infractions=inf, meta=meta)
+             for (a, b), inf, meta in zip(spans, infs, metas)]
+    columns = {key: [arrays[key][a:b] for a, b in spans] for key in step_keys}
+    columns.update({key: arrays[key] for key in other_keys})
+    return trajs, columns
 
 
 def save(trajs: list, path) -> None:
-    write_jsonl(path, SCHEMA_VERSION, trajs)
+    write_columns(path, SCHEMA_VERSION, trajs)
 
 
 def load(path) -> list:
-    return [traj for traj, _ in read_jsonl(path, SCHEMA_VERSION)]
+    return read_columns(path, SCHEMA_VERSION)[0]
 
 
-def save_binary(trajs: list, path) -> None:
-    """Packed twin of save(): same schema version, one npz archive."""
-    lengths = np.array([len(t) for t in trajs])
-    np.savez(
-        path,
-        schema_version=np.array(SCHEMA_VERSION),
-        lengths=lengths,
-        states=np.concatenate([t.states for t in trajs]),
-        actions=np.concatenate([t.actions for t in trajs]),
-        rewards=np.concatenate([t.rewards for t in trajs]),
-        meta_json=np.array(json.dumps([t.meta for t in trajs])),
-        terms_json=np.array(json.dumps([t.reward_terms for t in trajs])),
-        infractions_json=np.array(json.dumps([t.infractions for t in trajs])),
-    )
-
-
-def load_binary(path) -> list:
-    with np.load(path, allow_pickle=False) as z:
-        found = str(z["schema_version"])
-        if found != SCHEMA_VERSION:
-            raise ValueError(f"{path}: schema version mismatch: expected "
-                             f"{SCHEMA_VERSION!r}, found {found!r}")
-        lengths = z["lengths"]
-        metas = json.loads(str(z["meta_json"]))
-        terms = json.loads(str(z["terms_json"]))
-        infs = json.loads(str(z["infractions_json"]))
-        # each z[name] reads the whole array from the archive again: read once
-        states, actions, rewards = z["states"], z["actions"], z["rewards"]
-    rows = {"states": len(states), "actions": len(actions), "rewards": len(rewards)}
-    if set(rows.values()) != {int(lengths.sum())}:
-        raise ValueError(f"{path}: lengths sum to {int(lengths.sum())} steps, "
-                         f"stored rows {rows}")
-    ends = np.cumsum(lengths)
-    return [Trajectory(states=states[end - T:end], actions=actions[end - T:end],
-                       rewards=rewards[end - T:end], reward_terms=terms[k],
-                       infractions=infs[k], meta=metas[k])
-            for k, (T, end) in enumerate(zip(lengths, ends))]
+# Former names of save/load, which `perfbench` still calls; delete them with
+# benchmark v2 (ROADMAP item 1).  Aliases, not wrappers: a wrapper would make a
+# traced run count one call under two names.
+save_binary = save
+load_binary = load
 
 
 # ---------------------------------------------------------------------------

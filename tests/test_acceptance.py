@@ -437,8 +437,8 @@ def test_criterion_10_pipeline_reproducible(tmp_path, capsys):
 
     def run_pipeline(d):
         d.mkdir()
-        p = {"dataset": d / "data.jsonl", "ensemble": d / "ensemble",
-             "segmented": d / "seg.jsonl", "policy": d / "policy.json",
+        p = {"dataset": d / "data.npz", "ensemble": d / "ensemble",
+             "segmented": d / "seg.npz", "policy": d / "policy.json",
              "index": d / "index.npz", "predictor": d / "predictor",
              "report": d / "report.json"}
         stages = [

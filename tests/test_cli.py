@@ -26,8 +26,8 @@ def pipeline(tmp_path_factory):
     """Run every stage once on the in-repo smoke configs (~seconds)."""
     d = tmp_path_factory.mktemp("pipeline")
     p = {
-        "dataset": d / "data.jsonl", "ensemble": d / "ensemble",
-        "segmented": d / "seg.jsonl", "policy": d / "policy.json",
+        "dataset": d / "data.npz", "ensemble": d / "ensemble",
+        "segmented": d / "seg.npz", "policy": d / "policy.json",
         "index": d / "index.npz", "predictor": d / "predictor",
         "report": d / "report.json", "calibration": d / "calibration.json",
     }
@@ -105,7 +105,7 @@ def test_trainer_manifests_record_stage_metrics(pipeline):
 
 
 def test_rerun_reproduces_artifact_hashes(pipeline, tmp_path):
-    out = tmp_path / "data2.jsonl"
+    out = tmp_path / "data2.jsonl"   # any suffix: the file is written where asked
     assert run(["collect", "--config", SMOKE / "collect.cfg",
                 "--out", out]) == 0
     assert hash_artifact(out) == hash_artifact(pipeline["dataset"])
@@ -114,6 +114,19 @@ def test_rerun_reproduces_artifact_hashes(pipeline, tmp_path):
     assert run(["segment", "--config", SMOKE / "segment.cfg", "--dataset", out,
                 "--ensemble", pipeline["ensemble"], "--out", seg2]) == 0
     assert hash_artifact(seg2) == hash_artifact(pipeline["segmented"])
+    assert sorted(p.name for p in tmp_path.iterdir() if "manifest" not in p.name) == [
+        "data2.jsonl", "seg2.jsonl"]
+
+
+def test_stage_manifests_record_timings(pipeline):
+    metrics = {name: RunManifest.load(RunManifest.manifest_path(pipeline[name])).metrics
+               for name in ("dataset", "calibration", "index")}
+    assert set(metrics["dataset"]) == {"collect_s", "save_s", "steps"}
+    assert metrics["dataset"]["steps"] == sum(len(t) for t in trajlog.load(pipeline["dataset"]))
+    assert set(metrics["calibration"]) == {"load_s", "forecast_s", "save_s"}
+    assert set(metrics["index"]) == {"load_s", "build_s", "train_s", "save_s"}
+    for m in metrics.values():
+        assert all(v >= 0.0 for k, v in m.items() if k.endswith("_s"))
 
 
 def test_calibrate_holds_out_the_trainers_validation_split(pipeline, tmp_path,
@@ -143,7 +156,7 @@ def test_calibrate_holds_out_the_trainers_validation_split(pipeline, tmp_path,
 
 
 def test_flags_override_config_file(tmp_path):
-    out = tmp_path / "tiny.jsonl"
+    out = tmp_path / "tiny.npz"
     assert run(["collect", "--config", SMOKE / "collect.cfg",
                 "--episodes", 2, "--out", out]) == 0
     assert len(trajlog.load(out)) == 2
@@ -159,7 +172,7 @@ def test_overwrite_refused_without_force(pipeline, capsys):
 
 
 def test_overwrite_allowed_with_force(tmp_path):
-    out = tmp_path / "d.jsonl"
+    out = tmp_path / "d.npz"
     for _ in range(2):
         assert run(["collect", "--config", SMOKE / "collect.cfg",
                     "--episodes", 1, "--out", out, "--force"]) == 0
@@ -167,7 +180,7 @@ def test_overwrite_allowed_with_force(tmp_path):
 
 def test_missing_artifact_exit_3(tmp_path, capsys):
     rc = run(["train-return", "--config", SMOKE / "return.cfg",
-              "--dataset", tmp_path / "absent.jsonl", "--out", tmp_path / "e"])
+              "--dataset", tmp_path / "absent.npz", "--out", tmp_path / "e"])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error: code=3" in err
@@ -176,7 +189,7 @@ def test_missing_artifact_exit_3(tmp_path, capsys):
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("episodes = 2\nnot_a_key = 1\n")
-    rc = run(["collect", "--config", bad, "--out", tmp_path / "d.jsonl"])
+    rc = run(["collect", "--config", bad, "--out", tmp_path / "d.npz"])
     assert rc == 2
     assert "not_a_key" in capsys.readouterr().err
 
@@ -184,13 +197,13 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
 def test_bad_config_value_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("episodes = lots\n")
-    rc = run(["collect", "--config", bad, "--out", tmp_path / "d.jsonl"])
+    rc = run(["collect", "--config", bad, "--out", tmp_path / "d.npz"])
     assert rc == 2
     assert "episodes" in capsys.readouterr().err
 
 
 def test_degenerate_epsilon_warns(pipeline, tmp_path, capsys):
-    out = tmp_path / "seg_high.jsonl"
+    out = tmp_path / "seg_high.npz"
     rc = run(["segment", "--dataset", pipeline["dataset"], "--ensemble",
               pipeline["ensemble"], "--epsilon", 1e9, "--c", 3, "--out", out])
     assert rc == 0
@@ -234,29 +247,34 @@ def test_stages_that_draw_nothing_reject_seed(command, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def write_v1_segmented(segs, path):
-    """The segtraj-v1 layout: a header record, then per trajectory a
-    metadata record followed by one record per step."""
-    recs = [{"record": "header", "schema_version": "segtraj-v1",
-             "trajectory_count": len(segs)}]
-    for seg in segs:
-        recs.append({"record": "trajectory", "length": len(seg), "meta": seg.traj.meta,
-                     "epsilon": seg.epsilon,
-                     "parts": [[p.label, p.start, p.stop] for p in seg.parts]})
-        recs += [{"record": "step", "state": seg.traj.states[t].tolist(),
-                  "action": seg.traj.actions[t].tolist(),
-                  "reward": float(seg.traj.rewards[t]), "u": float(seg.u[t]),
-                  "flag": bool(seg.u[t] > seg.epsilon), "h": int(seg.h[t]),
-                  "r_h": float(seg.r_h[t]), "global_return": float(seg.global_returns[t])}
-                 for t in range(len(seg))]
+def write_v2_jsonl(trajs, path):
+    """The traj-v2 layout: a JSONL header line, then one line per trajectory
+    holding its meta and its per-step columns as whole lists."""
+    recs = [{"schema_version": "traj-v2", "trajectory_count": len(trajs)}]
+    recs += [{"meta": t.meta, "states": t.states.tolist(), "actions": t.actions.tolist(),
+              "rewards": t.rewards.tolist(), "reward_terms": t.reward_terms,
+              "infractions": t.infractions} for t in trajs]
     path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
 
 
 def test_train_policy_rejects_other_schemas_exit_2(pipeline, tmp_path, capsys):
-    v1 = tmp_path / "seg_v1.jsonl"
-    write_v1_segmented(segmenter.load_segmented(pipeline["segmented"]), v1)
-    for segmented in (v1, pipeline["dataset"]):
+    v2 = tmp_path / "seg_v2.jsonl"
+    write_v2_jsonl([s.traj for s in segmenter.load_segmented(pipeline["segmented"])], v2)
+    for segmented, message in ((v2, "not an npz archive"),
+                               (pipeline["dataset"], "schema version mismatch")):
         rc = run(["train-policy", "--config", SMOKE / "policy.cfg", "--segmented",
                   segmented, "--out", tmp_path / "policy.json", "--force"])
         assert rc == 2
-        assert "schema version mismatch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{segmented}: {message}" in err
+
+
+def test_segment_rejects_a_v2_jsonl_dataset_exit_2(pipeline, tmp_path, capsys):
+    v2 = tmp_path / "data_v2.jsonl"
+    write_v2_jsonl(trajlog.load(pipeline["dataset"]), v2)
+    rc = run(["segment", "--config", SMOKE / "segment.cfg", "--dataset", v2,
+              "--ensemble", pipeline["ensemble"], "--out", tmp_path / "seg.npz"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{v2}: not an npz archive" in err
+    assert not (tmp_path / "seg.npz").exists()

@@ -305,7 +305,7 @@ def test_segmented_roundtrip(tmp_path):
             meta={"seed": k, "delta": 0.2}), 1.0)
         trace = UncertaintyTrace(u=rng.uniform(0, 2, size=T), epsilon=1.0)
         segs.append(relabel(traj, trace, segment(trace, 3)))
-    path = tmp_path / "seg.jsonl"
+    path = tmp_path / "seg.npz"
     save_segmented(segs, path)
     loaded = load_segmented(path)
     assert len(loaded) == 3
@@ -323,21 +323,41 @@ def test_segmented_roundtrip(tmp_path):
         assert np.array_equal(a.global_returns, b.global_returns)
         assert a.parts == b.parts
     # save -> load -> save gives the same bytes
-    save_segmented(loaded, tmp_path / "again.jsonl")
-    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+    save_segmented(loaded, tmp_path / "again.npz")
+    assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
 
 
 def test_segmented_truncation_fails(tmp_path):
     traj = make_traj([1.0] * 6)
     trace = make_trace([0, 0, 1, 0, 0, 0])
     seg = relabel(traj, trace, segment(trace, 3))
-    path = tmp_path / "seg.jsonl"
+    path = tmp_path / "seg.npz"
     save_segmented([seg, seg], path)
-    lines = path.read_text().splitlines(keepends=True)
-    dropped = "".join(lines[:-1])
-    cut = dropped + lines[-1][:len(lines[-1]) // 2]
+    blob = path.read_bytes()
     # the temporary path holds the test's name, so match past it
-    for text in (dropped, cut):
-        path.write_text(text)
-        with pytest.raises(ValueError, match="truncated (file|or malformed record)"):
+    for cut in (blob[:len(blob) // 2], blob[:-22]):
+        path.write_bytes(cut)
+        with pytest.raises(ValueError, match=r"seg\.npz: cut or corrupt archive"):
             load_segmented(path)
+
+
+def rewrite(path, **changes):
+    with np.load(path) as z:
+        arrays = {name: z[name] for name in z.files}
+    arrays.update(changes)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("column", ["u", "h", "r_h", "epsilon", "part_counts", "parts"])
+def test_segmented_columns_must_match_lengths(tmp_path, column):
+    trace = make_trace([0, 0, 1, 0, 0, 0])
+    seg = relabel(make_traj([1.0] * 6), trace, segment(trace, 3))
+    path = tmp_path / "seg.npz"
+    save_segmented([seg, seg], path)
+    with np.load(path) as z:
+        short = z[column][:-1]
+    rewrite(path, **{column: short})
+    message = ("lengths sum to 12 steps" if column in ("u", "h", "r_h")
+               else "2 trajectories, but epsilon has shape")
+    with pytest.raises(ValueError, match=rf"seg\.npz: {message}"):
+        load_segmented(path)

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import time
 
 import numpy as np
 import pytest
@@ -106,91 +108,159 @@ def test_collect_dataset_meta(small_dataset):
         assert traj.actions.shape == (len(traj), 2)
 
 
-def test_jsonl_roundtrip_bitwise(small_dataset, tmp_path):
-    path = tmp_path / "d.jsonl"
+def assert_same(a, b):
+    """Bitwise equal arrays; equal terms, infractions and meta, floats to the bit."""
+    for name in ("states", "actions", "rewards"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype == np.float64 and x.shape == y.shape
+        assert x.tobytes() == y.tobytes(), name
+    # JSON writes floats by repr, which tells -0.0 from 0.0; == does not
+    for name in ("reward_terms", "infractions", "meta"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x == y and json.dumps(x, sort_keys=True) == json.dumps(y, sort_keys=True), name
+
+
+def test_roundtrip_bitwise_at_the_exact_path(small_dataset, tmp_path):
+    path = tmp_path / "d.jsonl"   # any suffix: the file is written where asked
     trajlog.save(small_dataset, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
     loaded = trajlog.load(path)
     assert len(loaded) == len(small_dataset)
     for a, b in zip(small_dataset, loaded):
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.actions, b.actions)
-        assert np.array_equal(a.rewards, b.rewards)
-        assert a.reward_terms == b.reward_terms
-        assert a.infractions == b.infractions
-        assert a.meta == b.meta
+        assert_same(a, b)
 
 
 def test_binary_roundtrip_bitwise(small_dataset, tmp_path):
+    # the former packed twin's names are the codec itself
+    assert trajlog.save_binary is trajlog.save and trajlog.load_binary is trajlog.load
     # trajectories of different lengths, so a misplaced slice shows
     trajs = small_dataset + [make_traj([0.5] * n, seed=n) for n in (1, 7, 4)]
     assert len({len(t) for t in trajs}) >= 3
     trajlog.save_binary(trajs, tmp_path / "d.npz")
-    trajlog.save(trajs, tmp_path / "d.jsonl")
     packed = trajlog.load_binary(tmp_path / "d.npz")
-    jsonl = trajlog.load(tmp_path / "d.jsonl")
-    assert len(packed) == len(jsonl) == len(trajs)
-    for a, b, c in zip(trajs, packed, jsonl):
-        for loaded in (b, c):
-            assert np.array_equal(a.states, loaded.states)
-            assert np.array_equal(a.actions, loaded.actions)
-            assert np.array_equal(a.rewards, loaded.rewards)
-            assert a.reward_terms == loaded.reward_terms
-            assert a.infractions == loaded.infractions
-            assert a.meta == loaded.meta
+    assert len(packed) == len(trajs)
+    for a, b in zip(trajs, packed):
+        assert_same(a, b)
+
+
+def test_roundtrip_fidelity_of_terms_infractions_and_meta(tmp_path):
+    trajs = [make_traj([1.0, -0.0, 2.5e-17]), make_traj([0.5, 0.25], seed=1),
+             make_traj([-1.0], seed=2)]
+    # mixed term-name sets, an empty one, and floats that a lossy codec would change
+    trajs[0].reward_terms = [{"r_speed": -0.0, "r_lane": 2.5e-17}, {},
+                             {"r_terminal": 10.0, "r_speed": 1 / 3}]
+    trajs[1].reward_terms = [{"r_new": -1e-300}, {"r_speed": 0.0}]
+    trajs[2].reward_terms = [{}]
+    trajs[0].infractions = [None, "collision", None]
+    trajs[1].infractions = ["red_light", "off_route"]
+    trajs[0].meta = {"seed": 0, "nested": {"list": [1, 2.5, None, "x"], "neg_zero": -0.0},
+                     "lead_reveal_step": None}
+    trajs[2].meta = {}
+    path = tmp_path / "d.npz"
+    trajlog.save(trajs, path)
+    loaded = trajlog.load(path)
+    for a, b in zip(trajs, loaded):
+        assert_same(a, b)
+    assert math.copysign(1.0, loaded[0].reward_terms[0]["r_speed"]) == -1.0
+    assert loaded[0].reward_terms[1] == {} and loaded[2].reward_terms == [{}]
+    assert all(type(v) is float for terms in loaded[0].reward_terms for v in terms.values())
+
+
+@pytest.mark.parametrize("value", [1, True, "0.5", None, np.float32(0.5)])
+def test_non_float_term_rejected_at_save(tmp_path, value):
+    traj = make_traj([1.0, 2.0])
+    traj.reward_terms = [{"r_speed": 0.5}, {"r_speed": value}]
+    path = tmp_path / "d.npz"
+    with pytest.raises(ValueError, match="term names must be str and values float"):
+        trajlog.save([traj], path)
+
+
+def test_saves_are_byte_identical(small_dataset, tmp_path, monkeypatch):
+    trajlog.save(small_dataset, tmp_path / "a.npz")
+    # a day later, so an entry stamped with the clock would differ
+    later = time.time() + 86400.0
+    monkeypatch.setattr(time, "time", lambda: later)
+    trajlog.save(trajlog.load(tmp_path / "a.npz"), tmp_path / "b.npz")
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+
+def rewrite(path, drop=(), **changes):
+    """Save the archive's members again, with some replaced or dropped."""
+    with np.load(path) as z:
+        arrays = {name: z[name] for name in z.files if name not in drop}
+    arrays.update(changes)
+    np.savez(path, **arrays)
 
 
 def test_truncated_file_fails_loudly(small_dataset, tmp_path):
-    path = tmp_path / "d.jsonl"
+    path = tmp_path / "d.npz"
     trajlog.save(small_dataset, path)
-    lines = path.read_text().splitlines(keepends=True)
-    dropped = "".join(lines[:-1])
-    cut = dropped + lines[-1][:len(lines[-1]) // 2]
+    blob = path.read_bytes()
+    flipped = bytearray(blob)
+    flipped[len(blob) // 2] ^= 0xFF
     # the temporary path holds the test's name, so match past it
-    for text in (dropped, cut):
-        path.write_text(text)
-        with pytest.raises(ValueError, match="truncated (file|or malformed record)"):
+    for damaged in (blob[:100], blob[:len(blob) // 2], blob[:-1], bytes(flipped)):
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match=r"d\.npz: cut or corrupt archive"):
             trajlog.load(path)
+    for cut in (b"", blob[:3]):
+        path.write_bytes(cut)
+        with pytest.raises(ValueError, match=r"d\.npz: not an npz archive"):
+            trajlog.load(path)
+    trajlog.save(small_dataset, path)
+    rewrite(path, drop=("meta",))
+    with pytest.raises(ValueError, match=r"d\.npz: missing members \['meta'\]"):
+        trajlog.load(path)
 
 
 def test_extra_records_named(small_dataset, tmp_path):
-    path = tmp_path / "d.jsonl"
+    path = tmp_path / "d.npz"
     trajlog.save(small_dataset, path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines + lines[-1:]))
-    with pytest.raises(ValueError, match="more trajectory records than the header promises: "
-                                         "header promises 3 trajectories, found 4"):
+    metas = [t.meta for t in small_dataset]
+    rewrite(path, meta=np.frombuffer(json.dumps(metas + metas[-1:]).encode(), np.uint8))
+    with pytest.raises(ValueError, match=r"lengths \[\d+, \d+, \d+\] disagree with 4 meta "
+                                         r"records"):
+        trajlog.load(path)
+    trajlog.save(small_dataset, path)
+    rewrite(path, extra=np.zeros(3))
+    with pytest.raises(ValueError, match=r"d\.npz: missing members \[\], unexpected members "
+                                         r"\['extra'\]"):
         trajlog.load(path)
 
 
 @pytest.mark.parametrize("lengths, message", [
     ([3, 2], "lengths sum to 5 steps"),           # fewer steps than stored rows
-    ([4, 3], "4 states but per-step entries"),    # right total, wrong split
+    ([4, 3], r"lengths \[4, 3\] disagree with 2 meta records and infraction counts "
+             r"\[3, 4\]"),                        # right total, wrong split
 ], ids=["short", "split"])
 def test_binary_lengths_must_match_stored_steps(tmp_path, lengths, message):
     path = tmp_path / "d.npz"
     trajlog.save_binary([make_traj([1.0] * 3), make_traj([2.0] * 4, seed=1)], path)
     with np.load(path) as z:
-        arrays = dict(z)
-    assert arrays["lengths"].tolist() == [3, 4]
-    arrays["lengths"] = np.array(lengths)
-    np.savez(path, **arrays)
+        assert z["lengths"].tolist() == [3, 4]
+    rewrite(path, lengths=np.array(lengths))
     with pytest.raises(ValueError, match=message):
         trajlog.load_binary(path)
 
 
 def test_columns_of_unequal_length_rejected(tmp_path):
-    path = tmp_path / "d.jsonl"
+    path = tmp_path / "d.npz"
+    for column in ("states", "actions", "rewards", "term_values", "term_present"):
+        trajlog.save([make_traj([1.0, 2.0, 3.0])], path)
+        with np.load(path) as z:
+            short = z[column][:-1]
+        rewrite(path, **{column: short})
+        with pytest.raises(ValueError, match="lengths sum to 3 steps over 1 trajectories, "
+                                             "stored step columns have shapes"):
+            trajlog.load(path)
     trajlog.save([make_traj([1.0, 2.0, 3.0])], path)
-    header, line = path.read_text().splitlines()
-    rec = json.loads(line)
-    rec["rewards"] = rec["rewards"][:-1]
-    path.write_text(header + "\n" + json.dumps(rec) + "\n")
-    with pytest.raises(ValueError, match="one length"):
+    rewrite(path, infractions=np.frombuffer(b"[[null, null]]", np.uint8))
+    with pytest.raises(ValueError, match=r"infraction counts \[2\]"):
         trajlog.load(path)
 
 
 def test_file_format_pinned(tmp_path):
-    """Key order and float encoding of both file kinds, pinned by sha256."""
+    """Member order, dtypes and float encoding of both file kinds, pinned by sha256."""
     trajs = [trajlog.Trajectory(
         states=np.arange(T * 12).reshape(T, 12) / 7.0 - 3.0,
         actions=np.arange(T * 2).reshape(T, 2) * 0.3 - 0.5,
@@ -202,23 +272,26 @@ def test_file_format_pinned(tmp_path):
     traces = [UncertaintyTrace(u=np.array([0.0, 1.5, 0.25, 0.5, 1 / 7][:len(t)]),
                                epsilon=1.0) for t in trajs]
     segs = [relabel(t, tr, segment(tr, 2)) for t, tr in zip(trajs, traces)]
-    trajlog.save(trajs, tmp_path / "d.jsonl")
-    save_segmented(segs, tmp_path / "s.jsonl")
+    trajlog.save(trajs, tmp_path / "d.npz")
+    save_segmented(segs, tmp_path / "s.npz")
     digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("d.jsonl", "s.jsonl")]
+               for name in ("d.npz", "s.npz")]
     assert digests == [
-        "50c554b3fde21cd7ec92ca7d1fa72a9f629de13b1b0b97604c85d36c3dc6b09e",
-        "ade54c1d63c7962b61b10a8ae35396613f8b58474a1912cdc4586795f428a462",
+        "9b7c882b2338770c7027eff5477e95808d96b0836d1e9abe2e22892b348f5cee",
+        "0ab1b19a92b122bcc605111a1e3b387a205d7c38517872e1380a2dc8e2f103ca",
     ]
 
 
 def test_schema_version_mismatch(small_dataset, tmp_path):
-    path = tmp_path / "d.jsonl"
+    path = tmp_path / "d.npz"
     trajlog.save(small_dataset[:1], path)
-    lines = path.read_text().splitlines()
-    lines[0] = lines[0].replace(trajlog.SCHEMA_VERSION, "traj-v0")
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="schema version mismatch"):
+    rewrite(path, schema_version=np.array("traj-v0"))
+    with pytest.raises(ValueError, match="schema version mismatch: expected 'traj-v3', "
+                                         "found 'traj-v0'"):
+        trajlog.load(path)
+    # a traj-v2 file: a JSONL header line, then one line per trajectory
+    path.write_text(json.dumps({"schema_version": "traj-v2", "trajectory_count": 0}) + "\n")
+    with pytest.raises(ValueError, match=r"d\.npz: not an npz archive"):
         trajlog.load(path)
 
 
