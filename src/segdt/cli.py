@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluator, segmenter, trajlog
+from . import evaluator, nn, segmenter, trajlog
 from .config import ConfigError, build_config, parse_flat_file
 from .env import EnvConfig, ExpertConfig
 from .manifest import RunManifest
@@ -27,8 +27,8 @@ from .nn import TrainingDiverged
 from .planner import (KdUncertaintyIndex, PlannerConfig, TargetPredictorConfig,
                       TargetReturnPredictor, initial_global_target)
 from .policy import Policy, PolicyConfig, train_policy
-from .return_model import (ReturnEnsemble, ReturnModelConfig, split_train_val,
-                           train_return_models)
+from .return_model import (ReturnEnsemble, ReturnModelConfig, predict_trajectories,
+                           split_train_val, train_return_models)
 from .segmenter import UncertaintyTrace
 
 EXIT_OK = 0
@@ -161,7 +161,8 @@ def cmd_collect(args) -> int:
     t1 = time.perf_counter()
     trajlog.save(trajs, out)
     manifest.metrics.update(collect_s=t1 - t0, save_s=time.perf_counter() - t1,
-                            steps=sum(len(t) for t in trajs))
+                            steps=sum(len(t) for t in trajs),
+                            workers=nn.pool_workers(cfg.episodes))
     manifest.add_output("dataset", out)
     manifest.write(RunManifest.manifest_path(out))
     n_success = sum(t.meta.get("route_completion", 0.0) >= 1.0 for t in trajs)
@@ -226,7 +227,8 @@ def cmd_segment(args) -> int:
     segmenter.save_segmented(segs, out)
     frac = float((u_all > cfg.epsilon).mean()) if u_all.size else 0.0
     manifest.metrics.update(load_s=t1 - t0, forecast_s=t2 - t1,
-                            save_s=time.perf_counter() - t2, uncertain_fraction=frac)
+                            save_s=time.perf_counter() - t2, uncertain_fraction=frac,
+                            workers=nn.pool_workers(len(trajs)))
     if u_all.size:
         for name, q in (("u_p50", 0.5), ("u_p90", 0.9), ("u_p99", 0.99), ("u_max", 1.0)):
             manifest.metrics[name] = float(np.quantile(u_all, q))
@@ -291,6 +293,8 @@ def cmd_build_kdtree(args) -> int:
         messages.append(f"target predictor saved to {pred_out}")
     manifest.metrics.update(load_s=t1 - t0, build_s=t2 - t1, train_s=t3 - t2,
                             save_s=time.perf_counter() - t3)
+    if predictor is not None:
+        manifest.metrics["loss_curves"] = predictor.loss_curves
     manifest.write(RunManifest.manifest_path(out))
     print("; ".join(messages))
     return EXIT_OK
@@ -334,14 +338,18 @@ def cmd_evaluate(args) -> int:
         "evaluate", cfg, seeds=range(cfg.base_seed, cfg.base_seed + cfg.episodes))
     policy_path = _require(args.policy, "--policy")
     manifest.add_input("policy", policy_path)
+    t0 = time.perf_counter()
     trained = Policy.load(policy_path)
     kind = trained.config.kind
     actor = _make_actor(kind, trained, cfg, args, manifest)
+    t1 = time.perf_counter()
 
     env_config = EnvConfig(delta=cfg.delta)
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.episodes)
     report = evaluator.EvalReport()
     report.add(kind, evaluator.rollout(env_config, actor, seeds))
+    manifest.metrics.update(load_s=t1 - t0, rollout_s=time.perf_counter() - t1,
+                            episodes=len(seeds))
     out.write_text(json.dumps(_json_safe(report.to_dict()), indent=2))
     manifest.add_output("report", out)
     manifest.write(RunManifest.manifest_path(out))
@@ -368,7 +376,7 @@ def cmd_calibrate(args) -> int:
     _, val = split_train_val(trajs, ensemble.config.val_fraction, ensemble.config.seed)
     held_out = val if val else trajs
 
-    forecasts = [ensemble.predict_trajectory(t.states, t.actions) for t in held_out]
+    forecasts = predict_trajectories(ensemble, held_out)
     forecast = evaluator.calibrate(ensemble, held_out, gamma=gamma, forecasts=forecasts)
     traces = [UncertaintyTrace(segmenter.forecast_uncertainty(p), cfg.epsilon)
               for p in forecasts]
@@ -384,7 +392,8 @@ def cmd_calibrate(args) -> int:
     t2 = time.perf_counter()
     out.write_text(json.dumps(payload, indent=2))
     manifest.metrics.update(load_s=t1 - t0, forecast_s=t2 - t1,
-                            save_s=time.perf_counter() - t2)
+                            save_s=time.perf_counter() - t2,
+                            workers=nn.pool_workers(len(held_out)))
     manifest.add_output("calibration", out)
     manifest.write(RunManifest.manifest_path(out))
     qs = histogram["quantiles"]

@@ -45,6 +45,9 @@ STATE_FIELDS = (
     "step_index",
 )
 
+# the keys of every step's reward_terms, in order
+REWARD_TERMS = ("r_speed", "r_position", "r_rotation", "r_action", "r_terminal")
+
 
 def clip_scalar(x, lo, hi):
     """``np.clip`` for one float, without its per-call overhead; the same
@@ -310,13 +313,7 @@ class HighwayEnv:
             r_terminal = -10.0
         else:
             r_terminal = 0.0
-        terms = {
-            "r_speed": r_speed,
-            "r_position": r_position,
-            "r_rotation": r_rotation,
-            "r_action": r_action,
-            "r_terminal": r_terminal,
-        }
+        terms = dict(zip(REWARD_TERMS, (r_speed, r_position, r_rotation, r_action, r_terminal)))
         reward = r_speed + r_position + r_rotation + r_action + r_terminal
 
         self._prev_steer = action.target_steer

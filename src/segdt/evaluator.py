@@ -19,7 +19,7 @@ from .env import EnvAction, EnvConfig, ExpertConfig, HighwayEnv, RuleExpert, V_M
 from .planner import (KdUncertaintyIndex, PlannerConfig, PlannerState,
                       TargetReturnPredictor, plan_step)
 from .policy import Policy, PolicyStep
-from .return_model import mixture_moments
+from .return_model import mixture_moments, predict_trajectories
 
 log = logging.getLogger(__name__)
 
@@ -248,15 +248,14 @@ def calibrate(ensemble, trajs: list, gamma: float = 0.95, forecasts=None) -> dic
     the mixture mean (RMSE); the moment-matched Gaussian NLL is reported
     separately since segmentation consumes the moment-matched forecast.
     Per-step records (realized return, mixture mu/sigma) support plotting.
-    ``forecasts``, when given, holds ``ensemble.predict_trajectory``'s output
-    for each of ``trajs``, so a caller that needs them too runs the ensemble
-    once.
+    ``forecasts``, when given, holds ``predict_trajectories``' output for
+    ``trajs``, so a caller that needs them too runs the ensemble once.
     """
     if not trajs:
         raise ValueError("empty held-out dataset")
     y = np.concatenate([traj.returns_for(gamma) for traj in trajs])
     if forecasts is None:
-        forecasts = [ensemble.predict_trajectory(t.states, t.actions) for t in trajs]
+        forecasts = predict_trajectories(ensemble, trajs)
     mu_m = np.concatenate([p["mu_s"] for p in forecasts], axis=1)    # (K, N)
     var_m = np.concatenate([p["var_s"] for p in forecasts], axis=1)
     mu_e, var_e = mixture_moments(mu_m, var_m)

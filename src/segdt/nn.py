@@ -4,7 +4,9 @@ Contains the module system, the causal transformer trunk shared by all three
 model roles, the AdamW optimizer, the Gaussian negative log-likelihood used
 by variance heads, ``Standardizer``, which z-scores every raw input and
 target the networks see, ``map_members``, which trains independent ensemble
-members in parallel worker processes, and checkpoint (de)serialization.
+members in parallel worker processes, ``map_chunks``, which spreads the data
+path's per-episode and per-trajectory loops (collect, segment, calibrate)
+over the same pool, and checkpoint (de)serialization.
 Each layer's ``__call__`` records the tape for training; its ``infer``
 returns the same array's bits from plain ndarrays, with no tape.  On both
 paths a trunk can compute only the rows its caller reads (``rows=``): the
@@ -509,18 +511,26 @@ def _call_member(k: int):
     return _member_fn(k)
 
 
+def pool_workers(n: int) -> int:
+    """How many worker processes ``map_members`` forks for ``n`` tasks: one
+    per usable CPU, and never more than there are tasks."""
+    return min(n, len(os.sched_getaffinity(0)))
+
+
 def map_members(fn, n: int) -> list:
     """``[fn(0), ..., fn(n - 1)]``, one forked worker process per usable CPU.
 
-    Ensemble members own their seeds and data, so each call runs exactly the
-    code a serial loop would and the results are bitwise the same.  With one
-    worker this is a plain loop.  Workers are forked, so they inherit ``fn``
-    (it may be a closure over a whole dataset) and only member indices and
-    results are pickled.  Results come back in member order; a failure
-    re-raises the exception of the lowest-index failing member, as the
-    serial loop would, once every worker has exited.
+    The one process pool of the library: it trains ensemble members, and
+    through ``map_chunks`` it also runs the per-episode and per-trajectory
+    loops of the data path.  Each task owns its seeds and data, so each call
+    runs exactly the code a serial loop would and the results are bitwise
+    the same.  With one worker this is a plain loop.  Workers are forked, so
+    they inherit ``fn`` (it may be a closure over a whole dataset) and only
+    task indices and results are pickled.  Results come back in task order;
+    a failure re-raises the exception of the lowest-index failing task, as
+    the serial loop would, once every worker has exited.
     """
-    workers = min(n, len(os.sched_getaffinity(0)))
+    workers = pool_workers(n)
     if workers <= 1:
         return [fn(k) for k in range(n)]
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
@@ -530,6 +540,23 @@ def map_members(fn, n: int) -> list:
         return [f.result() for f in futures]
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def map_chunks(fn, n: int) -> list:
+    """``[fn(0), ..., fn(n - 1)]`` over ``map_members``' pool, one contiguous
+    run of indices per worker.
+
+    Each worker loops over its own run in order, so the first failing run
+    holds the lowest failing index, and ``map_members`` re-raises exactly the
+    error the serial loop would.  One task per worker pays the pool's
+    round trip once per worker instead of once per index.
+    """
+    workers = pool_workers(n)
+
+    def run(k: int) -> list:
+        return [fn(i) for i in range(k * n // workers, (k + 1) * n // workers)]
+
+    return [result for results in map_members(run, workers) for result in results]
 
 
 # ---------------------------------------------------------------------------

@@ -155,11 +155,13 @@ class TargetReturnPredictor:
     """Ensemble percentile extractor for truncated-return targets."""
 
     def __init__(self, config: TargetPredictorConfig, members: list,
-                 states: nn.Standardizer, y: nn.Standardizer):
+                 states: nn.Standardizer, y: nn.Standardizer, loss_curves=()):
         self.config = config
         self.members = members
         self.states = states
         self.y = y
+        # each member's training loss per iteration; a loaded predictor has none
+        self.loss_curves = list(loss_curves)
         for m in members:
             m.eval()
 
@@ -217,28 +219,31 @@ class TargetReturnPredictor:
             y_probe = np.concatenate([y_probe, sample_batch(stat_rng)[1]])
         y = nn.Standardizer.fit(y_probe)
 
-        def train_member(k: int) -> dict:
+        def train_member(k: int) -> tuple:
             rng = np.random.default_rng(config.seed + k)  # init, then batches
             member = _TargetMlp(config, rng)
             opt = nn.AdamW(member.parameters(), lr=config.learning_rate)
+            curve = []
             for it in range(config.iters):
                 xs, ys = sample_batch(rng)
                 mu, lv = member.forward(xs)
                 loss = nn.gaussian_nll(mu, lv, y(ys))
-                if not np.isfinite(loss.item()):
+                curve.append(loss.item())
+                if not np.isfinite(curve[-1]):
                     raise TrainingDiverged(
                         f"target predictor member {k}: non-finite loss at iter {it}")
                 opt.zero_grad()
                 loss.backward()
                 opt.step()
-            return member.state_dict()
+            return member.state_dict(), curve
 
-        members = []
-        for state in nn.map_members(train_member, config.ensemble_size):
+        members, curves = [], []
+        for state, curve in nn.map_members(train_member, config.ensemble_size):
             member = _TargetMlp(config, np.random.default_rng(0))
             member.load_state_dict(state)
             members.append(member)
-        return cls(config, members, states, y)
+            curves.append(curve)
+        return cls(config, members, states, y, loss_curves=curves)
 
     # -- persistence -------------------------------------------------------
 

@@ -74,6 +74,13 @@ def mixture_moments(mu: np.ndarray, var: np.ndarray, floor=None) -> tuple:
     return mix_mu, mix_var
 
 
+def predict_trajectories(ensemble, trajs: list) -> list:
+    """``ensemble.predict_trajectory`` of each of ``trajs``, in order, over
+    ``nn.map_chunks``' workers."""
+    return nn.map_chunks(lambda i: ensemble.predict_trajectory(trajs[i].states, trajs[i].actions),
+                         len(trajs))
+
+
 # ---------------------------------------------------------------------------
 # Member model
 # ---------------------------------------------------------------------------

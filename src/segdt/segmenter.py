@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import trajlog
+from . import nn, trajlog
 from .return_model import mixture_moments
 
 SEGMENT_SCHEMA_VERSION = "segtraj-v3"
@@ -158,9 +158,7 @@ def relabel(traj, trace: UncertaintyTrace, parts: list) -> SegmentedTrajectory:
     T = len(traj)
     if trace.u.size != T:
         raise ValueError(f"trace length {trace.u.size} != trajectory length {T}")
-    if not isinstance(traj, trajlog.ReturnAnnotatedTrajectory) or \
-            trajlog._gamma_key(1.0) not in traj.returns:
-        traj = trajlog.compute_returns(traj, 1.0)
+    traj = _with_global_returns(traj)
     h = np.zeros(T, dtype=np.int64)
     r_h = np.full(T, DUMMY_RH)
     for part in parts:
@@ -173,12 +171,26 @@ def relabel(traj, trace: UncertaintyTrace, parts: list) -> SegmentedTrajectory:
                                parts=parts, h=h, r_h=r_h)
 
 
+def _with_global_returns(traj) -> trajlog.ReturnAnnotatedTrajectory:
+    if isinstance(traj, trajlog.ReturnAnnotatedTrajectory) and \
+            trajlog._gamma_key(1.0) in traj.returns:
+        return traj
+    return trajlog.compute_returns(traj, 1.0)
+
+
 def segment_dataset(trajs: list, ensemble, epsilon: float, c: int) -> list:
-    out = []
-    for traj in trajs:
-        trace = estimate_uncertainty(traj, ensemble, epsilon)
-        out.append(relabel(traj, trace, segment(trace, c)))
-    return out
+    """Score, segment and relabel every trajectory over ``nn.map_chunks``'
+    workers.  A worker sends back only ``u``, ``h``, ``r_h`` and the parts;
+    the trajectories, with their global returns, stay in the caller."""
+    trajs = [_with_global_returns(traj) for traj in trajs]
+
+    def columns(i: int) -> tuple:
+        trace = estimate_uncertainty(trajs[i], ensemble, epsilon)
+        seg = relabel(trajs[i], trace, segment(trace, c))
+        return seg.u, seg.h, seg.r_h, seg.parts
+
+    return [SegmentedTrajectory(traj=traj, u=u, epsilon=epsilon, parts=parts, h=h, r_h=r_h)
+            for traj, (u, h, r_h, parts) in zip(trajs, nn.map_chunks(columns, len(trajs)))]
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ import json
 import zipfile
 from dataclasses import dataclass, field
 from itertools import chain, compress, cycle, islice
+from operator import itemgetter
 
 import numpy as np
 
+from . import nn
 from .env import STATE_DIM, ACTION_DIM
 
 SCHEMA_VERSION = "traj-v3"
@@ -68,15 +70,23 @@ def _gamma_key(gamma: float) -> str:
 
 
 def compute_returns(traj: Trajectory, gamma: float) -> ReturnAnnotatedTrajectory:
-    """Backward-recursive discounted returns: R_t = r_t + gamma * R_{t+1}."""
+    """Backward-recursive discounted returns: R_t = r_t + gamma * R_{t+1}.
+
+    At ``gamma == 1`` the recursion is a reversed cumulative sum, which adds
+    in the same order; ``+ 0.0`` turns a trailing ``-0.0`` into the
+    recursion's ``0.0``, so the two agree bit for bit.
+    """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     T = len(traj)
-    R = np.empty(T)
-    acc = 0.0
-    for t in range(T - 1, -1, -1):
-        acc = traj.rewards[t] + gamma * acc
-        R[t] = acc
+    if gamma == 1.0:
+        R = np.cumsum(traj.rewards[::-1])[::-1] + 0.0
+    else:
+        R = np.empty(T)
+        acc = 0.0
+        for t in range(T - 1, -1, -1):
+            acc = traj.rewards[t] + gamma * acc
+            R[t] = acc
     existing = dict(getattr(traj, "returns", {}))
     existing[_gamma_key(gamma)] = R
     return ReturnAnnotatedTrajectory(
@@ -289,11 +299,18 @@ def sample_window(trajs: list, length: int, batch_size: int,
 
 
 def collect_dataset(env_config, expert_config, episodes: int, base_seed: int = 0) -> list:
-    """Roll the privileged rule expert for ``episodes`` seeded episodes."""
-    from .env import ENV_VERSION, EXPERT_VERSION, HighwayEnv, RuleExpert
+    """Roll the privileged rule expert for ``episodes`` seeded episodes.
 
-    trajs = []
-    for k in range(episodes):
+    An episode is a function of its seed alone (its own env, expert and
+    expert reseed), so the episodes run over ``nn.map_chunks``' workers and
+    come back in seed order, bitwise as a serial loop makes them.  A worker
+    sends the reward terms back as one float matrix, not as per-step dicts.
+    """
+    from .env import ENV_VERSION, EXPERT_VERSION, REWARD_TERMS, HighwayEnv, RuleExpert
+
+    term_values = itemgetter(*REWARD_TERMS)
+
+    def episode(k: int) -> tuple:
         seed = base_seed + k
         env = HighwayEnv(env_config)
         state = env.reset(seed=seed)
@@ -306,21 +323,22 @@ def collect_dataset(env_config, expert_config, episodes: int, base_seed: int = 0
             states.append(state.as_array())
             actions.append(action.clamped().as_array())
             rewards.append(out.reward)
-            terms.append(out.reward_terms)
+            terms.append(term_values(out.reward_terms))
             infs.append(out.infraction)
             state = out.state
             if out.done:
                 break
-        trajs.append(Trajectory(
-            states=np.array(states), actions=np.array(actions),
-            rewards=np.array(rewards), reward_terms=terms, infractions=infs,
-            meta={
-                "seed": seed,
-                "env_version": ENV_VERSION,
-                "expert_version": EXPERT_VERSION,
-                "delta": env_config.delta,
-                "lead_reveal_step": env.lead_reveal_step,
-                "route_completion": env.route_completion,
-            },
-        ))
-    return trajs
+        meta = {
+            "seed": seed,
+            "env_version": ENV_VERSION,
+            "expert_version": EXPERT_VERSION,
+            "delta": env_config.delta,
+            "lead_reveal_step": env.lead_reveal_step,
+            "route_completion": env.route_completion,
+        }
+        return np.array(states), np.array(actions), np.array(rewards), np.array(terms), infs, meta
+
+    return [Trajectory(states=states, actions=actions, rewards=rewards, infractions=infs,
+                       reward_terms=[dict(zip(REWARD_TERMS, row)) for row in terms.tolist()],
+                       meta=meta)
+            for states, actions, rewards, terms, infs, meta in nn.map_chunks(episode, episodes)]

@@ -334,6 +334,19 @@ def test_map_members_in_member_order(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_map_chunks_in_index_order(monkeypatch):
+    parent = os.getpid()
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        assert nn.pool_workers(7) == cpus and nn.pool_workers(2) == min(2, cpus)
+        out = nn.map_chunks(lambda i: (i * i, os.getpid()), 7)
+        assert [r[0] for r in out] == [i * i for i in range(7)]
+        assert (parent in {r[1] for r in out}) == (cpus == 1)
+        assert multiprocessing.active_children() == []
+    assert nn.map_chunks(lambda i: i, 0) == []
+    assert nn.map_chunks(lambda i: os.getpid(), 1) == [parent]
+
+
 def test_map_members_raises_the_lowest_failing_member(monkeypatch):
     def fn(k):
         if k == 1:

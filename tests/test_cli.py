@@ -1,6 +1,8 @@
 """End-to-end pipeline smoke test plus CLI error-path contracts."""
 
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +86,7 @@ def test_segment_manifest_records_stage_metrics(pipeline):
     u = np.concatenate([s.u for s in segmenter.load_segmented(pipeline["segmented"])])
     epsilon = float(parse_flat_file(SMOKE / "segment.cfg")["epsilon"])
     assert set(m.metrics) == {"load_s", "forecast_s", "save_s", "uncertain_fraction",
-                              "u_p50", "u_p90", "u_p99", "u_max"}
+                              "u_p50", "u_p90", "u_p99", "u_max", "workers"}
     assert all(m.metrics[k] >= 0.0 for k in ("load_s", "forecast_s", "save_s"))
     assert m.metrics["uncertain_fraction"] == (u > epsilon).mean()
     for name, q in (("u_p50", 0.5), ("u_p90", 0.9), ("u_p99", 0.99), ("u_max", 1.0)):
@@ -120,13 +122,47 @@ def test_rerun_reproduces_artifact_hashes(pipeline, tmp_path):
 
 def test_stage_manifests_record_timings(pipeline):
     metrics = {name: RunManifest.load(RunManifest.manifest_path(pipeline[name])).metrics
-               for name in ("dataset", "calibration", "index")}
-    assert set(metrics["dataset"]) == {"collect_s", "save_s", "steps"}
+               for name in ("dataset", "segmented", "calibration", "index", "report")}
+    assert set(metrics["dataset"]) == {"collect_s", "save_s", "steps", "workers"}
     assert metrics["dataset"]["steps"] == sum(len(t) for t in trajlog.load(pipeline["dataset"]))
-    assert set(metrics["calibration"]) == {"load_s", "forecast_s", "save_s"}
-    assert set(metrics["index"]) == {"load_s", "build_s", "train_s", "save_s"}
+    assert set(metrics["calibration"]) == {"load_s", "forecast_s", "save_s", "workers"}
+    assert set(metrics["index"]) == {"load_s", "build_s", "train_s", "save_s", "loss_curves"}
+    assert set(metrics["report"]) == {"load_s", "rollout_s", "episodes"}
+    assert metrics["report"]["episodes"] == 3
+    # the data stages spread over every usable CPU, and never more workers than items
+    cpus = len(os.sched_getaffinity(0))
+    assert metrics["dataset"]["workers"] == min(30, cpus)
+    assert 1 <= metrics["segmented"]["workers"] <= cpus
+    assert 1 <= metrics["calibration"]["workers"] <= cpus
     for m in metrics.values():
         assert all(v >= 0.0 for k, v in m.items() if k.endswith("_s"))
+
+
+def test_build_kdtree_records_the_predictor_loss_curves(pipeline):
+    metrics = RunManifest.load(RunManifest.manifest_path(pipeline["index"])).metrics
+    config = TargetReturnPredictor.load(pipeline["predictor"]).config
+    trajs = [s.traj for s in segmenter.load_segmented(pipeline["segmented"])]
+    retrained = TargetReturnPredictor.train(trajs, config)
+    assert metrics["loss_curves"] == retrained.loss_curves
+    assert len(retrained.loss_curves) == config.ensemble_size
+    assert all(len(curve) == config.iters and all(np.isfinite(curve))
+               for curve in retrained.loss_curves)
+    assert TargetReturnPredictor.load(pipeline["predictor"]).loss_curves == []
+
+
+def test_pooled_calibration_matches_serial_bytes(pipeline, tmp_path, monkeypatch):
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert run(["calibrate", "--config", SMOKE / "calibrate.cfg", "--dataset",
+                    pipeline["dataset"], "--ensemble", pipeline["ensemble"],
+                    "--out", tmp_path / f"calibration{cpus}.json"]) == 0
+        assert multiprocessing.active_children() == []
+        metrics = RunManifest.load(
+            RunManifest.manifest_path(tmp_path / f"calibration{cpus}.json")).metrics
+        assert metrics["workers"] == cpus
+    first = (tmp_path / "calibration1.json").read_bytes()
+    assert first == (tmp_path / "calibration2.json").read_bytes()
+    assert first == pipeline["calibration"].read_bytes()
 
 
 def test_calibrate_holds_out_the_trainers_validation_split(pipeline, tmp_path,

@@ -1,15 +1,20 @@
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segdt import trajlog
+from segdt.env import EnvConfig, ExpertConfig
 from segdt.nn import Standardizer
 from segdt.return_model import ReturnEnsemble, ReturnMemberModel, ReturnModelConfig
 from segdt.segmenter import (
     CERTAIN, UNCERTAIN, Part, UncertaintyTrace, estimate_uncertainty,
     forecast_uncertainty, gaussian_kl_array, load_segmented, relabel,
-    save_segmented, segment,
+    save_segmented, segment, segment_dataset,
 )
 
 
@@ -287,6 +292,81 @@ def test_trace_validation():
         UncertaintyTrace(u=np.array([-0.1]), epsilon=1.0)
     with pytest.raises(ValueError):
         UncertaintyTrace(u=np.array([np.nan]), epsilon=1.0)
+
+
+# -- the whole dataset, serial and pooled ------------------------------------
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture(scope="module")
+def episodes():
+    return trajlog.collect_dataset(EnvConfig(delta=0.1), ExpertConfig(), episodes=9,
+                                   base_seed=40)
+
+
+def random_ensemble(K=2, seed=0):
+    """Untrained twins with random heads, so their forecasts disagree."""
+    cfg = ReturnModelConfig(n_layers=1, n_heads=2, embed_dim=16, seq_length=5,
+                            dropout=0.0, ensemble_size=K)
+    rng = np.random.default_rng(seed)
+    members = []
+    for _ in range(K):
+        member = ReturnMemberModel(cfg, rng).eval()
+        for head in (member.head_state, member.head_action):
+            for p in head.parameters():
+                p.data[...] = rng.normal(scale=0.5, size=p.data.shape)
+        members.append(member)
+    return ReturnEnsemble(cfg, members, Standardizer(np.zeros(12), np.full(12, 10.0)),
+                          Standardizer(0.0, 1.0), list(range(K)))
+
+
+def test_pooled_segmentation_matches_serial_bitwise(episodes, monkeypatch, tmp_path):
+    ensemble = random_ensemble()
+    u = np.concatenate([estimate_uncertainty(t, ensemble, 0.0).u for t in episodes])
+    epsilon = float(np.quantile(u, 0.8))
+    runs = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        runs[cpus] = segment_dataset(episodes, ensemble, epsilon, c=3)
+        assert multiprocessing.active_children() == []
+        save_segmented(runs[cpus], tmp_path / f"cpus{cpus}.npz")
+    assert (tmp_path / "cpus1.npz").read_bytes() == (tmp_path / "cpus2.npz").read_bytes()
+    assert len(runs[2]) == len(episodes)
+    for a, b, traj in zip(runs[1], runs[2], episodes):
+        for name in ("u", "h", "r_h"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert a.parts == b.parts and b.epsilon == epsilon
+        assert b.traj.states is traj.states   # the trajectory never left the caller
+        assert b.global_returns.tobytes() == trajlog.compute_returns(
+            traj, 1.0).returns_for(1.0).tobytes()
+    labels = {p.label for seg in runs[2] for p in seg.parts}
+    assert labels == {CERTAIN, UNCERTAIN}
+
+
+def test_pooled_segmentation_raises_the_lowest_failing_trajectory(episodes, monkeypatch):
+    ensemble = random_ensemble()
+    poisoned = {len(episodes[1]): 0.3, len(episodes[6]): 0.0}   # step count -> delay
+    lengths = [len(t) for t in episodes]
+    assert all(lengths.count(T) == 1 for T in poisoned)
+    real = ensemble.members[1].infer_last
+
+    def infer_last(ws, wa, mask):
+        T = ws.shape[0]
+        if T in poisoned:
+            time.sleep(poisoned[T])   # trajectory 6 fails first, trajectory 1 still wins
+            raise ValueError(f"poisoned forecast over {T} steps")
+        return real(ws, wa, mask)
+
+    ensemble.members[1].infer_last = infer_last
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError, match=f"over {len(episodes[1])} steps"):
+            segment_dataset(episodes, ensemble, 1.0, c=3)
+        assert multiprocessing.active_children() == []
 
 
 # -- persistence ------------------------------------------------------------

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -55,6 +57,29 @@ def test_returns_match_double_sum_oracle(rewards, gamma):
                        rtol=1e-10, atol=1e-10)
 
 
+def recursive_returns(rewards, gamma):
+    """The backward recursion R_t = r_t + gamma * R_{t+1}, one step at a time."""
+    R, acc = np.empty(len(rewards)), 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        acc = rewards[t] + gamma * acc
+        R[t] = acc
+    return R
+
+
+@pytest.mark.parametrize("rewards", [
+    np.random.default_rng(0).normal(size=200),
+    np.random.default_rng(1).normal(size=71) * 1e3,
+    np.array([1.5, -2.0, -0.0]),        # trailing -0.0 returns 0.0, not -0.0
+    np.array([-0.0, -0.0]),
+    np.array([0.25]),                    # one step
+    np.array([-0.0]),
+])
+def test_undiscounted_returns_equal_the_recursion_bitwise(rewards):
+    R = trajlog.compute_returns(make_traj(rewards), 1.0).returns_for(1.0)
+    assert R.dtype == np.float64 and R.flags.c_contiguous
+    assert R.tobytes() == recursive_returns(rewards, 1.0).tobytes()
+
+
 def test_invalid_gamma_rejected():
     for g in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
@@ -106,6 +131,40 @@ def test_collect_dataset_meta(small_dataset):
         assert 0.0 <= traj.meta["route_completion"] <= 1.0
         assert traj.states.shape == (len(traj), 12)
         assert traj.actions.shape == (len(traj), 2)
+
+
+def test_collected_returns_equal_the_recursion_bitwise(small_dataset):
+    for traj in small_dataset:
+        R = trajlog.compute_returns(traj, 1.0).returns_for(1.0)
+        assert R.tobytes() == recursive_returns(traj.rewards, 1.0).tobytes()
+
+
+def test_pooled_collection_matches_serial_bitwise(monkeypatch, tmp_path):
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        runs[cpus] = trajlog.collect_dataset(EnvConfig(delta=0.1), ExpertConfig(seed=0),
+                                             episodes=7, base_seed=100)
+        assert multiprocessing.active_children() == []
+        trajlog.save(runs[cpus], tmp_path / f"cpus{cpus}.npz")
+    assert (tmp_path / "cpus1.npz").read_bytes() == (tmp_path / "cpus2.npz").read_bytes()
+    assert [t.meta["seed"] for t in runs[2]] == list(range(100, 107))
+    for a, b in zip(runs[1], runs[2]):
+        assert_same(a, b)
+
+
+def test_collected_reward_terms_are_the_env_steps(small_dataset):
+    from segdt.env import HighwayEnv, RuleExpert
+    traj = small_dataset[0]
+    env, expert = HighwayEnv(EnvConfig(delta=0.1)), RuleExpert(ExpertConfig(seed=0))
+    state = env.reset(seed=100)
+    expert.reseed(100)
+    for terms, reward, infraction in zip(traj.reward_terms, traj.rewards, traj.infractions):
+        out = env.step(expert.act(env, state))
+        assert terms == out.reward_terms and list(terms) == list(out.reward_terms)
+        assert reward == out.reward and infraction == out.infraction
+        state = out.state
+    assert out.done
 
 
 def assert_same(a, b):
