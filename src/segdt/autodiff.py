@@ -8,8 +8,9 @@ tolerances.  Broadcasting is supported for elementwise ops and the batch
 dimensions of matmul; nothing fancier is needed by the models built on top.
 
 ``gelu``, ``layernorm`` and ``softmax`` are also plain array functions: the
-``Tensor`` ops and the models' tape-free ``infer`` paths both call them, so
-the two paths compute each formula the same way.
+``Tensor`` ops and ``nn.ArrayOps``, the op set the models' tape-free
+``infer`` runs their one body on, both call them, so each formula has one
+implementation.
 """
 
 from __future__ import annotations

@@ -7,14 +7,17 @@ target the networks see, ``map_members``, which trains independent ensemble
 members in parallel worker processes, ``map_chunks``, which spreads the data
 path's per-episode and per-trajectory loops (collect, segment, calibrate)
 over the same pool, and checkpoint (de)serialization.
-Each layer's ``__call__`` records the tape for training; its ``infer``
-returns the same array's bits from plain ndarrays, with no tape.  On both
-paths a trunk can compute only the rows its caller reads (``rows=``): the
-last block, its dropout and ``ln_f`` then run on those rows, with the bits,
-gradients and rng draws of the every-row call.  ``Dropout`` draws its mask
-at the full shape, the pruned ``Linear`` layers pad their input gradient
-back to every row (``Tensor.matmul``), and ``CausalTransformer._last_rows``
-sends a single-row read through every row.
+Each layer is written once, as ``run(ops, ...)`` over one of two op sets:
+``TAPE`` runs it on ``Tensor``s and records the tape for training (the
+layer's ``__call__``), and ``ARRAY`` runs it on plain ndarrays with no tape
+(its ``infer``).  Each array op computes what its taped twin's ``.data``
+holds, so ``infer`` returns the taped call's bits by construction.  A trunk
+can compute only the rows its caller reads (``rows=``): the last block, its
+dropout and ``ln_f`` then run on those rows, with the bits, gradients and
+rng draws of the every-row call.  ``TapeOps.dropout`` draws its mask at the
+full shape, the pruned ``Linear`` layers pad their input gradient back to
+every row (``Tensor.matmul``), and ``CausalTransformer._last_rows`` sends a
+single-row read through every row.
 Checkpoints are JSON with raw little-endian float64 parameter bytes in
 base64, so a save/load round trip is bitwise exact.
 """
@@ -25,12 +28,13 @@ import base64
 import functools
 import json
 import multiprocessing
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .autodiff import Tensor, ShapeError, gelu, layernorm, softmax
+from .autodiff import Tensor, ShapeError, concat, gelu, layernorm, softmax
 
 NEG_INF = -1e9  # finite mask constant; keeps softmax NaN-free on padded rows
 
@@ -49,11 +53,100 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
 
 
+class TapeOps:
+    """The taped op set: ``Tensor``s in and out, every op recorded for backward."""
+
+    const = Tensor                          # a raw input or constant operand
+    concat = staticmethod(concat)
+    matmul = staticmethod(Tensor.matmul)    # (x, w, rows=None)
+    tanh = staticmethod(Tensor.tanh)
+    gelu = staticmethod(Tensor.gelu)
+    softmax = staticmethod(Tensor.softmax)
+    layernorm = staticmethod(Tensor.layernorm)
+
+    @staticmethod
+    def param(p: Parameter) -> Tensor:
+        return p
+
+    @staticmethod
+    def dropout(x: Tensor, p: float, rng: np.random.Generator,
+                rows: tuple | None = None) -> Tensor:
+        """Inverted dropout.  ``rows = (T, index)`` says that ``x`` holds the
+        rows ``index`` (axis -2) of a T-row activation: the mask is drawn at
+        the full T-row shape and those rows are kept, so the rng stream and
+        each row's mask are the ones an unpruned call draws."""
+        if rows is None:
+            keep = (rng.random(x.shape) >= p) / (1.0 - p)
+        else:
+            T, index = rows
+            shape = x.shape[:-2] + (T, x.shape[-1])
+            keep = ((rng.random(shape) >= p) / (1.0 - p))[..., index, :]
+        return x * Tensor(keep)
+
+    @staticmethod
+    def call(module: "Module", *args, **kwargs):
+        """Enter ``module`` through its taped ``__call__``."""
+        return module(*args, **kwargs)
+
+
+class ArrayOps:
+    """The tape-free op set: plain float64 ndarrays in and out, no ``Tensor``
+    built.  Each op computes what its ``TapeOps`` twin's ``.data`` holds."""
+
+    concat = staticmethod(np.concatenate)
+    tanh = np.tanh
+    softmax = staticmethod(softmax)
+    param = operator.attrgetter("data")     # a Parameter's array
+
+    @staticmethod
+    def const(x) -> np.ndarray:
+        return np.asarray(x, dtype=np.float64)
+
+    @staticmethod
+    def matmul(x: np.ndarray, w: np.ndarray, rows: tuple | None = None) -> np.ndarray:
+        return x @ w      # ``rows`` only shapes the taped backward
+
+    @staticmethod
+    def gelu(x: np.ndarray) -> np.ndarray:
+        return gelu(x)[0]
+
+    @staticmethod
+    def layernorm(x: np.ndarray) -> np.ndarray:
+        return layernorm(x)[0]
+
+    @staticmethod
+    def dropout(x: np.ndarray, p: float, rng, rows=None) -> np.ndarray:
+        return x          # inference draws no dropout
+
+    @staticmethod
+    def call(module: "Module", *args, rng=None, **kwargs):
+        """Enter ``module`` through its ``infer``, which draws no dropout and
+        so takes no ``rng``."""
+        return module.infer(*args, **kwargs)
+
+
+TAPE, ARRAY = TapeOps(), ArrayOps()
+
+
 class Module:
-    """Minimal module container with recursive parameter discovery."""
+    """Minimal module container with recursive parameter discovery.
+
+    A layer writes its computation once, as ``run(ops, ...)`` over an op set,
+    with any dropout ``rng`` last; it runs its sub-layers' ``run`` directly.
+    The taped ``__call__`` runs that body with ``TAPE``, and ``infer`` runs it
+    with ``ARRAY``, so ``infer(...)`` is ``__call__(...).data`` bit for bit.
+    Models enter their layers through ``ops.call``, that is through these two
+    entry points.
+    """
 
     def __init__(self):
         self.training = True
+
+    def __call__(self, *args, **kwargs):
+        return self.run(TAPE, *args, **kwargs)
+
+    def infer(self, *args, **kwargs):
+        return self.run(ARRAY, *args, **kwargs)
 
     def train(self, mode: bool = True):
         self.training = mode
@@ -131,19 +224,13 @@ class Linear(Module):
         self.weight = Parameter(w)
         self.bias = Parameter(np.zeros(out_dim)) if bias else None
 
-    def __call__(self, x: Tensor, rows: tuple | None = None) -> Tensor:
+    def run(self, ops, x, rows: tuple | None = None):
         """``rows = (T, index)``: ``x`` holds those rows of a T-row input, and
         its gradient is computed on the zero-padded T-row gradient (see
         ``Tensor.matmul``)."""
-        out = x.matmul(self.weight, rows)
+        out = ops.matmul(x, ops.param(self.weight), rows)
         if self.bias is not None:
-            out = out + self.bias
-        return out
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.weight.data
-        if self.bias is not None:
-            out = out + self.bias.data
+            out = out + ops.param(self.bias)
         return out
 
 
@@ -152,11 +239,8 @@ class Embedding(Module):
         super().__init__()
         self.weight = Parameter(rng.normal(0.0, 0.02, size=(num, dim)))
 
-    def __call__(self, idx: np.ndarray) -> Tensor:
-        return self.weight[np.asarray(idx, dtype=np.intp)]
-
-    def infer(self, idx: np.ndarray) -> np.ndarray:
-        return self.weight.data[np.asarray(idx, dtype=np.intp)]
+    def run(self, ops, idx: np.ndarray):
+        return ops.param(self.weight)[np.asarray(idx, dtype=np.intp)]
 
 
 class LayerNorm(Module):
@@ -165,37 +249,23 @@ class LayerNorm(Module):
         self.gain = Parameter(np.ones(dim))
         self.shift = Parameter(np.zeros(dim))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return x.layernorm() * self.gain + self.shift
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return layernorm(x)[0] * self.gain.data + self.shift.data
+    def run(self, ops, x):
+        return ops.layernorm(x) * ops.param(self.gain) + ops.param(self.shift)
 
 
 class Dropout(Module):
-    """Inverted dropout; identity in eval mode.  Uses the rng passed at call.
-
-    ``rows = (T, index)`` says that ``x`` holds the rows ``index`` (axis -2)
-    of a T-row activation: the mask is drawn at the full T-row shape and
-    those rows are kept, so the rng stream and each row's mask are the ones
-    an unpruned call draws.
-    """
+    """Inverted dropout (``TapeOps.dropout``, whose ``rows`` keep a pruned
+    call's mask); identity in eval mode, without an ``rng`` and in ``infer``."""
 
     def __init__(self, p: float):
         super().__init__()
         self.p = p
 
-    def __call__(self, x: Tensor, rng: np.random.Generator | None,
-                 rows: tuple | None = None) -> Tensor:
+    def run(self, ops, x, rows: tuple | None = None,
+            rng: np.random.Generator | None = None):
         if not self.training or self.p <= 0.0 or rng is None:
             return x
-        if rows is None:
-            keep = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        else:
-            T, index = rows
-            shape = x.shape[:-2] + (T, x.shape[-1])
-            keep = ((rng.random(shape) >= self.p) / (1.0 - self.p))[..., index, :]
-        return x * Tensor(keep)
+        return ops.dropout(x, self.p, rng, rows)
 
 
 @functools.lru_cache(maxsize=None)   # T never exceeds a trunk's max_tokens
@@ -236,15 +306,14 @@ class CausalSelfAttention(Module):
         self.proj = Linear(dim, dim, rng)
         self.drop = Dropout(dropout)
 
-    def __call__(self, x: Tensor, key_mask: np.ndarray | None = None,
-                 rng: np.random.Generator | None = None,
-                 rows: slice = slice(None)) -> Tensor:
-        """The attention output at the query positions ``rows`` only, as
-        ``infer`` computes it; keys and values still come from every position."""
+    def run(self, ops, x, key_mask: np.ndarray | None = None,
+            rows: slice = slice(None), rng: np.random.Generator | None = None):
+        """The attention output at the query positions ``rows`` only; keys and
+        values still come from every position."""
         B, T, D = x.shape
         H, hd = self.heads, self.head_dim
         pad = None if rows == slice(None) else (T, rows)   # for Linear and Dropout
-        qkv = self.qkv(x)  # (B, T, 3D)
+        qkv = self.qkv.run(ops, x)  # (B, T, 3D)
         q = qkv[:, rows, 0 * D:1 * D]
         R = q.shape[1]
         q = q.reshape(B, R, H, hd).transpose((0, 2, 1, 3))
@@ -252,28 +321,10 @@ class CausalSelfAttention(Module):
         v = qkv[:, :, 2 * D:3 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
 
         scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(hd))  # (B,H,R,T)
-        scores = scores + Tensor(_attention_mask(T, key_mask, rows))
-        att = scores.softmax(axis=-1)
-        att = self.drop(att, rng, pad)
+        scores = scores + _attention_mask(T, key_mask, rows)
+        att = self.drop.run(ops, ops.softmax(scores, axis=-1), pad, rng)
         out = (att @ v).transpose((0, 2, 1, 3)).reshape(B, R, D)
-        return self.drop(self.proj(out, pad), rng, pad)
-
-    def infer(self, x: np.ndarray, key_mask: np.ndarray | None = None,
-              rows: slice = slice(None)) -> np.ndarray:
-        """The attention output at the query positions ``rows`` only; keys and
-        values still come from every position."""
-        B, T, D = x.shape
-        H, hd = self.heads, self.head_dim
-        qkv = self.qkv.infer(x)
-        q = qkv[:, rows, 0 * D:1 * D]
-        R = q.shape[1]
-        q = q.reshape(B, R, H, hd).transpose((0, 2, 1, 3))
-        k = qkv[:, :, 1 * D:2 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
-        v = qkv[:, :, 2 * D:3 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
-        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
-        att = softmax(scores + _attention_mask(T, key_mask, rows), axis=-1)
-        out = (att @ v).transpose((0, 2, 1, 3)).reshape(B, R, D)
-        return self.proj.infer(out)
+        return self.drop.run(ops, self.proj.run(ops, out, pad), pad, rng)
 
 
 class TransformerBlock(Module):
@@ -286,22 +337,14 @@ class TransformerBlock(Module):
         self.fc2 = Linear(4 * dim, dim, rng)
         self.drop = Dropout(dropout)
 
-    def __call__(self, x: Tensor, key_mask=None, rng=None,
-                 rows: slice = slice(None)) -> Tensor:
-        """The block's output at positions ``rows``, as ``infer`` computes it
-        (every position attends as usual), with the gradients and dropout
-        draws of the every-row call."""
+    def run(self, ops, x, key_mask=None, rows: slice = slice(None), rng=None):
+        """The block's output at positions ``rows`` (every position attends as
+        usual), with the gradients and dropout draws of the every-row call."""
         pad = None if rows == slice(None) else (x.shape[1], rows)
         res = x if pad is None else x[:, rows]
-        x = res + self.attn(self.ln1(x), key_mask, rng, rows)
-        h = self.drop(self.fc2(self.fc1(self.ln2(x), pad).gelu(), pad), rng, pad)
-        return x + h
-
-    def infer(self, x: np.ndarray, key_mask=None, rows: slice = slice(None)) -> np.ndarray:
-        """The block's output at positions ``rows`` (every position attends as
-        usual); those rows equal the full output's bit for bit."""
-        x = x[:, rows] + self.attn.infer(self.ln1.infer(x), key_mask, rows)
-        return x + self.fc2.infer(gelu(self.fc1.infer(self.ln2.infer(x)))[0])
+        x = res + self.attn.run(ops, self.ln1.run(ops, x), key_mask, rows, rng)
+        h = ops.gelu(self.fc1.run(ops, self.ln2.run(ops, x), pad))
+        return x + self.drop.run(ops, self.fc2.run(ops, h, pad), pad, rng)
 
 
 class CausalTransformer(Module):
@@ -316,9 +359,11 @@ class CausalTransformer(Module):
         self.ln_f = LayerNorm(dim)
         self.drop = Dropout(dropout)
 
-    def _check_length(self, T: int) -> None:
-        if T > self.max_tokens:
-            raise ShapeError(f"sequence of {T} tokens exceeds trunk capacity {self.max_tokens}")
+    def __call__(self, tokens: Tensor, key_mask: np.ndarray | None = None,
+                 rng: np.random.Generator | None = None,
+                 rows: slice = slice(None)) -> Tensor:
+        """The taped ``run``, ``rng`` third, where its callers pass it."""
+        return self.run(TAPE, tokens, key_mask, rows, rng)
 
     @staticmethod
     def _last_rows(T: int, rows: slice) -> tuple:
@@ -330,36 +375,24 @@ class CausalTransformer(Module):
             return slice(None), rows
         return rows, slice(None)
 
-    def __call__(self, tokens: Tensor, key_mask: np.ndarray | None = None,
-                 rng: np.random.Generator | None = None,
-                 rows: slice = slice(None)) -> Tensor:
-        """The taped twin of ``infer``: the output at positions ``rows``, with
-        the bits, gradients and rng draws of the every-row call's rows."""
-        B, T, D = tokens.shape
-        self._check_length(T)
-        run, keep = self._last_rows(T, rows)
-        x = tokens + self.pos_emb[np.arange(T)]
-        x = self.drop(x, rng)
-        for block in self.blocks[:-1]:
-            x = block(x, key_mask, rng)
-        x = self.blocks[-1](x, key_mask, rng, run) if self.blocks else x[:, run]
-        x = self.ln_f(x)
-        return x if keep == slice(None) else x[:, keep]
-
-    def infer(self, tokens: np.ndarray, key_mask: np.ndarray | None = None,
-              rows: slice = slice(None)) -> np.ndarray:
+    def run(self, ops, tokens, key_mask: np.ndarray | None = None,
+            rows: slice = slice(None), rng: np.random.Generator | None = None):
         """The trunk's output at positions ``rows``, bit for bit those rows of
-        the full output.  Every block but the last runs on all positions, as
-        the last one attends to them; the last block and ``ln_f`` run on
-        ``rows`` only (see ``_last_rows`` for a single row)."""
+        the every-row output, with that call's gradients and rng draws.  Every
+        block but the last runs on all positions, as the last one attends to
+        them; the last block and ``ln_f`` run on ``rows`` only (see
+        ``_last_rows`` for a single row)."""
         T = tokens.shape[1]
-        self._check_length(T)
-        run, keep = self._last_rows(T, rows)
-        x = tokens + self.pos_emb.data[np.arange(T)]
+        if T > self.max_tokens:
+            raise ShapeError(f"sequence of {T} tokens exceeds trunk capacity {self.max_tokens}")
+        last, keep = self._last_rows(T, rows)
+        x = tokens + ops.param(self.pos_emb)[np.arange(T)]
+        x = self.drop.run(ops, x, rng=rng)
         for block in self.blocks[:-1]:
-            x = block.infer(x, key_mask)
-        x = self.blocks[-1].infer(x, key_mask, run) if self.blocks else x[:, run]
-        return self.ln_f.infer(x)[:, keep]
+            x = block.run(ops, x, key_mask, rng=rng)
+        x = self.blocks[-1].run(ops, x, key_mask, last, rng) if self.blocks else x[:, last]
+        x = self.ln_f.run(ops, x)
+        return x if keep == slice(None) else x[:, keep]
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +630,18 @@ def save_checkpoint(path, module: Module, arch: dict, config: dict | None = None
 
 def load_checkpoint(path) -> dict:
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: cut or corrupt checkpoint ({exc})") from None
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(
-            f"checkpoint format mismatch: expected {CHECKPOINT_FORMAT!r}, "
+            f"{path}: checkpoint format mismatch: expected {CHECKPOINT_FORMAT!r}, "
             f"found {payload.get('format')!r}"
         )
-    payload["params"] = {k: _decode_array(v) for k, v in payload["params"].items()}
+    try:
+        payload["params"] = {k: _decode_array(v) for k, v in payload["params"].items()}
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint misses the entry {exc}") from None
     payload.setdefault("extras", {})
     return payload

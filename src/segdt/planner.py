@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import json
 import logging
+import zipfile
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import nn
-from .autodiff import Tensor, gelu
 from .env import STATE_DIM
 from .nn import TrainingDiverged
 from .policy import PolicyStep
@@ -87,9 +87,13 @@ class KdUncertaintyIndex:
 
     @classmethod
     def load(cls, path) -> "KdUncertaintyIndex":
-        with np.load(path) as z:
-            return cls(z["states"], z["values"], k=int(z["k"]),
-                       epsilon=float(z["epsilon"]))
+        try:
+            with np.load(path) as z:
+                states, values, k, eps = z["states"], z["values"], z["k"], z["epsilon"]
+        except (EOFError, KeyError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: cut or corrupt index archive "
+                             f"({type(exc).__name__}: {exc})") from None
+        return cls(states, values, k=int(k), epsilon=float(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +140,15 @@ class _TargetMlp(nn.Module):
         self.head = nn.Linear(d, 2, rng, zero_init=True)
 
     def forward(self, x: np.ndarray):
-        t = Tensor(x)
-        for layer in self.layers:
-            t = layer(t).gelu()
-        out = self.head(t)
-        return out[:, 0], out[:, 1].tanh() * 5.0
+        """The taped ``run``."""
+        return self.run(nn.TAPE, x)
 
-    def infer(self, x: np.ndarray) -> tuple:
-        """``forward``'s two arrays bit for bit, with no tape."""
-        t = np.asarray(x, dtype=np.float64)
+    def run(self, ops, x: np.ndarray) -> tuple:
+        t = ops.const(x)
         for layer in self.layers:
-            t = gelu(layer.infer(t))[0]
-        out = self.head.infer(t)
-        return out[:, 0], np.tanh(out[:, 1]) * 5.0
+            t = ops.gelu(ops.call(layer, t))
+        out = ops.call(self.head, t)
+        return out[:, 0], ops.tanh(out[:, 1]) * 5.0
 
 
 class TargetReturnPredictor:
@@ -184,7 +184,7 @@ class TargetReturnPredictor:
         if not 0.0 < eta < 1.0:
             raise ValueError(f"eta must be in (0, 1), got {eta}")
         mu, var = self._moments(state, h)
-        target = mu + np.sqrt(var) * norm.ppf(eta)
+        target = mu + np.sqrt(var) * ndtri(eta)
         if not np.isfinite(target):
             raise RuntimeError(f"non-finite target prediction {target}")
         return float(target)

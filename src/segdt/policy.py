@@ -12,11 +12,11 @@ All three policy kinds share one causal trunk over per-step token groups:
 * ``bc``     — (state, action) tokens; no return conditioning at all.
 
 Actions are regressed with MSE in a normalized action space and bounded
-through tanh.  The loss reads only each step's state token, so ``forward``
-runs the trunk's last block on those rows alone, with the bits, gradients
+through tanh.  ``SequencePolicyModel.run`` is the model's one body: the taped
+``forward`` (training) and the tape-free ``infer`` (``Policy.act``) run it
+over ``nn.TAPE`` and ``nn.ARRAY``.  Both read only each step's state token, so
+the trunk's last block runs on those rows alone, with the bits, gradients
 and dropout draws of the every-row call (see ``nn.CausalTransformer``).
-``infer``, which ``Policy.act`` calls at batch 1, keeps every row: there the
-pruned decision measured no faster.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import nn, trajlog
-from .autodiff import Tensor, concat
+from .autodiff import Tensor
 from .env import ACTION_DIM, STATE_DIM, denorm_action, norm_actions
 from .nn import TrainingDiverged
 
@@ -153,32 +153,18 @@ class SequencePolicyModel(nn.Module):
                        if config.kind == "unrest" and config.use_global_return else 0)
         self.head = nn.Linear(head_in, ACTION_DIM, rng)
 
-    def _return_tokens(self, batch) -> Tensor:
+    def _return_tokens(self, ops, batch):
         """(B, L, d) return tokens for kinds that carry them."""
         cfg = self.config
         B, L = batch["h"].shape
-        d = cfg.embed_dim
         if cfg.kind == "dt":
-            return self.embed_R(Tensor(batch["R"][..., None]))
-        tok = self.embed_rh(Tensor(batch["r_h"][..., None]))
+            return ops.call(self.embed_R, ops.const(batch["R"][..., None]))
+        tok = ops.call(self.embed_rh, ops.const(batch["r_h"][..., None]))
         if cfg.use_return_span:
-            tok = tok + self.embed_h(np.clip(batch["h"], 0, cfg.h_max))
+            tok = tok + ops.call(self.embed_h, np.clip(batch["h"], 0, cfg.h_max))
         dummy = (batch["h"] == 0).astype(np.float64)[..., None]   # (B, L, 1)
-        dummy_tok = self.dummy_emb * Tensor(np.ones((B, L, 1)))
-        return tok * Tensor(1.0 - dummy) + dummy_tok * Tensor(dummy)
-
-    def _return_tokens_infer(self, batch) -> np.ndarray:
-        """``_return_tokens(batch).data`` without the tape."""
-        cfg = self.config
-        B, L = batch["h"].shape
-        if cfg.kind == "dt":
-            return self.embed_R.infer(np.asarray(batch["R"][..., None], dtype=np.float64))
-        tok = self.embed_rh.infer(np.asarray(batch["r_h"][..., None], dtype=np.float64))
-        if cfg.use_return_span:
-            tok = tok + self.embed_h.infer(np.clip(batch["h"], 0, cfg.h_max))
-        dummy = (batch["h"] == 0).astype(np.float64)[..., None]   # (B, L, 1)
-        dummy_tok = self.dummy_emb.data * np.ones((B, L, 1))
-        return tok * (1.0 - dummy) + dummy_tok * dummy
+        dummy_tok = ops.param(self.dummy_emb) * ops.const(np.ones((B, L, 1)))
+        return tok * ops.const(1.0 - dummy) + dummy_tok * ops.const(dummy)
 
     def _layout(self, batch) -> tuple:
         """Token key mask (B, per * L) and the state-token positions, a slice:
@@ -199,52 +185,33 @@ class SequencePolicyModel(nn.Module):
             for b in range(B)])
 
     def forward(self, batch, rng=None) -> Tensor:
+        """The taped ``run``."""
+        return self.run(nn.TAPE, batch, rng)
+
+    def run(self, ops, batch, rng=None):
         """Predicted actions (B, L, 2) in normalized space, tanh-bounded.
 
         ``batch`` carries normalized states/actions/r_h/R, integer h, raw
         global returns (``R_raw``) for the one-hot path, and a boolean mask.
-        This is the taped training path; ``infer`` is its tape-free twin.
         """
         cfg = self.config
         states, actions = batch["states"], batch["actions"]
         B, L, _ = states.shape
         d = cfg.embed_dim
         per = cfg.tokens_per_step
-        xs = self.embed_state(Tensor(states)).reshape(B, L, 1, d)
-        xa = self.embed_action(Tensor(actions)).reshape(B, L, 1, d)
+        xs = ops.call(self.embed_state, ops.const(states)).reshape(B, L, 1, d)
+        xa = ops.call(self.embed_action, ops.const(actions)).reshape(B, L, 1, d)
         if per == 3:
-            xr = self._return_tokens(batch).reshape(B, L, 1, d)
-            tokens = concat([xr, xs, xa], axis=2).reshape(B, per * L, d)
+            xr = self._return_tokens(ops, batch).reshape(B, L, 1, d)
+            tokens = ops.concat([xr, xs, xa], axis=2).reshape(B, per * L, d)
         else:
-            tokens = concat([xs, xa], axis=2).reshape(B, per * L, d)
+            tokens = ops.concat([xs, xa], axis=2).reshape(B, per * L, d)
         key_mask, s_rows = self._layout(batch)
-        feat = self.trunk(tokens, key_mask, rng, s_rows)   # (B, L, d)
+        feat = ops.call(self.trunk, tokens, key_mask, rows=s_rows, rng=rng)   # (B, L, d)
         onehots = self._global_onehots(batch)
         if onehots is not None:
-            feat = concat([feat, Tensor(onehots)], axis=2)
-        return self.head(feat).tanh()
-
-    def infer(self, batch) -> np.ndarray:
-        """``forward(batch).data`` bit for bit, on plain arrays: the same
-        numpy ops in the same order and on the same shapes, with no tape."""
-        states = np.asarray(batch["states"], dtype=np.float64)
-        actions = np.asarray(batch["actions"], dtype=np.float64)
-        B, L, _ = states.shape
-        d = self.config.embed_dim
-        per = self.config.tokens_per_step
-        xs = self.embed_state.infer(states).reshape(B, L, 1, d)
-        xa = self.embed_action.infer(actions).reshape(B, L, 1, d)
-        if per == 3:
-            xr = self._return_tokens_infer(batch).reshape(B, L, 1, d)
-            tokens = np.concatenate([xr, xs, xa], axis=2).reshape(B, per * L, d)
-        else:
-            tokens = np.concatenate([xs, xa], axis=2).reshape(B, per * L, d)
-        key_mask, s_rows = self._layout(batch)
-        feat = self.trunk.infer(tokens, key_mask)[:, s_rows]
-        onehots = self._global_onehots(batch)
-        if onehots is not None:
-            feat = np.concatenate([feat, onehots], axis=2)
-        return np.tanh(self.head.infer(feat))
+            feat = ops.concat([feat, ops.const(onehots)], axis=2)
+        return ops.tanh(ops.call(self.head, feat))
 
 
 class Policy:

@@ -8,8 +8,9 @@ token for the first step).  Members share token embedders within the pair,
 differ in initialization and in which trajectories they train on
 (Bernoulli data masks), and are combined by exact mixture moments.
 
-``forward`` is the taped training path and ``infer`` its tape-free twin with
-the same bits.  Both run each trunk's last block on the rows its head reads
+``ReturnMemberModel.run`` is a member's one body: the taped ``forward``
+(training) and the tape-free ``infer`` run it over ``nn.TAPE`` and
+``nn.ARRAY``.  It runs each trunk's last block on the rows its head reads
 only (s_1..s_L for the state trunk, start..a_{L-1} for the action trunk),
 with the bits, gradients and dropout draws of the every-row call (see
 ``nn.CausalTransformer`` for the rules that keep them).  Forecasts read one
@@ -29,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from . import nn, trajlog
-from .autodiff import Tensor, concat
 from .env import STATE_DIM, ACTION_DIM, norm_actions
 
 log = logging.getLogger(__name__)
@@ -138,68 +138,46 @@ class ReturnMemberModel(nn.Module):
         key_mask[:, 2::2] = mask                    # a tokens
         return key_mask
 
-    def _tokens(self, states: np.ndarray, actions: np.ndarray) -> Tensor:
+    def _tokens(self, ops, states, actions):
         """Interleave [start, s_1, a_1, ..., s_L, a_L] as (B, 2L+1, d) tokens."""
-        B, L, _ = states.shape
+        B, L, _ = np.shape(states)
         d = self.config.embed_dim
-        xs = self.embed_state(Tensor(states))       # (B, L, d)
-        xa = self.embed_action(Tensor(actions))     # (B, L, d)
-        bos = (self.start_token * Tensor(np.ones((B, 1, 1)))).reshape(B, 1, d)
-        stacked = concat([xs.reshape(B, L, 1, d), xa.reshape(B, L, 1, d)], axis=2)
-        inter = stacked.reshape(B, 2 * L, d)
-        return concat([bos, inter], axis=1)
+        xs = ops.call(self.embed_state, ops.const(states))       # (B, L, d)
+        xa = ops.call(self.embed_action, ops.const(actions))     # (B, L, d)
+        bos = (ops.param(self.start_token) * ops.const(np.ones((B, 1, 1)))).reshape(B, 1, d)
+        stacked = ops.concat([xs.reshape(B, L, 1, d), xa.reshape(B, L, 1, d)], axis=2)
+        return ops.concat([bos, stacked.reshape(B, 2 * L, d)], axis=1)
+
+    @staticmethod
+    def _heads(ops, out_s, out_a) -> tuple:
+        """(mu_s, logvar_s, mu_a, logvar_a) from the heads' (..., 2) outputs.
+        The log-variance is soft-bounded to [-5, 5]; zero-init heads still
+        give exactly mu=0, log-var=0 at initialization."""
+        return (out_s[..., 0], ops.tanh(out_s[..., 1]) * 5.0,
+                out_a[..., 0], ops.tanh(out_a[..., 1]) * 5.0)
 
     def forward(self, states, actions, mask, rng=None):
+        """The taped ``run``."""
+        return self.run(nn.TAPE, states, actions, mask, rng)
+
+    def run(self, ops, states, actions, mask, rng=None):
         """Both heads over a window batch.
 
         Returns (mu_s, logvar_s, mu_a, logvar_a), each (B, L): the state head
         reads at token 2i+1 (s_i visible), the action head at token 2i (only
-        tokens strictly before s_i visible).  This is the taped training
-        path; ``infer`` is its tape-free twin.
+        tokens strictly before s_i visible).
         """
-        L = states.shape[1]
-        tokens, key_mask = self._tokens(states, actions), self._key_mask(mask)
-        s_rows, a_rows = self._read_rows(L)
-        hs = self.trunk_state(tokens, key_mask, rng, s_rows)    # (B, L, d)
-        ha = self.trunk_action(tokens, key_mask, rng, a_rows)
-        out_s = self.head_state(hs)   # (B, L, 2)
-        out_a = self.head_action(ha)  # (B, L, 2)
-        # log-variance is soft-bounded to [-5, 5]; zero-init heads still give
-        # exactly mu=0, log-var=0 at initialization
-        return (out_s[:, :, 0], out_s[:, :, 1].tanh() * 5.0,
-                out_a[:, :, 0], out_a[:, :, 1].tanh() * 5.0)
+        tokens, key_mask = self._tokens(ops, states, actions), self._key_mask(mask)
+        s_rows, a_rows = self._read_rows(np.shape(states)[1])
+        hs = ops.call(self.trunk_state, tokens, key_mask, rows=s_rows, rng=rng)   # (B, L, d)
+        ha = ops.call(self.trunk_action, tokens, key_mask, rows=a_rows, rng=rng)
+        return self._heads(ops, ops.call(self.head_state, hs), ops.call(self.head_action, ha))
 
     @staticmethod
     def _read_rows(L: int) -> tuple:
         """The token rows the heads read: s_1..s_L for the state head and
         start, a_1..a_{L-1} for the action head."""
         return slice(1, 2 * L, 2), slice(0, 2 * L, 2)
-
-    def _infer_tokens(self, states, actions) -> np.ndarray:
-        """``_tokens`` on plain arrays: the same numpy ops in the same order."""
-        B, L, _ = np.shape(states)
-        d = self.config.embed_dim
-        xs = self.embed_state.infer(np.asarray(states, dtype=np.float64))
-        xa = self.embed_action.infer(np.asarray(actions, dtype=np.float64))
-        bos = (self.start_token.data * np.ones((B, 1, 1))).reshape(B, 1, d)
-        stacked = np.concatenate([xs.reshape(B, L, 1, d), xa.reshape(B, L, 1, d)], axis=2)
-        return np.concatenate([bos, stacked.reshape(B, 2 * L, d)], axis=1)
-
-    @staticmethod
-    def _heads_out(out_s, out_a) -> tuple:
-        """(mu_s, logvar_s, mu_a, logvar_a) from the heads' (..., 2) outputs,
-        as ``forward`` bounds them."""
-        return (out_s[..., 0], np.tanh(out_s[..., 1]) * 5.0,
-                out_a[..., 0], np.tanh(out_a[..., 1]) * 5.0)
-
-    def infer(self, states, actions, mask) -> tuple:
-        """``forward``'s four arrays bit for bit, on plain arrays: the same
-        numpy ops in the same order and on the same shapes, with no tape."""
-        tokens, key_mask = self._infer_tokens(states, actions), self._key_mask(mask)
-        s_rows, a_rows = self._read_rows(np.shape(states)[1])
-        hs = self.trunk_state.infer(tokens, key_mask, s_rows)
-        ha = self.trunk_action.infer(tokens, key_mask, a_rows)
-        return self._heads_out(self.head_state.infer(hs), self.head_action.infer(ha))
 
     def infer_last(self, states, actions, mask) -> tuple:
         """``infer``'s four arrays at each window's final slot, as (B,) arrays
@@ -212,13 +190,13 @@ class ReturnMemberModel(nn.Module):
         and on where the row sits, so the heads keep ``infer``'s shape.
         """
         B, L, _ = np.shape(states)
-        tokens, key_mask = self._infer_tokens(states, actions), self._key_mask(mask)
+        tokens, key_mask = self._tokens(nn.ARRAY, states, actions), self._key_mask(mask)
         rows = slice(2 * L - 2, 2 * L)
         buf_s = np.zeros((B, L, self.config.embed_dim))
         buf_a = np.zeros_like(buf_s)
         buf_s[:, -1] = self.trunk_state.infer(tokens, key_mask, rows)[:, 1]
         buf_a[:, -1] = self.trunk_action.infer(tokens, key_mask, rows)[:, 0]
-        out = self._heads_out(self.head_state.infer(buf_s), self.head_action.infer(buf_a))
+        out = self._heads(nn.ARRAY, self.head_state.infer(buf_s), self.head_action.infer(buf_a))
         return tuple(x[:, -1] for x in out)
 
 

@@ -311,6 +311,22 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert np.array_equal(trunk(Tensor(x)).data, trunk2(Tensor(x)).data)
 
 
+def test_cut_checkpoint_names_the_file(tmp_path):
+    path = tmp_path / "policy.json"
+    nn.save_checkpoint(path, nn.Linear(3, 2, np.random.default_rng(0)), arch={})
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(ValueError, match="policy.json: cut or corrupt checkpoint"):
+        nn.load_checkpoint(path)
+
+
+def test_checkpoint_missing_params_names_the_file(tmp_path):
+    path = tmp_path / "policy.json"
+    path.write_text('{"format": "segdt-ckpt-1"}')
+    with pytest.raises(ValueError, match="policy.json: .*'params'"):
+        nn.load_checkpoint(path)
+
+
 def test_checkpoint_format_mismatch(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "other", "params": {}}')

@@ -222,6 +222,19 @@ def test_missing_artifact_exit_3(tmp_path, capsys):
     assert err.count("\n") == 1 and "error: code=3" in err
 
 
+@pytest.mark.parametrize("artifact", ["index", "policy"])
+def test_evaluate_on_a_cut_artifact_exits_2_naming_it(pipeline, artifact, tmp_path, capsys):
+    cut = tmp_path / pipeline[artifact].name
+    raw = pipeline[artifact].read_bytes()
+    cut.write_bytes(raw[: len(raw) // 2])
+    paths = dict(pipeline, **{artifact: cut})
+    rc = run(["evaluate", "--config", SMOKE / "evaluate.cfg", "--policy", paths["policy"],
+              "--dataset", paths["dataset"], "--index", paths["index"],
+              "--predictor", paths["predictor"], "--out", tmp_path / "report.json"])
+    assert rc == 2
+    assert f"{cut}: cut or corrupt" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("episodes = 2\nnot_a_key = 1\n")

@@ -63,6 +63,17 @@ def test_transformer_trunk_infer_rows_match_forward_rows(B):
                 got = trunk.infer(x, key_mask, rows)
                 assert got.shape == (B, 2, 8)
                 assert np.array_equal(got, want[:, rows]), (T, start)
+            # the strided rows the models read: every per-th token from
+            # per - 2 (policy, per 2 and 3), and the return heads' rows
+            L = (T - 1) // 2
+            for rows in (slice(0, None, 2), slice(1, None, 3), slice(1, 2 * L, 2),
+                         slice(0, 2 * L, 2)):
+                if not range(T)[rows]:
+                    continue
+                with no_grad():
+                    taped = trunk(Tensor(x), key_mask, rows=rows).data
+                assert np.array_equal(trunk.infer(x, key_mask, rows), want[:, rows]), (T, rows)
+                assert np.array_equal(taped, want[:, rows]), (T, rows)
 
 
 POLICY_CASES = {
@@ -150,6 +161,83 @@ def test_return_member_infer_matches_forward():
             for g, w in zip(got, want):
                 assert g.shape == (B, L)
                 assert np.array_equal(g, w), (B, L)
+
+
+def test_infer_in_train_mode_draws_no_dropout():
+    """``infer`` on models left in ``train()`` mode returns the eval-mode bits,
+    even when handed an rng, where the taped call with an rng applies dropout."""
+    pcfg = PolicyConfig(n_layers=2, n_heads=2, embed_dim=16, seq_length=4, dropout=0.1, h_max=6)
+    policy = randomized(SequencePolicyModel(pcfg, np.random.default_rng(0)), 3)
+    batch = policy_batch(pcfg, 3, 4, np.random.default_rng(4))
+    rcfg = ReturnModelConfig(n_layers=2, n_heads=2, embed_dim=16, seq_length=5, dropout=0.1)
+    member = randomized(ReturnMemberModel(rcfg, np.random.default_rng(0)), 7)
+    rng = np.random.default_rng(8)
+    mask = left_padded_mask(3, 5, rng)
+    windows = (rng.normal(size=(3, 5, 12)) * mask[..., None],
+               rng.normal(size=(3, 5, 2)) * mask[..., None], mask)
+    def arrays(out):
+        return [t.data if isinstance(t, Tensor) else t
+                for t in (out if isinstance(out, tuple) else (out,))]
+
+    for model, args in ((policy, (batch,)), (member, windows)):
+        with no_grad():
+            want = arrays(model.eval().forward(*args))
+            dropped = arrays(model.train().forward(*args, np.random.default_rng(9)))
+        assert model.training
+        for got in (arrays(model.infer(*args)),
+                    arrays(model.infer(*args, np.random.default_rng(9)))):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert not all(np.array_equal(d, w) for d, w in zip(dropped, want))
+
+
+def count_tensors(monkeypatch, fn) -> int:
+    """How many ``Tensor``s ``fn()`` builds."""
+    built = []
+    init = autodiff.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(autodiff.Tensor, "__init__", counting)
+        fn()
+    return len(built)
+
+
+# Tensors one taped loss builds, as counted when each layer still had a
+# separate taped body: the shared body adds no wrapper Tensor to the tape
+POLICY_LOSS_TENSORS = {"unrest": 127, "unrest-global": 129, "dt": 118, "bc": 114}
+RETURN_LOSS_TENSORS = 239
+
+
+@pytest.mark.parametrize("case", sorted(POLICY_LOSS_TENSORS))
+def test_policy_loss_tensor_count(case, monkeypatch):
+    cfg = PolicyConfig(n_layers=2, n_heads=2, embed_dim=16, seq_length=4, dropout=0.1,
+                       h_max=6, **POLICY_CASES[case])
+    model = randomized(SequencePolicyModel(cfg, np.random.default_rng(0)), 3).train()
+    batch = policy_batch(cfg, 3, 4, np.random.default_rng(4))
+
+    def loss():
+        pred = model.forward(batch, np.random.default_rng(1))
+        nn.mse_loss(pred, batch["actions"], batch["mask"])
+
+    assert count_tensors(monkeypatch, loss) == POLICY_LOSS_TENSORS[case]
+
+
+def test_return_member_loss_tensor_count(monkeypatch):
+    cfg = ReturnModelConfig(n_layers=2, n_heads=2, embed_dim=16, seq_length=5, dropout=0.1)
+    member = randomized(ReturnMemberModel(cfg, np.random.default_rng(0)), 7).train()
+    rng = np.random.default_rng(8)
+    mask = left_padded_mask(3, 5, rng)
+    states, actions = rng.normal(size=(3, 5, 12)), rng.normal(size=(3, 5, 2))
+    returns = rng.normal(size=(3, 5))
+
+    def loss():
+        mu_s, lv_s, mu_a, lv_a = member.forward(states, actions, mask, np.random.default_rng(2))
+        nn.gaussian_nll(mu_s, lv_s, returns, mask) + nn.gaussian_nll(mu_a, lv_a, returns, mask)
+
+    assert count_tensors(monkeypatch, loss) == RETURN_LOSS_TENSORS
 
 
 SMOKE_ARCH = dict(n_layers=1, n_heads=2, embed_dim=16, seq_length=5)

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from segdt import nn, planner, trajlog
@@ -82,6 +83,25 @@ def test_index_roundtrip(tmp_path):
         assert idx.query(q) == loaded.query(q)
 
 
+@pytest.mark.parametrize("cut", [0, 30, "half", "last-byte"])
+def test_cut_index_archive_names_the_file(tmp_path, cut):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "index.npz"
+    KdUncertaintyIndex(rng.normal(size=(20, 12)), rng.uniform(size=20)).save(path)
+    raw = path.read_bytes()
+    n = {"half": len(raw) // 2, "last-byte": len(raw) - 1}.get(cut, cut)
+    path.write_bytes(raw[:n])
+    with pytest.raises(ValueError, match="index.npz: cut or corrupt"):
+        KdUncertaintyIndex.load(path)
+
+
+def test_index_archive_missing_an_entry_names_the_file(tmp_path):
+    path = tmp_path / "index.npz"
+    np.savez(path, states=np.zeros((3, 12)), values=np.zeros(3), k=5)
+    with pytest.raises(ValueError, match="index.npz: .*epsilon"):
+        KdUncertaintyIndex.load(path)
+
+
 # -- target predictor -------------------------------------------------------
 
 
@@ -110,6 +130,19 @@ def test_target_monotone_in_eta():
     etas = np.linspace(0.05, 0.95, 19)
     targets = [p.predict_target(np.zeros(12), 5, e) for e in etas]
     assert all(a <= b for a, b in zip(targets, targets[1:]))
+
+
+def test_percentile_target_matches_norm_ppf_bitwise():
+    """``predict_target`` takes its percentile from ``scipy.special.ndtri``,
+    which gives ``norm.ppf``'s bits at every eta of a grid over (0, 1)."""
+    p = constant_predictor(mu=2.0, sigma=3.0)
+    mu, var = p._moments(np.zeros(12), 10)
+    etas = np.concatenate([np.linspace(0.0, 1.0, 2002)[1:-1],
+                           [0.7, 1e-12, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-12]])
+    for eta in etas.tolist():
+        assert ndtri(eta).tobytes() == norm.ppf(eta).tobytes(), eta
+        want = float(mu + np.sqrt(var) * norm.ppf(eta))
+        assert p.predict_target(np.zeros(12), 10, eta) == want, eta
 
 
 def test_eta_out_of_range():
