@@ -11,6 +11,21 @@ dimensions of matmul; nothing fancier is needed by the models built on top.
 ``Tensor`` ops and ``nn.ArrayOps``, the op set the models' tape-free
 ``infer`` runs their one body on, both call them, so each formula has one
 implementation.
+
+The layers' composite ops are single tape nodes: ``linear`` (``x @ w + b``),
+``affine_layernorm`` (``layernorm(x) * gain + shift``) and
+``masked_softmax`` (``softmax(x * scale + mask)``).  Each computes the bits
+of the composed ``Tensor`` ops and its backward does their arithmetic in
+the same operand order, but the tape keeps no intermediate array that no
+backward reads.
+
+Tape lifecycle: the forward pass records one node per op, holding its
+output ``.data`` and what its closure reads.  ``backward()`` runs each
+interior node's closure once and then drops that node's ``.grad``, which
+nothing reads again; only leaves (``Parameter``s and ``Tensor(...,
+requires_grad=True)``) keep a ``.grad``.  The nodes and their closures stay,
+so a second ``backward()`` on the same loss adds one more gradient into the
+leaves.
 """
 
 from __future__ import annotations
@@ -24,6 +39,9 @@ __all__ = [
     "no_grad",
     "concat",
     "stack",
+    "linear",
+    "affine_layernorm",
+    "masked_softmax",
     "gelu",
     "layernorm",
     "softmax",
@@ -71,6 +89,49 @@ def layernorm(x: np.ndarray, eps: float = 1e-5) -> tuple:
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
+
+
+def _matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return a @ b
+    except ValueError as exc:
+        raise ShapeError(f"matmul: operands {a.shape} @ {b.shape}: {exc}") from None
+
+
+def _matmul_backward(g: np.ndarray, a: "Tensor", b: "Tensor", rows: tuple | None):
+    """Accumulate the gradients of ``a @ b`` into ``a``, then ``b``; ``rows``
+    is ``Tensor.matmul``'s."""
+    if a.requires_grad:
+        if rows is None:
+            ga = g @ np.swapaxes(b.data, -1, -2)
+        else:
+            T, index = rows
+            full = np.zeros(g.shape[:-2] + (T, g.shape[-1]))
+            full[..., index, :] = g
+            ga = (full @ np.swapaxes(b.data, -1, -2))[..., index, :]
+            del full    # not held while ``b``'s gradient is computed
+        a._accum(_unbroadcast(ga, a.shape), owned=True)
+    if b.requires_grad:
+        gb = np.swapaxes(a.data, -1, -2) @ g
+        b._accum(_unbroadcast(gb, b.shape), owned=True)
+
+
+def _add_backward(g: np.ndarray, t: "Tensor"):
+    """One operand's share of ``+``'s backward."""
+    if t.requires_grad:
+        gt = _unbroadcast(g, t.shape)
+        t._accum(gt, owned=gt is not g)
+
+
+def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    dot = (g * out).sum(axis=axis, keepdims=True)
+    return out * (g - dot)
+
+
+def _layernorm_grad(g: np.ndarray, out: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    gm = g.mean(axis=-1, keepdims=True)
+    gy = (g * out).mean(axis=-1, keepdims=True)
+    return inv * (g - gm - out * gy)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -176,6 +237,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None    # consumed: only leaves keep a gradient
 
     def _accum(self, g, owned: bool):
         """Add ``g`` into ``grad``.  The first write allocates: it keeps ``g``
@@ -197,12 +259,8 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(g):
-            if self.requires_grad:
-                ga = _unbroadcast(g, self.shape)
-                self._accum(ga, owned=ga is not g)
-            if other.requires_grad:
-                gb = _unbroadcast(g, other.shape)
-                other._accum(gb, owned=gb is not g)
+            _add_backward(g, self)
+            _add_backward(g, other)
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -379,24 +437,10 @@ class Tensor:
         on the product's row count, and the padding gives each row the bits
         of the T-row product's."""
         other = Tensor._coerce(other)
-        try:
-            out_data = self.data @ other.data
-        except ValueError as exc:
-            raise ShapeError(f"matmul: operands {self.shape} @ {other.shape}: {exc}") from None
+        out_data = _matmul_data(self.data, other.data)
 
         def backward(g):
-            if self.requires_grad:
-                if rows is None:
-                    ga = g @ np.swapaxes(other.data, -1, -2)
-                else:
-                    T, index = rows
-                    full = np.zeros(g.shape[:-2] + (T, g.shape[-1]))
-                    full[..., index, :] = g
-                    ga = (full @ np.swapaxes(other.data, -1, -2))[..., index, :]
-                self._accum(_unbroadcast(ga, self.shape), owned=True)
-            if other.requires_grad:
-                gb = np.swapaxes(self.data, -1, -2) @ g
-                other._accum(_unbroadcast(gb, other.shape), owned=True)
+            _matmul_backward(g, self, other, rows)
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -409,8 +453,7 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                dot = (g * out_data).sum(axis=axis, keepdims=True)
-                self._accum(out_data * (g - dot), owned=True)
+                self._accum(_softmax_grad(g, out_data, axis), owned=True)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -419,11 +462,8 @@ class Tensor:
         out_data, inv = layernorm(self.data, eps)
 
         def backward(g):
-            if not self.requires_grad:
-                return
-            gm = g.mean(axis=-1, keepdims=True)
-            gy = (g * out_data).mean(axis=-1, keepdims=True)
-            self._accum(inv * (g - gm - out_data * gy), owned=True)
+            if self.requires_grad:
+                self._accum(_layernorm_grad(g, out_data, inv), owned=True)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -454,3 +494,51 @@ def stack(tensors: list, axis: int = 0) -> Tensor:
                 t._accum(np.squeeze(part, axis=axis), owned=False)
 
     return Tensor._result(out_data, tuple(tensors), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
+           rows: tuple | None = None) -> Tensor:
+    """``x @ w + b`` (``x @ w`` without ``b``) as one tape node, with the bits
+    and gradients of ``x.matmul(w, rows) + b``; the tape keeps no ``x @ w``
+    array.  ``rows`` is ``Tensor.matmul``'s."""
+    out_data = _matmul_data(x.data, w.data)
+    if b is not None:
+        out_data += b.data
+
+    def backward(g):
+        if b is not None:
+            _add_backward(g, b)
+        _matmul_backward(g, x, w, rows)
+
+    return Tensor._result(out_data, (x, w) if b is None else (x, w, b), backward)
+
+
+def affine_layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+    """``x.layernorm(eps) * gain + shift`` as one tape node, with its bits
+    and gradients; the tape keeps no ``normalized * gain`` array."""
+    normed, inv = layernorm(x.data, eps)
+    out_data = normed * gain.data
+    out_data += shift.data
+
+    def backward(g):
+        _add_backward(g, shift)
+        if gain.requires_grad:
+            gain._accum(_unbroadcast(g * normed, gain.shape), owned=True)
+        if x.requires_grad:
+            gn = _unbroadcast(g * gain.data, normed.shape)
+            x._accum(_layernorm_grad(gn, normed, inv), owned=True)
+
+    return Tensor._result(out_data, (x, gain, shift), backward)
+
+
+def masked_softmax(x: Tensor, scale: float, mask: np.ndarray) -> Tensor:
+    """``(x * scale + mask).softmax(-1)`` as one tape node, with its bits and
+    gradients, for a constant ``scale`` and additive ``mask`` that broadcasts
+    against ``x``; the tape keeps neither the scaled nor the masked scores."""
+    out_data = softmax(x.data * scale + mask)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accum(_unbroadcast(_softmax_grad(g, out_data, -1) * scale, x.shape), owned=True)
+
+    return Tensor._result(out_data, (x,), backward)

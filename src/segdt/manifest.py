@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import resource
 import subprocess
 import time
 from pathlib import Path
@@ -75,8 +76,13 @@ class RunManifest:
         self.outputs[name] = {"path": str(path), "sha256": hash_artifact(path)}
 
     def write(self, path) -> None:
+        """Write the record, with the process's and its finished workers'
+        peak resident memory so far (``ru_maxrss``, KiB on Linux) in MB."""
         if hasattr(self, "_t0"):
             self.wall_clock_s = time.monotonic() - self._t0
+        self.metrics.update(
+            peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            workers_peak_rss_mb=resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
         payload = {k: v for k, v in dataclasses.asdict(self).items()}
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

@@ -11,12 +11,16 @@ Each layer is written once, as ``run(ops, ...)`` over one of two op sets:
 ``TAPE`` runs it on ``Tensor``s and records the tape for training (the
 layer's ``__call__``), and ``ARRAY`` runs it on plain ndarrays with no tape
 (its ``infer``).  Each array op computes what its taped twin's ``.data``
-holds, so ``infer`` returns the taped call's bits by construction.  A trunk
-can compute only the rows its caller reads (``rows=``): the last block, its
-dropout and ``ln_f`` then run on those rows, with the bits, gradients and
-rng draws of the every-row call.  ``TapeOps.dropout`` draws its mask at the
-full shape, the pruned ``Linear`` layers pad their input gradient back to
-every row (``Tensor.matmul``), and ``CausalTransformer._last_rows`` sends a
+holds, so ``infer`` returns the taped call's bits by construction.  The
+taped ``linear``, ``layernorm`` and ``softmax`` entries are the fused
+single-node ops of ``autodiff`` (``x @ w + b``, ``layernorm(x) * gain +
+shift`` and ``softmax(x * scale + mask)``); their array twins compose the
+same arithmetic.  A trunk can compute only the rows its caller reads
+(``rows=``): the last block, its dropout and ``ln_f`` then run on those
+rows, with the bits, gradients and rng draws of the every-row call.
+``TapeOps.dropout`` draws its mask at the full shape, the pruned ``Linear``
+layers pad their input gradient back to every row (``rows`` of
+``autodiff.linear``), and ``CausalTransformer._last_rows`` sends a
 single-row read through every row.
 Checkpoints are JSON with raw little-endian float64 parameter bytes in
 base64, so a save/load round trip is bitwise exact.
@@ -34,7 +38,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .autodiff import Tensor, ShapeError, concat, gelu, layernorm, softmax
+from .autodiff import (Tensor, ShapeError, affine_layernorm, concat, gelu, layernorm,
+                       linear, masked_softmax, softmax)
 
 NEG_INF = -1e9  # finite mask constant; keeps softmax NaN-free on padded rows
 
@@ -58,11 +63,11 @@ class TapeOps:
 
     const = Tensor                          # a raw input or constant operand
     concat = staticmethod(concat)
-    matmul = staticmethod(Tensor.matmul)    # (x, w, rows=None)
+    linear = staticmethod(linear)           # (x, w, b=None, rows=None)
     tanh = staticmethod(Tensor.tanh)
     gelu = staticmethod(Tensor.gelu)
-    softmax = staticmethod(Tensor.softmax)
-    layernorm = staticmethod(Tensor.layernorm)
+    softmax = staticmethod(masked_softmax)  # (x, scale, mask)
+    layernorm = staticmethod(affine_layernorm)  # (x, gain, shift)
 
     @staticmethod
     def param(p: Parameter) -> Tensor:
@@ -95,7 +100,6 @@ class ArrayOps:
 
     concat = staticmethod(np.concatenate)
     tanh = np.tanh
-    softmax = staticmethod(softmax)
     param = operator.attrgetter("data")     # a Parameter's array
 
     @staticmethod
@@ -103,16 +107,22 @@ class ArrayOps:
         return np.asarray(x, dtype=np.float64)
 
     @staticmethod
-    def matmul(x: np.ndarray, w: np.ndarray, rows: tuple | None = None) -> np.ndarray:
-        return x @ w      # ``rows`` only shapes the taped backward
+    def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
+               rows: tuple | None = None) -> np.ndarray:
+        out = x @ w       # ``rows`` only shapes the taped backward
+        return out if b is None else out + b
 
     @staticmethod
     def gelu(x: np.ndarray) -> np.ndarray:
         return gelu(x)[0]
 
     @staticmethod
-    def layernorm(x: np.ndarray) -> np.ndarray:
-        return layernorm(x)[0]
+    def softmax(x: np.ndarray, scale: float, mask: np.ndarray) -> np.ndarray:
+        return softmax(x * scale + mask)
+
+    @staticmethod
+    def layernorm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        return layernorm(x)[0] * gain + shift
 
     @staticmethod
     def dropout(x: np.ndarray, p: float, rng, rows=None) -> np.ndarray:
@@ -227,11 +237,9 @@ class Linear(Module):
     def run(self, ops, x, rows: tuple | None = None):
         """``rows = (T, index)``: ``x`` holds those rows of a T-row input, and
         its gradient is computed on the zero-padded T-row gradient (see
-        ``Tensor.matmul``)."""
-        out = ops.matmul(x, ops.param(self.weight), rows)
-        if self.bias is not None:
-            out = out + ops.param(self.bias)
-        return out
+        ``Tensor.matmul``), in one ``x @ w + b`` tape node."""
+        bias = None if self.bias is None else ops.param(self.bias)
+        return ops.linear(x, ops.param(self.weight), bias, rows)
 
 
 class Embedding(Module):
@@ -250,7 +258,7 @@ class LayerNorm(Module):
         self.shift = Parameter(np.zeros(dim))
 
     def run(self, ops, x):
-        return ops.layernorm(x) * ops.param(self.gain) + ops.param(self.shift)
+        return ops.layernorm(x, ops.param(self.gain), ops.param(self.shift))
 
 
 class Dropout(Module):
@@ -320,9 +328,9 @@ class CausalSelfAttention(Module):
         k = qkv[:, :, 1 * D:2 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
         v = qkv[:, :, 2 * D:3 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
 
-        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(hd))  # (B,H,R,T)
-        scores = scores + _attention_mask(T, key_mask, rows)
-        att = self.drop.run(ops, ops.softmax(scores, axis=-1), pad, rng)
+        scores = q @ k.transpose((0, 1, 3, 2))  # (B,H,R,T)
+        att = ops.softmax(scores, 1.0 / np.sqrt(hd), _attention_mask(T, key_mask, rows))
+        att = self.drop.run(ops, att, pad, rng)
         out = (att @ v).transpose((0, 2, 1, 3)).reshape(B, R, D)
         return self.drop.run(ops, self.proj.run(ops, out, pad), pad, rng)
 
@@ -628,12 +636,18 @@ def save_checkpoint(path, module: Module, arch: dict, config: dict | None = None
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
 
 
-def load_checkpoint(path) -> dict:
+def read_json(path, what: str):
+    """The JSON document in ``path``; a cut or corrupt one raises a
+    ``ValueError`` that names the file and says it held ``what``."""
     with open(path) as fh:
         try:
-            payload = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: cut or corrupt checkpoint ({exc})") from None
+            raise ValueError(f"{path}: cut or corrupt {what} ({exc})") from None
+
+
+def load_checkpoint(path) -> dict:
+    payload = read_json(path, "checkpoint")
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(
             f"{path}: checkpoint format mismatch: expected {CHECKPOINT_FORMAT!r}, "

@@ -263,7 +263,7 @@ class TargetReturnPredictor:
     @classmethod
     def load(cls, directory) -> "TargetReturnPredictor":
         directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest = nn.read_json(directory / "manifest.json", "predictor manifest")
         if manifest.get("kind") != "target-predictor":
             raise ValueError(f"{directory}: not a target-predictor checkpoint")
         config = TargetPredictorConfig(**manifest["config"])

@@ -281,7 +281,7 @@ class ReturnEnsemble:
     @classmethod
     def load(cls, directory) -> "ReturnEnsemble":
         directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest = nn.read_json(directory / "manifest.json", "ensemble manifest")
         if manifest.get("kind") != "return-ensemble":
             raise ValueError(f"{directory}: not a return-ensemble checkpoint")
         config = ReturnModelConfig(**manifest["config"])

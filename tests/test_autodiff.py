@@ -1,12 +1,15 @@
 import multiprocessing
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from segdt.autodiff import Tensor, ShapeError, concat, no_grad
+from segdt.autodiff import (Tensor, ShapeError, affine_layernorm, concat, linear,
+                            masked_softmax, no_grad)
 from segdt import nn
+from segdt.policy import PolicyConfig, SequencePolicyModel
 
 from gradcheck import finite_diff_check
 
@@ -151,12 +154,113 @@ def test_shared_gradient_is_not_aliased():
 
     finite_diff_check(fn, [RNG.normal(size=3)])
     loss = fn(Tensor(RNG.normal(size=3), requires_grad=True))
-    loss.backward()
     nodes = _tape_nodes(loss)
     assert len(nodes) == 19
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1:]:
-            assert not np.shares_memory(u.grad, v.grad)
+    # backward frees each interior grad once its closure has run, so capture
+    # the buffer each closure receives (and keep it alive) to compare them
+    received = []
+    for node in nodes:
+        def capture(g, closure=node._backward):
+            received.append(g)
+            closure(g)
+        node._backward = capture
+    loss.backward()
+    assert len(received) == 19
+    for i, u in enumerate(received):
+        for v in received[i + 1:]:
+            assert not np.shares_memory(u, v)
+
+
+def _leaf_bits(fn, inputs):
+    """(output bits, every leaf's grad) of ``fn`` over fresh leaves."""
+    leaves = [Tensor(x, requires_grad=True) for x in inputs]
+    out = fn(*leaves)
+    (out * Tensor(np.cos(np.arange(out.data.size)).reshape(out.shape))).sum().backward()
+    return out.data, [t.grad for t in leaves]
+
+
+def assert_same_bits(fused, composed, inputs):
+    out, grads = _leaf_bits(fused, inputs)
+    want_out, want_grads = _leaf_bits(composed, inputs)
+    assert np.array_equal(out, want_out)
+    for g, w in zip(grads, want_grads):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("rows", [None, (7, slice(1, None, 3)), (7, slice(2, 6))],
+                         ids=["every-row", "strided", "contiguous"])
+def test_linear_matches_composed_ops(rows):
+    R = 7 if rows is None else len(range(7)[rows[1]])
+    x, w, b = RNG.normal(size=(3, R, 8)), RNG.normal(size=(8, 5)), RNG.normal(size=5)
+    assert_same_bits(lambda t, u, v: linear(t, u, v, rows),
+                     lambda t, u, v: t.matmul(u, rows) + v, [x, w, b])
+    assert_same_bits(lambda t, u: linear(t, u, rows=rows),
+                     lambda t, u: t.matmul(u, rows), [x, w])
+
+
+def test_affine_layernorm_matches_composed_ops():
+    assert_same_bits(affine_layernorm, lambda t, u, v: t.layernorm() * u + v,
+                     [RNG.normal(size=(3, 4, 6)), RNG.normal(size=6), RNG.normal(size=6)])
+
+
+@pytest.mark.parametrize("key_masked", [False, True], ids=["causal", "key-masked"])
+def test_masked_softmax_matches_composed_ops(key_masked):
+    key_mask = np.array([[True] * 5, [False, False, True, True, True]]) if key_masked else None
+    mask = nn._attention_mask(5, key_mask, slice(1, None, 2))
+    scale = 1.0 / np.sqrt(4)
+    assert_same_bits(lambda t: masked_softmax(t, scale, mask),
+                     lambda t: (t * scale + mask).softmax(axis=-1),
+                     [RNG.normal(size=(2, 3, 2, 5))])
+
+
+def test_fused_ops_gradcheck():
+    x = RNG.normal(size=(2, 5, 4))
+    finite_diff_check(lambda t, u, v: (linear(t, u, v, (7, slice(1, 6))) ** 2).sum(),
+                      [x, RNG.normal(size=(4, 3)), RNG.normal(size=3)])
+    finite_diff_check(lambda t, u, v: (affine_layernorm(t, u, v) ** 2).sum(),
+                      [x, RNG.normal(size=4), RNG.normal(size=4)])
+    # no query row whose keys are all masked: central differences lose
+    # precision at NEG_INF
+    mask = nn._attention_mask(5, np.array([[True] * 5, [False] + [True] * 4]), slice(1, None))
+    w = Tensor(RNG.normal(size=(2, 2, 4, 5)))
+    finite_diff_check(lambda t: (masked_softmax(t, 0.5, mask) * w).sum(),
+                      [RNG.normal(size=(2, 2, 4, 5))])
+
+
+def test_second_backward_adds_one_more_gradient():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    loss = ((x * x) * 2.0).sum()
+    loss.backward()
+    assert np.array_equal(x.grad, 4.0 * x.data)
+    loss.backward()
+    assert np.array_equal(x.grad, 8.0 * x.data)
+
+
+def test_backward_keeps_only_leaf_grads():
+    """One taped step of a small policy: backward frees each interior grad
+    once consumed, so its peak stays within a quarter of the forward tape
+    (about 110% over it when every interior grad was kept)."""
+    cfg = PolicyConfig(n_layers=2, n_heads=4, embed_dim=32, seq_length=10, dropout=0.1, h_max=6)
+    model = SequencePolicyModel(cfg, np.random.default_rng(0)).train()
+    rng = np.random.default_rng(1)
+    B, L = 16, cfg.seq_length
+    batch = {"states": rng.normal(size=(B, L, 12)), "actions": rng.uniform(-1, 1, size=(B, L, 2)),
+             "h": rng.integers(0, cfg.h_max + 1, size=(B, L)), "r_h": rng.normal(size=(B, L)),
+             "R": rng.normal(size=(B, L)), "R_raw": rng.normal(size=(B, L)),
+             "R_bounds": (-5.0, 5.0), "mask": np.ones((B, L), dtype=bool)}
+    tracemalloc.start()
+    try:
+        loss = nn.mse_loss(model.forward(batch, rng), batch["actions"], batch["mask"])
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 0.25 * held, (held, peak)
+    assert all(node.grad is None for node in _tape_nodes(loss))
+    for name, p in model.named_parameters():
+        assert p.grad.shape == p.shape and np.any(p.grad), name
 
 
 def test_mean_sum_axis_gradcheck():

@@ -17,6 +17,7 @@ from segdt.policy import Policy, train_policy
 from segdt.return_model import ReturnEnsemble, split_train_val
 
 SMOKE = Path(__file__).parents[1] / "configs" / "smoke"
+RSS = ("peak_rss_mb", "workers_peak_rss_mb")   # every manifest's memory high-water marks
 
 
 def run(argv):
@@ -86,7 +87,7 @@ def test_segment_manifest_records_stage_metrics(pipeline):
     u = np.concatenate([s.u for s in segmenter.load_segmented(pipeline["segmented"])])
     epsilon = float(parse_flat_file(SMOKE / "segment.cfg")["epsilon"])
     assert set(m.metrics) == {"load_s", "forecast_s", "save_s", "uncertain_fraction",
-                              "u_p50", "u_p90", "u_p99", "u_max", "workers"}
+                              "u_p50", "u_p90", "u_p99", "u_max", "workers", *RSS}
     assert all(m.metrics[k] >= 0.0 for k in ("load_s", "forecast_s", "save_s"))
     assert m.metrics["uncertain_fraction"] == (u > epsilon).mean()
     for name, q in (("u_p50", 0.5), ("u_p90", 0.9), ("u_p99", 0.99), ("u_max", 1.0)):
@@ -97,8 +98,8 @@ def test_segment_manifest_records_stage_metrics(pipeline):
 def test_trainer_manifests_record_stage_metrics(pipeline):
     ret = RunManifest.load(RunManifest.manifest_path(pipeline["ensemble"]))
     pol = RunManifest.load(RunManifest.manifest_path(pipeline["policy"]))
-    assert set(ret.metrics) == {"load_s", "train_s", "save_s"}
-    assert set(pol.metrics) == {"load_s", "train_s", "save_s", "loss_curve"}
+    assert set(ret.metrics) == {"load_s", "train_s", "save_s", *RSS}
+    assert set(pol.metrics) == {"load_s", "train_s", "save_s", "loss_curve", *RSS}
     for m in (ret, pol):
         assert all(m.metrics[k] >= 0.0 for k in ("load_s", "train_s", "save_s"))
     config = Policy.load(pipeline["policy"]).config
@@ -123,11 +124,12 @@ def test_rerun_reproduces_artifact_hashes(pipeline, tmp_path):
 def test_stage_manifests_record_timings(pipeline):
     metrics = {name: RunManifest.load(RunManifest.manifest_path(pipeline[name])).metrics
                for name in ("dataset", "segmented", "calibration", "index", "report")}
-    assert set(metrics["dataset"]) == {"collect_s", "save_s", "steps", "workers"}
+    assert set(metrics["dataset"]) == {"collect_s", "save_s", "steps", "workers", *RSS}
     assert metrics["dataset"]["steps"] == sum(len(t) for t in trajlog.load(pipeline["dataset"]))
-    assert set(metrics["calibration"]) == {"load_s", "forecast_s", "save_s", "workers"}
-    assert set(metrics["index"]) == {"load_s", "build_s", "train_s", "save_s", "loss_curves"}
-    assert set(metrics["report"]) == {"load_s", "rollout_s", "episodes"}
+    assert set(metrics["calibration"]) == {"load_s", "forecast_s", "save_s", "workers", *RSS}
+    assert set(metrics["index"]) == {"load_s", "build_s", "train_s", "save_s", "loss_curves",
+                                     *RSS}
+    assert set(metrics["report"]) == {"load_s", "rollout_s", "episodes", *RSS}
     assert metrics["report"]["episodes"] == 3
     # the data stages spread over every usable CPU, and never more workers than items
     cpus = len(os.sched_getaffinity(0))
@@ -136,6 +138,7 @@ def test_stage_manifests_record_timings(pipeline):
     assert 1 <= metrics["calibration"]["workers"] <= cpus
     for m in metrics.values():
         assert all(v >= 0.0 for k, v in m.items() if k.endswith("_s"))
+        assert m["peak_rss_mb"] > 0.0 and m["workers_peak_rss_mb"] >= 0.0
 
 
 def test_build_kdtree_records_the_predictor_loss_curves(pipeline):

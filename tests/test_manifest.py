@@ -1,5 +1,6 @@
 import hashlib
 import json
+import resource
 
 import pytest
 
@@ -49,7 +50,12 @@ def test_manifest_roundtrip(tmp_path):
     assert loaded.outputs["dataset"]["sha256"] == sha256_file(artifact)
     assert loaded.wall_clock_s >= 0.0
     assert loaded.version == MANIFEST_VERSION
-    assert loaded.metrics == {"load_s": 0.25}
+    assert set(loaded.metrics) == {"load_s", "peak_rss_mb", "workers_peak_rss_mb"}
+    assert loaded.metrics["load_s"] == 0.25
+    # high-water marks so far, in MB
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert 0.0 < loaded.metrics["peak_rss_mb"] <= peak
+    assert loaded.metrics["workers_peak_rss_mb"] >= 0.0
 
 
 def test_manifest_without_metrics_still_loads(tmp_path):

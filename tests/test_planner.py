@@ -113,6 +113,14 @@ def constant_predictor(mu=2.0, sigma=1.0):
                                  nn.Standardizer(float(mu), float(sigma)))
 
 
+def test_cut_predictor_manifest_names_the_file(tmp_path):
+    constant_predictor().save(tmp_path / "pred")
+    path = tmp_path / "pred" / "manifest.json"
+    path.write_text(path.read_text()[:40])
+    with pytest.raises(ValueError, match="manifest.json: cut or corrupt predictor manifest"):
+        TargetReturnPredictor.load(tmp_path / "pred")
+
+
 def test_median_target_is_mean():
     p = constant_predictor(mu=3.0, sigma=2.0)
     assert p.predict_target(np.zeros(12), 10, 0.5) == pytest.approx(3.0, abs=1e-12)

@@ -232,6 +232,14 @@ def test_checkpoint_roundtrip_bitwise(trained, dataset, tmp_path):
         assert np.array_equal(a[key], b[key])
 
 
+def test_cut_manifest_names_the_file(tmp_path):
+    _causality_ensemble().save(tmp_path / "ret")
+    path = tmp_path / "ret" / "manifest.json"
+    path.write_text(path.read_text()[:40])
+    with pytest.raises(ValueError, match="manifest.json: cut or corrupt ensemble manifest"):
+        ReturnEnsemble.load(tmp_path / "ret")
+
+
 def test_load_rejects_wrong_kind(tmp_path):
     d = tmp_path / "bad"
     d.mkdir()
