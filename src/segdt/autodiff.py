@@ -7,10 +7,26 @@ gradients can be checked against central finite differences at tight
 tolerances.  Broadcasting is supported for elementwise ops and the batch
 dimensions of matmul; nothing fancier is needed by the models built on top.
 
-``gelu``, ``layernorm`` and ``softmax`` are also plain array functions: the
-``Tensor`` ops and ``nn.ArrayOps``, the op set the models' tape-free
-``infer`` runs their one body on, both call them, so each formula has one
-implementation.
+``gelu``, ``layernorm``, ``softmax`` and ``scaled_softmax`` are also plain
+array functions: the ``Tensor`` ops and ``nn.ArrayOps``, the op set the
+models' tape-free ``infer`` runs their one body on, both call them, so each
+formula has one implementation.
+
+Owned buffers: these formulas, and the backward formulas the tape shares
+(GELU's, ``_softmax_grad``, ``_layernorm_grad``), allocate the array they
+return and do the rest of their arithmetic in place in it (LayerNorm and its
+gradient take one scratch array more), with the operands of the composed
+numpy expression in its order, so the bits are that expression's.  In-place
+writes touch only buffers the function allocated itself, never a received
+gradient or an operand's ``.data``.  A mean is ``np.add.reduce(x, axis) /
+n``, which is what ``ndarray.mean`` computes.
+
+A 2-D weight's gradient under a 3-D input is the batch-axis sum of a
+(B, D, O) stack of per-item products.  ``_weight_grad`` builds that stack in
+runs of batch items of at most ``_WGRAD_CHUNK_BYTES`` and adds the sum so far
+into each run's first item: numpy sums axis 0 item after item, so these are
+the whole stack's additions in their order, and the sum's bits are the
+same.  Flattening the batch into one 2-D product would add in another order.
 
 The layers' composite ops are single tape nodes: ``linear`` (``x @ w + b``),
 ``affine_layernorm`` (``layernorm(x) * gain + shift``) and
@@ -45,6 +61,7 @@ __all__ = [
     "gelu",
     "layernorm",
     "softmax",
+    "scaled_softmax",
 ]
 
 
@@ -70,25 +87,67 @@ class no_grad:
         return False
 
 
-def gelu(x: np.ndarray) -> tuple:
-    """Exact (erf-based) GELU: returns ``(x * cdf, cdf)``, with ``cdf`` the
-    standard normal cdf at ``x`` that the backward pass reuses."""
-    cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
-    return x * cdf, cdf
+_SQRT1_2 = 1.0 / np.sqrt(2.0)
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+# the batch items a 3-D input's weight gradient stacks at a time
+# (``_weight_grad``): (step, D, O) float64 parts of at most this many bytes
+_WGRAD_CHUNK_BYTES = 1 << 19
+
+
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)``: the same reduce and divide,
+    without ``ndarray.mean``'s Python wrapper."""
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    m /= x.shape[-1]
+    return m
+
+
+def gelu(x: np.ndarray, with_cdf: bool = False):
+    """Exact (erf-based) GELU, ``x * cdf`` with ``cdf`` the standard normal
+    cdf at ``x``; ``with_cdf`` returns ``(x * cdf, cdf)``, as the backward
+    pass reuses ``cdf``."""
+    cdf = x * _SQRT1_2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    if with_cdf:
+        return x * cdf, cdf
+    cdf *= x
+    return cdf
 
 
 def layernorm(x: np.ndarray, eps: float = 1e-5) -> tuple:
     """Last axis to zero mean, unit variance (no affine): returns
     ``(normalized, 1 / sqrt(var + eps))``."""
-    xc = x - x.mean(axis=-1, keepdims=True)
-    var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    return xc * inv, inv
+    xc = x - _mean_last(x)
+    inv = _mean_last(np.square(xc))
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xc *= inv
+    return xc, inv
+
+
+def _exp_normalize(z: np.ndarray, axis: int) -> np.ndarray:
+    """The softmax of ``z`` along ``axis``, in place, for ``z`` already
+    shifted by its maximum."""
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=axis, keepdims=True)
+    return z
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    return _exp_normalize(x - np.maximum.reduce(x, axis=axis, keepdims=True), axis)
+
+
+def scaled_softmax(x: np.ndarray, scale: float, mask: np.ndarray) -> np.ndarray:
+    """``softmax(x * scale + mask)`` over the last axis, for an additive
+    ``mask`` that broadcasts to ``x``'s shape."""
+    z = x * scale
+    z += mask
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    return _exp_normalize(z, -1)
 
 
 def _matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,6 +155,24 @@ def _matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b
     except ValueError as exc:
         raise ShapeError(f"matmul: operands {a.shape} @ {b.shape}: {exc}") from None
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of a 2-D weight under a (B, T, D) input: the batch-axis
+    sum of the (B, D, O) stack ``swapaxes(x) @ g``.  numpy sums axis 0 item
+    after item, so the stack is built and summed in runs of batch items that
+    fit ``_WGRAD_CHUNK_BYTES``, each run's first item carrying the sum so far:
+    the same additions in the same order, without the whole stack."""
+    B, D, O = x.shape[0], x.shape[-1], g.shape[-1]
+    step = max(1, _WGRAD_CHUNK_BYTES // (8 * D * O))
+    xt = np.swapaxes(x, -1, -2)
+    part, acc = np.empty((min(step, B), D, O)), None
+    for lo in range(0, B, step):
+        run = np.matmul(xt[lo:lo + step], g[lo:lo + step], out=part[:min(step, B - lo)])
+        if acc is not None:
+            run[0] += acc
+        acc = np.add.reduce(run, axis=0, out=acc)
+    return acc
 
 
 def _matmul_backward(g: np.ndarray, a: "Tensor", b: "Tensor", rows: tuple | None):
@@ -112,8 +189,11 @@ def _matmul_backward(g: np.ndarray, a: "Tensor", b: "Tensor", rows: tuple | None
             del full    # not held while ``b``'s gradient is computed
         a._accum(_unbroadcast(ga, a.shape), owned=True)
     if b.requires_grad:
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        b._accum(_unbroadcast(gb, b.shape), owned=True)
+        if a.ndim == 3 and b.ndim == 2:
+            gb = _weight_grad(a.data, g)
+        else:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        b._accum(gb, owned=True)
 
 
 def _add_backward(g: np.ndarray, t: "Tensor"):
@@ -124,14 +204,27 @@ def _add_backward(g: np.ndarray, t: "Tensor"):
 
 
 def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
-    dot = (g * out).sum(axis=axis, keepdims=True)
-    return out * (g - dot)
+    """``out * (g - (g * out).sum(axis))`` in one new buffer."""
+    d = g * out
+    dot = np.add.reduce(d, axis=axis, keepdims=True)
+    np.subtract(g, dot, out=d)
+    d *= out
+    return d
 
 
-def _layernorm_grad(g: np.ndarray, out: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    gm = g.mean(axis=-1, keepdims=True)
-    gy = (g * out).mean(axis=-1, keepdims=True)
-    return inv * (g - gm - out * gy)
+def _layernorm_grad(g: np.ndarray, out: np.ndarray, inv: np.ndarray,
+                    owned: bool = False) -> np.ndarray:
+    """``inv * (g - mean(g) - out * mean(g * out))`` over the last axis.  It
+    works in ``g`` itself when the caller ``owned`` it, else in one new
+    buffer; either way with one scratch array."""
+    gm = _mean_last(g)
+    t = g * out
+    gy = _mean_last(t)
+    np.multiply(out, gy, out=t)
+    d = np.subtract(g, gm, out=g if owned else None)
+    d -= t
+    d *= inv
+    return d
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -357,12 +450,18 @@ class Tensor:
     def gelu(self):
         """Exact (erf-based) GELU."""
         x = self.data
-        out_data, cdf = gelu(x)
+        out_data, cdf = gelu(x, with_cdf=True)
 
         def backward(g):
-            if self.requires_grad:
-                pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-                self._accum(g * (cdf + x * pdf), owned=True)
+            if self.requires_grad:    # g * (cdf + x * pdf), in one buffer
+                d = x * -0.5
+                d *= x
+                np.exp(d, out=d)
+                d /= _SQRT_2PI
+                d *= x
+                d += cdf
+                d *= g
+                self._accum(d, owned=True)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -526,7 +625,7 @@ def affine_layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) 
             gain._accum(_unbroadcast(g * normed, gain.shape), owned=True)
         if x.requires_grad:
             gn = _unbroadcast(g * gain.data, normed.shape)
-            x._accum(_layernorm_grad(gn, normed, inv), owned=True)
+            x._accum(_layernorm_grad(gn, normed, inv, owned=True), owned=True)
 
     return Tensor._result(out_data, (x, gain, shift), backward)
 
@@ -534,11 +633,13 @@ def affine_layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) 
 def masked_softmax(x: Tensor, scale: float, mask: np.ndarray) -> Tensor:
     """``(x * scale + mask).softmax(-1)`` as one tape node, with its bits and
     gradients, for a constant ``scale`` and additive ``mask`` that broadcasts
-    against ``x``; the tape keeps neither the scaled nor the masked scores."""
-    out_data = softmax(x.data * scale + mask)
+    to ``x``'s shape; the tape keeps neither the scaled nor the masked scores."""
+    out_data = scaled_softmax(x.data, scale, mask)
 
     def backward(g):
         if x.requires_grad:
-            x._accum(_unbroadcast(_softmax_grad(g, out_data, -1) * scale, x.shape), owned=True)
+            d = _softmax_grad(g, out_data, -1)
+            d *= scale
+            x._accum(d, owned=True)
 
     return Tensor._result(out_data, (x,), backward)

@@ -39,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .autodiff import (Tensor, ShapeError, affine_layernorm, concat, gelu, layernorm,
-                       linear, masked_softmax, softmax)
+                       linear, masked_softmax, scaled_softmax)
 
 NEG_INF = -1e9  # finite mask constant; keeps softmax NaN-free on padded rows
 
@@ -81,12 +81,11 @@ class TapeOps:
         the full T-row shape and those rows are kept, so the rng stream and
         each row's mask are the ones an unpruned call draws."""
         if rows is None:
-            keep = (rng.random(x.shape) >= p) / (1.0 - p)
+            draw = rng.random(x.shape)
         else:
             T, index = rows
-            shape = x.shape[:-2] + (T, x.shape[-1])
-            keep = ((rng.random(shape) >= p) / (1.0 - p))[..., index, :]
-        return x * Tensor(keep)
+            draw = rng.random(x.shape[:-2] + (T, x.shape[-1]))[..., index, :]
+        return x * Tensor((draw >= p) / (1.0 - p))
 
     @staticmethod
     def call(module: "Module", *args, **kwargs):
@@ -110,19 +109,19 @@ class ArrayOps:
     def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
                rows: tuple | None = None) -> np.ndarray:
         out = x @ w       # ``rows`` only shapes the taped backward
-        return out if b is None else out + b
+        if b is not None:
+            out += b
+        return out
 
-    @staticmethod
-    def gelu(x: np.ndarray) -> np.ndarray:
-        return gelu(x)[0]
-
-    @staticmethod
-    def softmax(x: np.ndarray, scale: float, mask: np.ndarray) -> np.ndarray:
-        return softmax(x * scale + mask)
+    gelu = staticmethod(gelu)
+    softmax = staticmethod(scaled_softmax)  # (x, scale, mask)
 
     @staticmethod
     def layernorm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        return layernorm(x)[0] * gain + shift
+        out = layernorm(x)[0]
+        out *= gain
+        out += shift
+        return out
 
     @staticmethod
     def dropout(x: np.ndarray, p: float, rng, rows=None) -> np.ndarray:
@@ -408,6 +407,23 @@ class CausalTransformer(Module):
 # ---------------------------------------------------------------------------
 
 
+def _nll_terms(mu, log_var, target):
+    """(mu - y)^2 / sigma^2 + ln sigma^2 per element, constants dropped, on
+    ``Tensor``s or on plain arrays."""
+    diff = mu - target
+    inv_var = (-log_var).exp() if isinstance(log_var, Tensor) else np.exp(-log_var)
+    return diff * diff * inv_var + log_var
+
+
+def masked_nll_sum(mu, log_var, target, mask) -> tuple:
+    """(the sum of the per-element Gaussian NLL over ``mask``, the mask's
+    count): ``Tensor`` and float for ``Tensor`` forecasts, two floats for
+    arrays."""
+    m = np.asarray(mask, dtype=np.float64)
+    per = _nll_terms(mu, log_var, target)
+    return (per * m).sum(), m.sum()
+
+
 def gaussian_nll(mu: Tensor, log_var: Tensor, target: Tensor | np.ndarray,
                  mask: np.ndarray | None = None) -> Tensor:
     """Variance-network loss: mean of (mu - y)^2 / sigma^2 + ln sigma^2.
@@ -420,12 +436,10 @@ def gaussian_nll(mu: Tensor, log_var: Tensor, target: Tensor | np.ndarray,
         target = Tensor(target)
     if mu.shape != log_var.shape or mu.shape != target.shape:
         raise ShapeError(f"gaussian_nll: shapes {mu.shape}/{log_var.shape}/{target.shape} differ")
-    diff = mu - target
-    per = diff * diff * (-log_var).exp() + log_var
     if mask is None:
-        return per.mean()
-    m = np.asarray(mask, dtype=np.float64)
-    return (per * Tensor(m)).sum() / max(m.sum(), 1.0)
+        return _nll_terms(mu, log_var, target).mean()
+    total, count = masked_nll_sum(mu, log_var, target, mask)
+    return total / max(count, 1.0)
 
 
 def mse_loss(pred: Tensor, target: Tensor | np.ndarray, mask: np.ndarray | None = None) -> Tensor:

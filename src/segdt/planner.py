@@ -16,6 +16,7 @@ Three pieces cooperate at every step of a rollout:
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import zipfile
@@ -116,17 +117,18 @@ class TargetPredictorConfig:
         return asdict(self)
 
 
-def _choice_cdf(weights: np.ndarray) -> np.ndarray:
-    """The cdf ``Generator.choice(n, p=weights / weights.sum())`` draws from."""
+def _choice_cdf(weights: np.ndarray) -> list:
+    """The cdf ``Generator.choice(n, p=weights / weights.sum())`` draws from,
+    as a list of floats."""
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
-    return cdf
+    return cdf.tolist()
 
 
-def _choice_draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+def _choice_draw(cdf: list, rng: np.random.Generator) -> int:
     """``int(rng.choice(n, p=p))`` for the ``p`` behind ``cdf``: the same
     index from the same stream, without re-validating ``p`` on every draw."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return bisect.bisect_right(cdf, rng.random())
 
 
 class _TargetMlp(nn.Module):
@@ -208,9 +210,10 @@ class TargetReturnPredictor:
                 traj = trajs[_choice_draw(cdf, rng)]
                 t = int(rng.integers(len(traj)))
                 h = int(rng.integers(1, config.span_max + 1))
-                xs[i, :STATE_DIM] = states(traj.states[t])
+                xs[i, :STATE_DIM] = traj.states[t]
                 xs[i, STATE_DIM] = h / config.span_max
                 ys[i] = traj.rewards[t: t + h].sum()  # truncated by episode end
+            xs[:, :STATE_DIM] = states(xs[:, :STATE_DIM])
             return xs, ys
 
         stat_rng = np.random.default_rng(config.seed + 100)

@@ -318,16 +318,21 @@ def split_train_val(trajs: list, val_fraction: float, seed: int):
     return train, val
 
 
-def _heldout_nll(member: ReturnMemberModel, batches: list) -> float:
-    """Masked mean Gaussian NLL (constants dropped) over fixed val batches."""
+def _heldout_nll(member: ReturnMemberModel | None, batches: list) -> float:
+    """Masked mean Gaussian NLL (constants dropped) over fixed val batches.
+    ``member=None`` scores an untrained member: its zero-initialised heads
+    forecast exactly mu = 0 and log-var = 0 at every slot."""
     total, count = 0.0, 0.0
     for b in batches:
-        mu_s, lv_s, mu_a, lv_a = member.infer(b["states"], b["actions"], b["mask"])
-        m = b["mask"].astype(float)
-        for mu, lv in ((mu_s, lv_s), (mu_a, lv_a)):
-            per = (mu - b["returns"]) ** 2 * np.exp(-lv) + lv
-            total += (per * m).sum()
-            count += m.sum()
+        if member is None:
+            zero = np.zeros(b["mask"].shape)
+            heads = (zero, zero, zero, zero)
+        else:
+            heads = member.infer(b["states"], b["actions"], b["mask"])
+        for mu, lv in (heads[:2], heads[2:]):
+            head_total, head_count = nn.masked_nll_sum(mu, lv, b["returns"], b["mask"])
+            total += head_total
+            count += head_count
     return total / max(count, 1.0)
 
 
@@ -336,7 +341,11 @@ def train_return_models(trajs: list, config: ReturnModelConfig,
     """Train the K-member twin ensemble; returns (ensemble, history).
 
     ``trajs`` must carry return annotations for ``config.discount``.
-    ``history`` holds per-member, per-epoch held-out NLL curves.
+    ``history`` holds per-member, per-epoch held-out NLL curves.  Their
+    leading (untrained) entry is one value, computed once before the members
+    train: zero-initialised heads forecast mu = 0 and log-var = 0 whatever
+    the trunks compute, so every member's untrained NLL is that of zero
+    forecasts on the same validation batches, bit for bit.
     """
     train, val = split_train_val(trajs, config.val_fraction, config.seed)
     states = nn.Standardizer.fit(np.concatenate([t.states for t in train]))
@@ -359,6 +368,7 @@ def train_return_models(trajs: list, config: ReturnModelConfig,
         return b
 
     val_batches = [prep(val_source, val_returns, val_rng) for _ in range(4)]
+    untrained = _heldout_nll(None, val_batches)
 
     def train_member(k: int) -> tuple:
         mseed = mask_seeds[k]
@@ -374,8 +384,7 @@ def train_return_models(trajs: list, config: ReturnModelConfig,
                        weight_decay=config.weight_decay)
         drop_rng = np.random.default_rng(mseed + 2)
         batch_rng = np.random.default_rng(mseed + 3)
-        curve = [_heldout_nll(member.eval(), val_batches)]  # epoch 0 = untrained
-        member.train()
+        curve = [untrained]                                 # epoch 0
         for epoch in range(config.epochs):
             for it in range(config.iters_per_epoch):
                 b = prep(subset, subset_returns, batch_rng)

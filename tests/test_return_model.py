@@ -1,10 +1,11 @@
+import dataclasses
 import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from segdt import trajlog
+from segdt import return_model, trajlog
 from segdt.env import EnvConfig, ExpertConfig, norm_actions
 from segdt.nn import Standardizer
 from segdt.return_model import (
@@ -133,8 +134,10 @@ def test_zero_init_heads_predict_standard_normal():
     rng = np.random.default_rng(2)
     states, actions = rng.normal(size=(4, 12)), rng.normal(size=(4, 2))
     p = ens.predict_trajectory(states, actions)
-    assert np.allclose(p["mu_s"], 0.0) and np.allclose(p["var_s"], 1.0)
-    assert np.allclose(p["mu_a"], 0.0) and np.allclose(p["var_a"], 1.0)
+    # exactly: train_return_models scores every untrained member as zero forecasts
+    for key, want in (("mu_s", 0.0), ("var_s", 1.0), ("mu_a", 0.0), ("var_a", 1.0)):
+        assert np.array_equal(p[key], np.full((1, 4), want)), key
+        assert not np.signbit(p[key]).any(), key
 
 
 def _causality_ensemble():
@@ -196,6 +199,29 @@ def test_training_improves_heldout_nll(trained):
     for curve in history:
         assert len(curve) == TINY.epochs + 1  # leading entry is untrained
         assert curve[-1] < curve[0]
+
+
+@pytest.mark.parametrize("val_fraction", [0.0, 0.25])
+def test_untrained_nll_is_a_fresh_members(dataset, val_fraction, monkeypatch):
+    """Every curve's leading entry, computed once from zero forecasts, is bit
+    for bit the held-out NLL of that member freshly initialised, scored on
+    the same validation batches (which hold left-padded windows)."""
+    config = dataclasses.replace(TINY, epochs=1, iters_per_epoch=1, val_fraction=val_fraction)
+    seen = []
+    heldout_nll = return_model._heldout_nll
+
+    def recording(member, batches):
+        seen.append((member, batches))
+        return heldout_nll(member, batches)
+
+    monkeypatch.setattr(return_model, "_heldout_nll", recording)
+    ensemble, history = train_return_models(dataset, config)
+    batches, = [b for m, b in seen if m is None]    # the one call, before the members train
+    assert any(not b["mask"][:, 0].all() for b in batches)
+    for k, curve in enumerate(history):
+        fresh = ReturnMemberModel(config, np.random.default_rng(ensemble.mask_seeds[k] + 1))
+        want = heldout_nll(fresh.eval(), batches)
+        assert np.float64(curve[0]).tobytes() == np.float64(want).tobytes(), k
 
 
 def test_members_disagree(trained, dataset):
