@@ -42,6 +42,15 @@ nothing reads again; only leaves (``Parameter``s and ``Tensor(...,
 requires_grad=True)``) keep a ``.grad``.  The nodes and their closures stay,
 so a second ``backward()`` on the same loss adds one more gradient into the
 leaves.
+
+The training loops rebind ``loss`` (and the outputs) to the next step's
+forward, so the previous step's graph stays alive until that forward
+returns, and their resident peak is about two tapes.  For 16 iterations of
+the default-arch ``unrest`` policy at batch 64 (2-vCPU machine, BLAS at 1
+thread) that peak read 120 MB over a 69 MB base.  Freeing the old graph first
+(``del pred, loss`` at the end of each step) read 71 MB over the base, but
+the 16 iterations took 2.47 s instead of 2.17 s and 315k minor page faults
+instead of 43k, so the loops keep the two tapes.
 """
 
 from __future__ import annotations

@@ -229,6 +229,8 @@ class TargetReturnPredictor:
             curve = []
             for it in range(config.iters):
                 xs, ys = sample_batch(rng)
+                # the previous step's graph lives until this forward returns, so the
+                # peak is two tapes; autodiff's tape lifecycle says why no del frees it
                 mu, lv = member.forward(xs)
                 loss = nn.gaussian_nll(mu, lv, y(ys))
                 curve.append(loss.item())

@@ -316,6 +316,8 @@ def train_policy(segs: list, config: PolicyConfig, progress: bool = False):
             b["r_h"] = normalizer.norm_rh(b["r_h"])
             b["R"] = normalizer.norm_R(b["R_raw"])
             b["R_bounds"] = normalizer.R_bounds
+            # the previous step's graph lives until this forward returns, so the
+            # peak is two tapes; autodiff's tape lifecycle says why no del frees it
             pred = model.forward(b, drop_rng)
             loss = nn.mse_loss(pred, target, b["mask"])
             if not np.isfinite(loss.item()):

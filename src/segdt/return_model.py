@@ -388,6 +388,8 @@ def train_return_models(trajs: list, config: ReturnModelConfig,
         for epoch in range(config.epochs):
             for it in range(config.iters_per_epoch):
                 b = prep(subset, subset_returns, batch_rng)
+                # the previous step's graph lives until this forward returns, so the
+                # peak is two tapes; autodiff's tape lifecycle says why no del frees it
                 mu_s, lv_s, mu_a, lv_a = member.forward(
                     b["states"], b["actions"], b["mask"], drop_rng)
                 loss = (nn.gaussian_nll(mu_s, lv_s, b["returns"], b["mask"])

@@ -5,17 +5,20 @@ Storage is one schema-versioned columnar codec, ``write_columns`` /
 trajectory), the per-step columns flat in trajectory order, the reward terms
 as a float matrix with a presence mask over the sorted union of term names,
 and ``infractions`` and ``meta`` as one sorted-key JSON text each.  A file
-is read in one pass and every trajectory's arrays are views of its flat
-columns; every float survives the round trip bit for bit.  Segmented files
-(``segmenter``) add their own columns under their own schema version.
+is read in one pass and every trajectory's arrays, its reward-term columns
+included, are views of its flat columns; every float survives the round trip
+bit for bit.  In memory a trajectory holds its reward terms as those same
+three columns (``term_names``, ``term_values``, ``term_present``), never as
+per-step dicts: ``Trajectory.reward_terms`` is a view built on demand, which
+no library code reads.  Segmented files (``segmenter``) add their own columns
+under their own schema version.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
-from itertools import chain, compress, cycle, islice
+from itertools import chain, compress
 from operator import itemgetter
 
 import numpy as np
@@ -26,37 +29,77 @@ from .env import STATE_DIM, ACTION_DIM
 SCHEMA_VERSION = "traj-v3"
 
 
-@dataclass
 class Trajectory:
-    states: np.ndarray      # (T, 12)
-    actions: np.ndarray     # (T, 2)
-    rewards: np.ndarray     # (T,)
-    reward_terms: list      # T dicts
-    infractions: list       # T entries, str | None
-    meta: dict = field(default_factory=dict)
+    """One episode's steps: ``states`` (T, 12), ``actions`` (T, 2), ``rewards``
+    (T,), ``infractions`` (T entries, str | None) and the trajectory's ``meta``.
 
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=np.float64)
-        self.actions = np.asarray(self.actions, dtype=np.float64)
-        self.rewards = np.asarray(self.rewards, dtype=np.float64)
+    The reward terms are three columns, as in the archive: ``term_names`` (a
+    tuple of n str), ``term_values`` ((T, n) float64, 0.0 where a step lacks
+    the term) and ``term_present`` ((T, n) bool).  A trajectory is built from
+    those columns, or from ``reward_terms``, T dicts of term name to value;
+    assigning ``reward_terms`` replaces the columns.  Reading it builds the
+    dicts from the columns, in column order, on every read; no library code
+    reads it.  A value that is not a float stays in an object column until
+    ``write_columns`` rejects it.
+    """
+
+    def __init__(self, *, states, actions, rewards, infractions, meta=None, reward_terms=None,
+                 term_names=(), term_values=None, term_present=None):
+        self.states = np.asarray(states, dtype=np.float64)
+        self.actions = np.asarray(actions, dtype=np.float64)
+        self.rewards = np.asarray(rewards, dtype=np.float64)
+        self.infractions = infractions
+        self.meta = {} if meta is None else meta
+        if reward_terms is not None:
+            self.reward_terms = reward_terms
+        else:
+            self.term_names = tuple(term_names)
+            self.term_values = np.asarray(term_values)
+            self.term_present = np.asarray(term_present, dtype=bool)
         if len(self) == 0:
             raise ValueError("trajectory must contain at least one step")
-        counts = {name: len(getattr(self, name))
-                  for name in ("actions", "rewards", "reward_terms", "infractions")}
+        counts = {name: len(getattr(self, name)) for name in
+                  ("actions", "rewards", "term_values", "term_present", "infractions")}
         if set(counts.values()) != {len(self)}:
             raise ValueError(f"trajectory has {len(self)} states but per-step "
                              f"entries {counts}")
+        shape = (len(self), len(self.term_names))
+        if self.term_values.shape != shape or self.term_present.shape != shape:
+            raise ValueError(f"{len(self.term_names)} term names but term columns of shapes "
+                             f"{self.term_values.shape} and {self.term_present.shape}")
         if not np.all(np.isfinite(self.rewards)):
             raise ValueError("trajectory contains non-finite rewards")
 
     def __len__(self) -> int:
         return self.states.shape[0]
 
+    @property
+    def reward_terms(self) -> list:
+        names = self.term_names
+        return [dict(compress(zip(names, values), present)) for values, present in
+                zip(self.term_values.tolist(), self.term_present.tolist())]
 
-@dataclass
+    @reward_terms.setter
+    def reward_terms(self, rows) -> None:
+        names = tuple(dict.fromkeys(chain.from_iterable(rows)))
+        column_of = {name: j for j, name in enumerate(names)}
+        values = list(chain.from_iterable(map(dict.values, rows)))
+        step = np.repeat(np.arange(len(rows)), list(map(len, rows)))
+        column = [column_of[name] for name in chain.from_iterable(rows)]
+        floats = all(isinstance(value, float) for value in values)
+        self.term_names = names
+        self.term_values = np.zeros((len(rows), len(names)), dtype=float if floats else object)
+        self.term_values[step, column] = np.fromiter(values, dtype=self.term_values.dtype,
+                                                     count=len(values))
+        self.term_present = np.zeros((len(rows), len(names)), dtype=bool)
+        self.term_present[step, column] = True
+
+
 class ReturnAnnotatedTrajectory(Trajectory):
-    # per-step discounted returns, keyed by the discount that produced them
-    returns: dict = field(default_factory=dict)
+    def __init__(self, *, returns=None, **steps):
+        super().__init__(**steps)
+        # per-step discounted returns, keyed by the discount that produced them
+        self.returns = {} if returns is None else returns
 
     def returns_for(self, gamma: float) -> np.ndarray:
         key = _gamma_key(gamma)
@@ -74,24 +117,26 @@ def compute_returns(traj: Trajectory, gamma: float) -> ReturnAnnotatedTrajectory
 
     At ``gamma == 1`` the recursion is a reversed cumulative sum, which adds
     in the same order; ``+ 0.0`` turns a trailing ``-0.0`` into the
-    recursion's ``0.0``, so the two agree bit for bit.
+    recursion's ``0.0``, so the two agree bit for bit.  Below 1 it runs on
+    Python floats, whose arithmetic is numpy's float64 arithmetic.  The result
+    shares every other column with ``traj``.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    T = len(traj)
     if gamma == 1.0:
         R = np.cumsum(traj.rewards[::-1])[::-1] + 0.0
     else:
-        R = np.empty(T)
-        acc = 0.0
-        for t in range(T - 1, -1, -1):
-            acc = traj.rewards[t] + gamma * acc
-            R[t] = acc
+        acc, backward = 0.0, []
+        for r in reversed(traj.rewards.tolist()):
+            acc = r + gamma * acc
+            backward.append(acc)
+        R = np.array(backward[::-1])
     existing = dict(getattr(traj, "returns", {}))
     existing[_gamma_key(gamma)] = R
     return ReturnAnnotatedTrajectory(
         states=traj.states, actions=traj.actions, rewards=traj.rewards,
-        reward_terms=traj.reward_terms, infractions=traj.infractions,
+        term_names=traj.term_names, term_values=traj.term_values,
+        term_present=traj.term_present, infractions=traj.infractions,
         meta=traj.meta, returns=existing,
     )
 
@@ -128,36 +173,36 @@ def write_columns(path, schema_version: str, trajs: list, **columns) -> None:
     uncompressed npz archive at exactly ``path``.
 
     Reward-term names must be str and their values float, so that no round
-    trip changes a type.  The archive's entries carry a fixed timestamp, so
-    equal inputs give equal bytes.
+    trip changes a type.  Each trajectory's term columns go into the sorted
+    union of term names as one block.  The archive's entries carry a fixed
+    timestamp, so equal inputs give equal bytes.
     """
-    rows = [terms for t in trajs for terms in t.reward_terms]
-    names = list(chain.from_iterable(rows))
-    values = list(chain.from_iterable(map(dict.values, rows)))
-    if not (all(issubclass(kind, str) for kind in set(map(type, names)))
-            and all(issubclass(kind, float) for kind in set(map(type, values)))):
-        name, value = next((name, value) for name, value in zip(names, values)
-                           if not isinstance(name, str) or not isinstance(value, float))
-        raise ValueError(f"{path}: reward term {name!r} = {value!r}: term names must be "
-                         f"str and values float")
-    columns_of = {name: j for j, name in enumerate(sorted(set(names)))}
-    step_of = np.repeat(np.arange(len(rows)), list(map(len, rows)))
-    column = np.array([columns_of[name] for name in names], dtype=np.int64)
-    term_values = np.zeros((len(rows), len(columns_of)))
-    term_values[step_of, column] = values
-    term_present = np.zeros((len(rows), len(columns_of)), dtype=bool)
-    term_present[step_of, column] = True
+    for t in trajs:
+        if t.term_values.dtype != np.float64 or not all(isinstance(n, str) for n in t.term_names):
+            for name, value in chain.from_iterable(map(dict.items, t.reward_terms)):
+                if not isinstance(name, str) or not isinstance(value, float):
+                    raise ValueError(f"{path}: reward term {name!r} = {value!r}: term names "
+                                     f"must be str and values float")
+    names = sorted(set(chain.from_iterable(t.term_names for t in trajs)))
+    column_of = {name: j for j, name in enumerate(names)}
+    lengths = np.array([len(t) for t in trajs], dtype=np.int64)
+    term_values = np.zeros((int(lengths.sum()), len(names)))
+    term_present = np.zeros(term_values.shape, dtype=bool)
+    for t, end in zip(trajs, np.cumsum(lengths).tolist()):
+        block = (slice(end - len(t), end), [column_of[name] for name in t.term_names])
+        term_values[block] = t.term_values
+        term_present[block] = t.term_present
     with open(path, "wb") as fh:   # a file handle: savez appends no .npz suffix
         np.savez(
             fh,
             schema_version=np.array(schema_version),
-            lengths=np.array([len(t) for t in trajs], dtype=np.int64),
+            lengths=lengths,
             states=concat_steps([t.states for t in trajs], shape=(STATE_DIM,)),
             actions=concat_steps([t.actions for t in trajs], shape=(ACTION_DIM,)),
             rewards=concat_steps([t.rewards for t in trajs]),
             term_values=term_values,
             term_present=term_present,
-            term_names=np.array(list(columns_of), dtype=str),
+            term_names=np.array(names, dtype=str),
             infractions=_json_bytes([t.infractions for t in trajs]),
             meta=_json_bytes([t.meta for t in trajs]),
             **columns,
@@ -182,11 +227,12 @@ def _read_archive(path) -> dict:
 def read_columns(path, schema_version: str, step_keys=(), other_keys=()) -> tuple:
     """Read a file written by ``write_columns``.
 
-    Returns the trajectories, whose step arrays are views of the archive's
-    flat columns, and a dict of the caller's columns: each of ``step_keys``
-    (flat one-dimensional step columns) as per-trajectory views, each of
-    ``other_keys`` as stored.  The archive must hold exactly these members,
-    and every step column must have as many rows as ``lengths`` sums to.
+    Returns the trajectories, whose step arrays and reward-term columns are
+    views of the archive's flat columns, and a dict of the caller's columns:
+    each of ``step_keys`` (flat one-dimensional step columns) as
+    per-trajectory views, each of ``other_keys`` as stored.  The archive
+    must hold exactly these members, and every step column must have as many
+    rows as ``lengths`` sums to.
     """
     arrays = _read_archive(path)
     found = str(arrays["schema_version"]) if "schema_version" in arrays else None
@@ -212,17 +258,14 @@ def read_columns(path, schema_version: str, step_keys=(), other_keys=()) -> tupl
         raise ValueError(f"{path}: lengths {lengths.tolist()} disagree with "
                          f"{len(metas)} meta records and infraction counts "
                          f"{[len(x) for x in infs]}")
-    names = arrays["term_names"].tolist()
-    # one flat stream of (name, value) pairs, cut into each step's dict
-    present = arrays["term_present"]
-    named = compress(zip(cycle(names), arrays["term_values"].ravel().tolist()),
-                     present.ravel().tolist())
-    terms = [dict(islice(named, count)) for count in present.sum(axis=1).tolist()]
     ends = np.cumsum(lengths).tolist()
     spans = [(end - T, end) for T, end in zip(lengths.tolist(), ends)]
     states, actions, rewards = arrays["states"], arrays["actions"], arrays["rewards"]
+    names, values, present = (tuple(arrays["term_names"].tolist()), arrays["term_values"],
+                              arrays["term_present"])
     trajs = [Trajectory(states=states[a:b], actions=actions[a:b], rewards=rewards[a:b],
-                        reward_terms=terms[a:b], infractions=inf, meta=meta)
+                        term_names=names, term_values=values[a:b], term_present=present[a:b],
+                        infractions=inf, meta=meta)
              for (a, b), inf, meta in zip(spans, infs, metas)]
     columns = {key: [arrays[key][a:b] for a, b in spans] for key in step_keys}
     columns.update({key: arrays[key] for key in other_keys})
@@ -304,7 +347,9 @@ def collect_dataset(env_config, expert_config, episodes: int, base_seed: int = 0
     An episode is a function of its seed alone (its own env, expert and
     expert reseed), so the episodes run over ``nn.map_chunks``' workers and
     come back in seed order, bitwise as a serial loop makes them.  A worker
-    sends the reward terms back as one float matrix, not as per-step dicts.
+    sends the reward terms back as one float matrix, which its trajectory
+    keeps as ``term_values`` under the env's term order; no per-step dict is
+    built.
     """
     from .env import ENV_VERSION, EXPERT_VERSION, REWARD_TERMS, HighwayEnv, RuleExpert
 
@@ -339,6 +384,6 @@ def collect_dataset(env_config, expert_config, episodes: int, base_seed: int = 0
         return np.array(states), np.array(actions), np.array(rewards), np.array(terms), infs, meta
 
     return [Trajectory(states=states, actions=actions, rewards=rewards, infractions=infs,
-                       reward_terms=[dict(zip(REWARD_TERMS, row)) for row in terms.tolist()],
-                       meta=meta)
+                       term_names=REWARD_TERMS, term_values=terms,
+                       term_present=np.ones(terms.shape, dtype=bool), meta=meta)
             for states, actions, rewards, terms, infs, meta in nn.map_chunks(episode, episodes)]

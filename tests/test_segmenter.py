@@ -369,6 +369,23 @@ def test_pooled_segmentation_raises_the_lowest_failing_trajectory(episodes, monk
         assert multiprocessing.active_children() == []
 
 
+def test_pipeline_builds_no_reward_term_dicts(monkeypatch, tmp_path):
+    """Collecting, saving, loading, annotating, segmenting and saving again
+    never reads the per-step ``reward_terms`` view."""
+    def built(traj):
+        raise AssertionError("per-step reward-term dicts were built")
+
+    monkeypatch.setattr(trajlog.Trajectory, "reward_terms", property(built))
+    _cpus(monkeypatch, 1)
+    trajlog.save(trajlog.collect_dataset(EnvConfig(delta=0.1), ExpertConfig(), episodes=3,
+                                         base_seed=40), tmp_path / "d.npz")
+    trajs = trajlog.annotate_dataset(trajlog.load(tmp_path / "d.npz"))
+    segs = segment_dataset(trajs, random_ensemble(), 0.1, c=3)
+    save_segmented(segs, tmp_path / "s.npz")
+    save_segmented(load_segmented(tmp_path / "s.npz"), tmp_path / "again.npz")
+    assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "s.npz").read_bytes()
+
+
 # -- persistence ------------------------------------------------------------
 
 

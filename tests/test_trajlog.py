@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 import math
 import multiprocessing
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from scipy import stats
 
 from segdt import trajlog
 from segdt.env import EnvConfig, ExpertConfig
-from segdt.segmenter import UncertaintyTrace, relabel, save_segmented, segment
+from segdt.segmenter import (
+    UncertaintyTrace, load_segmented, relabel, save_segmented, segment,
+)
 
 
 def make_traj(rewards, seed=0):
@@ -137,6 +141,16 @@ def test_collected_returns_equal_the_recursion_bitwise(small_dataset):
     for traj in small_dataset:
         R = trajlog.compute_returns(traj, 1.0).returns_for(1.0)
         assert R.tobytes() == recursive_returns(traj.rewards, 1.0).tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.95, 0.5, 0.999])
+def test_discounted_returns_equal_the_recursion_bitwise(small_dataset, gamma):
+    rng = np.random.default_rng(2)
+    for rewards in [t.rewards for t in small_dataset] + [
+            rng.normal(size=200) * 1e3, np.array([1.5, -2.0, -0.0]), np.array([-0.0])]:
+        R = trajlog.compute_returns(make_traj(rewards), gamma).returns_for(gamma)
+        assert R.dtype == np.float64 and R.flags.c_contiguous
+        assert R.tobytes() == recursive_returns(rewards, gamma).tobytes()
 
 
 def test_pooled_collection_matches_serial_bitwise(monkeypatch, tmp_path):
@@ -339,6 +353,92 @@ def test_file_format_pinned(tmp_path):
         "9b7c882b2338770c7027eff5477e95808d96b0836d1e9abe2e22892b348f5cee",
         "0ab1b19a92b122bcc605111a1e3b387a205d7c38517872e1380a2dc8e2f103ca",
     ]
+
+
+def hand_built_trajectories():
+    """Terms that only some steps carry, empty dicts, -0.0 and 2.5e-17."""
+    terms = [[{"r_speed": -0.0, "r_lane": 2.5e-17}, {}, {"r_speed": 1 / 3, "r_terminal": -10.0}],
+             [{"r_new": -1e-300}, {"r_speed": 0.0}], [{}]]
+    return [trajlog.Trajectory(
+        states=np.arange(len(rows) * 12).reshape(len(rows), 12) / 7.0 - 3.0,
+        actions=np.arange(len(rows) * 2).reshape(len(rows), 2) * 0.3 - 0.5,
+        rewards=np.array([-0.0, 2.5e-17, 0.5][:len(rows)]),
+        reward_terms=rows, infractions=[None] * (len(rows) - 1) + ["collision"],
+        meta={"seed": k}) for k, rows in enumerate(terms)]
+
+
+def test_hand_built_terms_pinned(tmp_path):
+    """The bytes of an archive of partly present, empty and signed-zero terms,
+    written from dicts and again from the loaded columns, pinned by sha256."""
+    trajlog.save(hand_built_trajectories(), tmp_path / "h.npz")
+    trajlog.save(trajlog.load(tmp_path / "h.npz"), tmp_path / "again.npz")
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("h.npz", "again.npz")]
+    assert digests == ["a3987cb4a8885ae51e3a7b41cca3ead1ccb820082ba5df005864ac64aa73f0f9"] * 2
+
+
+def test_term_columns_in_first_seen_then_sorted_order(tmp_path):
+    trajs = hand_built_trajectories()
+    # names in first-seen order, 0.0 where a step lacks a term
+    assert trajs[0].term_names == ("r_speed", "r_lane", "r_terminal")
+    assert trajs[0].term_values.tolist() == [[-0.0, 2.5e-17, 0.0], [0.0, 0.0, 0.0],
+                                             [1 / 3, 0.0, -10.0]]
+    assert trajs[2].term_names == () and trajs[2].term_values.shape == (1, 0)
+    # loaded: the file's sorted union of names
+    trajlog.save(trajs, tmp_path / "h.npz")
+    loaded = trajlog.load(tmp_path / "h.npz")
+    names = ("r_lane", "r_new", "r_speed", "r_terminal")
+    assert all(t.term_names == names for t in loaded)
+    assert list(loaded[0].reward_terms[2]) == ["r_speed", "r_terminal"]
+    assert loaded[1].term_present.tolist() == [[False, True, False, False],
+                                               [False, False, True, False]]
+
+
+def held_bytes_per_step(read, path) -> float:
+    """Bytes that ``read(path)``'s result holds per step, under tracemalloc."""
+    read(path)   # first-call caches are not the result's
+    tracemalloc.start()
+    try:
+        out = read(path)
+        gc.collect()   # the npz header parser leaves reference cycles behind
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return held / sum(len(getattr(x, "traj", x)) for x in out)
+
+
+def test_loaded_trajectories_hold_at_most_250_bytes_a_step(small_dataset, tmp_path):
+    # the step columns take 173 B a step; per-step term dicts made it about 400
+    trajlog.save(small_dataset, tmp_path / "d.npz")
+    assert held_bytes_per_step(trajlog.load, tmp_path / "d.npz") <= 250
+
+
+def segmented(trajs, seed=0) -> list:
+    rng = np.random.default_rng(seed)
+    traces = [UncertaintyTrace(u=rng.uniform(0, 2, size=len(t)), epsilon=1.0) for t in trajs]
+    return [relabel(t, trace, segment(trace, 3)) for t, trace in zip(trajs, traces)]
+
+
+def test_loaded_segmented_trajectories_hold_at_most_300_bytes_a_step(small_dataset, tmp_path):
+    save_segmented(segmented(small_dataset), tmp_path / "s.npz")
+    assert held_bytes_per_step(load_segmented, tmp_path / "s.npz") <= 300
+
+
+def test_term_columns_are_views_of_the_archive(small_dataset, tmp_path, monkeypatch):
+    read, archives = trajlog._read_archive, []
+    monkeypatch.setattr(trajlog, "_read_archive",
+                        lambda path: archives.append(read(path)) or archives[-1])
+    trajlog.save(small_dataset, tmp_path / "d.npz")
+    loaded = trajlog.load(tmp_path / "d.npz")
+    for name in ("term_values", "term_present"):
+        assert all(np.shares_memory(getattr(t, name), archives[0][name]) for t in loaded)
+    # annotating passes the columns on uncopied
+    for t, a in zip(loaded, trajlog.annotate_dataset(loaded, gammas=(0.5, 1.0))):
+        assert (a.term_names is t.term_names and a.term_values is t.term_values
+                and a.term_present is t.term_present)
+    save_segmented(segmented(loaded), tmp_path / "s.npz")
+    for seg in load_segmented(tmp_path / "s.npz"):
+        assert np.shares_memory(seg.traj.term_values, archives[1]["term_values"])
 
 
 def test_schema_version_mismatch(small_dataset, tmp_path):
