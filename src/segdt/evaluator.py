@@ -265,8 +265,8 @@ def calibrate(ensemble, trajs: list, gamma: float = 0.95, forecasts=None) -> dic
          "rmse": float(np.sqrt(((y - mu_m[k]) ** 2).mean()))}
         for k in range(mu_m.shape[0])]
     within = np.abs(y - mu_e) <= np.sqrt(var_e)
-    member_ll = -_gaussian_nll_full(y, mu_m, var_m)          # (K, N)
-    mixture_nll = float(-(logsumexp(member_ll, axis=0)
+    ll_by_member = -_gaussian_nll_full(y, mu_m, var_m)          # (K, N)
+    mixture_nll = float(-(logsumexp(ll_by_member, axis=0)
                           - np.log(mu_m.shape[0])).mean())
     return {
         "ensemble": {"nll": mixture_nll,

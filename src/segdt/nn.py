@@ -6,7 +6,7 @@ by variance heads, ``Standardizer``, which z-scores every raw input and
 target the networks see, ``map_members``, which trains independent ensemble
 members in parallel worker processes, ``map_chunks``, which spreads the data
 path's per-episode and per-trajectory loops (collect, segment, calibrate)
-over the same pool, and checkpoint (de)serialization.
+over the same pool, and checkpoint IO.
 Each layer is written once, as ``run(ops, ...)`` over one of two op sets:
 ``TAPE`` runs it on ``Tensor``s and records the tape for training (the
 layer's ``__call__``), and ``ARRAY`` runs it on plain ndarrays with no tape
@@ -22,22 +22,23 @@ rows, with the bits, gradients and rng draws of the every-row call.
 layers pad their input gradient back to every row (``rows`` of
 ``autodiff.linear``), and ``CausalTransformer._last_rows`` sends a
 single-row read through every row.
-Checkpoints are JSON with raw little-endian float64 parameter bytes in
-base64, so a save/load round trip is bitwise exact.
+A checkpoint is one ``archive`` container: each parameter a float64 array
+entry, and the config and normalizers in one JSON ``meta`` entry, so a
+save/load round trip is bitwise exact.
 """
 
 from __future__ import annotations
 
-import base64
 import functools
-import json
 import multiprocessing
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
+from . import archive
 from .autodiff import (Tensor, ShapeError, affine_layernorm, concat, gelu, layernorm,
                        linear, masked_softmax, scaled_softmax)
 
@@ -554,16 +555,16 @@ class AdamW:
 # Ensemble members in parallel
 # ---------------------------------------------------------------------------
 
-_member_fn = None  # set in each worker process, never in the caller
+_task_fn = None  # set in each worker process, never in the caller
 
 
-def _install_member_fn(fn):
-    global _member_fn
-    _member_fn = fn
+def _install_task_fn(fn):
+    global _task_fn
+    _task_fn = fn
 
 
 def _call_member(k: int):
-    return _member_fn(k)
+    return _task_fn(k)
 
 
 def pool_workers(n: int) -> int:
@@ -589,7 +590,7 @@ def map_members(fn, n: int) -> list:
     if workers <= 1:
         return [fn(k) for k in range(n)]
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_install_member_fn, initargs=(fn,))
+                               initializer=_install_task_fn, initargs=(fn,))
     try:
         futures = [pool.submit(_call_member, k) for k in range(n)]
         return [f.result() for f in futures]
@@ -618,58 +619,43 @@ def map_chunks(fn, n: int) -> list:
 # Checkpoint IO
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = "segdt-ckpt-1"
+
+def _prefixed(modules: dict):
+    return ((prefix + name, p) for prefix, module in modules.items()
+            for name, p in module.named_parameters())
 
 
-def _encode_array(arr: np.ndarray) -> dict:
-    data = np.ascontiguousarray(arr, dtype=np.float64)
-    return {
-        "shape": list(data.shape),
-        "dtype": "float64",
-        "data": base64.b64encode(data.tobytes()).decode("ascii"),
-    }
+def save_checkpoint(path, tag: str, meta: dict, modules: dict) -> None:
+    """Write the JSON ``meta`` and the parameters of ``modules``, which maps a
+    prefix to a module, as one ``archive`` at ``path``, creating its
+    directory: parameter ``name`` is the float64 entry ``prefix + name``."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    archive.write(path, tag, meta=meta, **{name: p.data for name, p in _prefixed(modules)})
 
 
-def _decode_array(entry: dict) -> np.ndarray:
-    raw = base64.b64decode(entry["data"])
-    arr = np.frombuffer(raw, dtype=np.float64).copy()
-    return arr.reshape(entry["shape"])
+def load_checkpoint(path, tag: str, build):
+    """The object ``build(meta)`` makes from a ``save_checkpoint`` archive.
+
+    ``build`` returns ``(obj, modules)``: the object, made from the meta
+    alone, and its modules keyed by prefix as saved, which receive the
+    stored parameters; these must be exactly theirs, each at its shape.
+    """
+    built = {}
+
+    def layout(entries: dict) -> dict:
+        built["obj"], built["modules"] = build(entries["meta"])
+        return {name: (p.data.shape, np.float64) for name, p in _prefixed(built["modules"])}
+
+    entries = archive.read(path, tag, layout, json_entries=("meta",))
+    for name, p in _prefixed(built["modules"]):
+        p.data[...] = entries[name]
+    return built["obj"]
 
 
-def save_checkpoint(path, module: Module, arch: dict, config: dict | None = None,
-                    extras: dict | None = None):
-    """Write a self-describing checkpoint: architecture, params, config."""
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "arch": arch,
-        "config": config or {},
-        "extras": extras or {},  # JSON-serializable metadata (floats stay exact)
-        "params": {name: _encode_array(p.data) for name, p in module.named_parameters()},
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-
-
-def read_json(path, what: str):
-    """The JSON document in ``path``; a cut or corrupt one raises a
-    ``ValueError`` that names the file and says it held ``what``."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: cut or corrupt {what} ({exc})") from None
-
-
-def load_checkpoint(path) -> dict:
-    payload = read_json(path, "checkpoint")
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"{path}: checkpoint format mismatch: expected {CHECKPOINT_FORMAT!r}, "
-            f"found {payload.get('format')!r}"
-        )
-    try:
-        payload["params"] = {k: _decode_array(v) for k, v in payload["params"].items()}
-    except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint misses the entry {exc}") from None
-    payload.setdefault("extras", {})
-    return payload
+def checkpoint_in(directory, name: str) -> Path:
+    """The archive ``name`` in a model ``directory``; a directory without it
+    holds an earlier format (one file per member)."""
+    path = Path(directory) / name
+    if Path(directory).is_dir() and not path.exists():
+        raise ValueError(f"{directory}: holds no {name}; {archive.REMAKE}")
+    return path

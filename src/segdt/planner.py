@@ -17,9 +17,7 @@ Three pieces cooperate at every step of a rollout:
 from __future__ import annotations
 
 import bisect
-import json
 import logging
-import zipfile
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -27,7 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import ndtri
 
-from . import nn
+from . import archive, nn
 from .env import STATE_DIM
 from .nn import TrainingDiverged
 from .policy import PolicyStep
@@ -82,19 +80,25 @@ class KdUncertaintyIndex:
             raise ValueError("states and uncertainty traces are misaligned")
         return cls(states, values, k=k, epsilon=epsilon)
 
+    SCHEMA_VERSION = "kd-index-v1"
+
     def save(self, path) -> None:
-        np.savez(path, states=self._states, values=self._values,
-                 k=self.k, epsilon=self.epsilon)
+        archive.write(path, self.SCHEMA_VERSION, states=self._states, values=self._values,
+                      meta={"k": self.k, "epsilon": self.epsilon})
 
     @classmethod
     def load(cls, path) -> "KdUncertaintyIndex":
-        try:
-            with np.load(path) as z:
-                states, values, k, eps = z["states"], z["values"], z["k"], z["epsilon"]
-        except (EOFError, KeyError, zipfile.BadZipFile) as exc:
-            raise ValueError(f"{path}: cut or corrupt index archive "
-                             f"({type(exc).__name__}: {exc})") from None
-        return cls(states, values, k=int(k), epsilon=float(eps))
+        settings = {}
+
+        def layout(entries: dict) -> dict:
+            settings.update(k=entries["meta"]["k"], epsilon=entries["meta"]["epsilon"])
+            return {"states": ((None, STATE_DIM), np.float64), "values": ((None,), np.float64)}
+
+        entries = archive.read(path, cls.SCHEMA_VERSION, layout, json_entries=("meta",))
+        states, values = entries["states"], entries["values"]
+        if len(states) != len(values) or len(values) == 0:
+            raise ValueError(f"{path}: {len(states)} states vs {len(values)} values")
+        return cls(states, values, **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -252,34 +256,29 @@ class TargetReturnPredictor:
 
     # -- persistence -------------------------------------------------------
 
+    SCHEMA_VERSION = "target-predictor-v1"
+    FILE = "predictor.npz"
+
     def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "kind": "target-predictor",
-            "config": self.config.to_dict(),
-            **self.states.to_dict("state"), **self.y.to_dict("y"),
-        }
-        (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-        for k, m in enumerate(self.members):
-            nn.save_checkpoint(directory / f"member_{k}.json", m,
-                               arch={"role": "target-mlp", "index": k})
+        """``FILE`` in ``directory``: member k's parameters prefixed ``k.``."""
+        nn.save_checkpoint(
+            Path(directory) / self.FILE, self.SCHEMA_VERSION,
+            {"config": self.config.to_dict(),
+             **self.states.to_dict("state"), **self.y.to_dict("y")},
+            {f"{k}.": m for k, m in enumerate(self.members)})
 
     @classmethod
     def load(cls, directory) -> "TargetReturnPredictor":
-        directory = Path(directory)
-        manifest = nn.read_json(directory / "manifest.json", "predictor manifest")
-        if manifest.get("kind") != "target-predictor":
-            raise ValueError(f"{directory}: not a target-predictor checkpoint")
-        config = TargetPredictorConfig(**manifest["config"])
-        members = []
-        for k in range(config.ensemble_size):
-            payload = nn.load_checkpoint(directory / f"member_{k}.json")
-            m = _TargetMlp(config, np.random.default_rng(0))
-            m.load_state_dict(payload["params"])
-            members.append(m)
-        return cls(config, members, nn.Standardizer.from_dict(manifest, "state"),
-                   nn.Standardizer.from_dict(manifest, "y"))
+        def build(meta: dict) -> tuple:
+            config = TargetPredictorConfig(**meta["config"])
+            predictor = cls(config, [_TargetMlp(config, np.random.default_rng(0))
+                                     for _ in range(config.ensemble_size)],
+                            nn.Standardizer.from_dict(meta, "state"),
+                            nn.Standardizer.from_dict(meta, "y"))
+            return predictor, {f"{k}.": m for k, m in enumerate(predictor.members)}
+
+        return nn.load_checkpoint(nn.checkpoint_in(directory, cls.FILE), cls.SCHEMA_VERSION,
+                                  build)
 
 
 # ---------------------------------------------------------------------------

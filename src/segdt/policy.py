@@ -217,7 +217,7 @@ class SequencePolicyModel(nn.Module):
 class Policy:
     """Trained policy bundle: model + config + normalization, ready to act."""
 
-    CHECKPOINT_ARCH = "sequence-policy"
+    SCHEMA_VERSION = "policy-v1"
 
     def __init__(self, model: SequencePolicyModel, config: PolicyConfig,
                  normalizer: PolicyNormalizer):
@@ -260,22 +260,20 @@ class Policy:
     # -- persistence -------------------------------------------------------
 
     def save(self, path) -> None:
-        nn.save_checkpoint(
-            path, self.model,
-            arch={"family": self.CHECKPOINT_ARCH, "kind": self.kind},
-            config=self.config.to_dict(),
-            extras={"normalizer": self.normalizer.to_dict()},
-        )
+        nn.save_checkpoint(path, self.SCHEMA_VERSION,
+                           {"config": self.config.to_dict(),
+                            "normalizer": self.normalizer.to_dict()},
+                           {"": self.model})
 
     @classmethod
     def load(cls, path) -> "Policy":
-        payload = nn.load_checkpoint(path)
-        if payload["arch"].get("family") != cls.CHECKPOINT_ARCH:
-            raise ValueError(f"{path}: not a {cls.CHECKPOINT_ARCH} checkpoint")
-        config = PolicyConfig(**payload["config"])
-        model = SequencePolicyModel(config, np.random.default_rng(0))
-        model.load_state_dict(payload["params"])
-        return cls(model, config, PolicyNormalizer.from_dict(payload["extras"]["normalizer"]))
+        def build(meta: dict) -> tuple:
+            config = PolicyConfig(**meta["config"])
+            policy = cls(SequencePolicyModel(config, np.random.default_rng(0)), config,
+                         PolicyNormalizer.from_dict(meta["normalizer"]))
+            return policy, {"": policy.model}
+
+        return nn.load_checkpoint(path, cls.SCHEMA_VERSION, build)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ the last block's rows no head reads and returns the same bits as
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -260,40 +258,29 @@ class ReturnEnsemble:
 
     # -- persistence -------------------------------------------------------
 
+    SCHEMA_VERSION = "return-ensemble-v1"
+    FILE = "ensemble.npz"
+
     def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        cfg = self.config.to_dict()
-        manifest = {
-            "kind": "return-ensemble",
-            "ensemble_size": self.size,
-            "mask_seeds": self.mask_seeds,
-            "config": cfg,
-            "config_hash": hashlib.sha256(
-                json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
-            "normalizer": {**self.states.to_dict("state"), **self.returns.to_dict("ret")},
-        }
-        (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-        for k, member in enumerate(self.members):
-            nn.save_checkpoint(directory / f"member_{k}.json", member,
-                               arch={"role": "return-pair", "index": k}, config=cfg)
+        """``FILE`` in ``directory``: member k's parameters prefixed ``k.``."""
+        nn.save_checkpoint(
+            Path(directory) / self.FILE, self.SCHEMA_VERSION,
+            {"config": self.config.to_dict(), "mask_seeds": self.mask_seeds,
+             "normalizer": {**self.states.to_dict("state"), **self.returns.to_dict("ret")}},
+            {f"{k}.": member for k, member in enumerate(self.members)})
 
     @classmethod
     def load(cls, directory) -> "ReturnEnsemble":
-        directory = Path(directory)
-        manifest = nn.read_json(directory / "manifest.json", "ensemble manifest")
-        if manifest.get("kind") != "return-ensemble":
-            raise ValueError(f"{directory}: not a return-ensemble checkpoint")
-        config = ReturnModelConfig(**manifest["config"])
-        members = []
-        for k in range(manifest["ensemble_size"]):
-            payload = nn.load_checkpoint(directory / f"member_{k}.json")
-            member = ReturnMemberModel(config, np.random.default_rng(0))
-            member.load_state_dict(payload["params"])
-            members.append(member)
-        nrm = manifest["normalizer"]
-        return cls(config, members, nn.Standardizer.from_dict(nrm, "state"),
-                   nn.Standardizer.from_dict(nrm, "ret"), manifest["mask_seeds"])
+        def build(meta: dict) -> tuple:
+            config, nrm = ReturnModelConfig(**meta["config"]), meta["normalizer"]
+            ensemble = cls(config, [ReturnMemberModel(config, np.random.default_rng(0))
+                                    for _ in meta["mask_seeds"]],
+                           nn.Standardizer.from_dict(nrm, "state"),
+                           nn.Standardizer.from_dict(nrm, "ret"), meta["mask_seeds"])
+            return ensemble, {f"{k}.": m for k, m in enumerate(ensemble.members)}
+
+        return nn.load_checkpoint(nn.checkpoint_in(directory, cls.FILE), cls.SCHEMA_VERSION,
+                                  build)
 
 
 # ---------------------------------------------------------------------------

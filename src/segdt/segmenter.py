@@ -211,8 +211,11 @@ def save_segmented(segs: list, path) -> None:
 
 
 def load_segmented(path) -> list:
-    trajs, cols = trajlog.read_columns(path, SEGMENT_SCHEMA_VERSION, step_keys=("u", "h", "r_h"),
-                                       other_keys=("epsilon", "part_counts", "parts"))
+    trajs, cols = trajlog.read_columns(
+        path, SEGMENT_SCHEMA_VERSION,
+        step_columns={"u": np.float64, "h": np.int64, "r_h": np.float64},
+        other_columns={"epsilon": ((None,), np.float64), "part_counts": ((None,), np.int64),
+                       "parts": ((None, 3), np.int64)})
     counts = cols["part_counts"]
     if (cols["epsilon"].shape != (len(trajs),) or counts.shape != (len(trajs),)
             or cols["parts"].shape != (int(counts.sum()), 3)):

@@ -1,7 +1,7 @@
 """Trajectory persistence, return annotation, and window sampling.
 
 Storage is one schema-versioned columnar codec, ``write_columns`` /
-``read_columns``: an uncompressed npz archive holding ``lengths`` (steps per
+``read_columns``, in the one ``archive`` container: ``lengths`` (steps per
 trajectory), the per-step columns flat in trajectory order, the reward terms
 as a float matrix with a presence mask over the sorted union of term names,
 and ``infractions`` and ``meta`` as one sorted-key JSON text each.  A file
@@ -16,14 +16,12 @@ under their own schema version.
 
 from __future__ import annotations
 
-import json
-import zipfile
 from itertools import chain, compress
 from operator import itemgetter
 
 import numpy as np
 
-from . import nn
+from . import archive, nn
 from .env import STATE_DIM, ACTION_DIM
 
 SCHEMA_VERSION = "traj-v3"
@@ -152,9 +150,18 @@ def annotate_dataset(trajs: list, gammas=(0.95, 1.0)) -> list:
 # Persistence
 # ---------------------------------------------------------------------------
 
-# the members every file holds, before a caller's own columns
+# every file's entries, before a caller's own columns: (shape, dtype), with
+# None for the step count and the number of term names
+_LAYOUT = {
+    "lengths": ((None,), np.int64),
+    "states": ((None, STATE_DIM), np.float64),
+    "actions": ((None, ACTION_DIM), np.float64),
+    "rewards": ((None,), np.float64),
+    "term_values": ((None, None), np.float64),
+    "term_present": ((None, None), bool),
+    "term_names": ((None,), str),
+}
 _STEP_MEMBERS = ("states", "actions", "rewards", "term_values", "term_present")
-_MEMBERS = ("schema_version", "lengths", *_STEP_MEMBERS, "term_names", "infractions", "meta")
 
 
 def concat_steps(per_traj, dtype=np.float64, shape=()) -> np.ndarray:
@@ -163,19 +170,13 @@ def concat_steps(per_traj, dtype=np.float64, shape=()) -> np.ndarray:
     return np.concatenate([np.empty((0, *shape), dtype=dtype), *per_traj], dtype=dtype)
 
 
-def _json_bytes(obj) -> np.ndarray:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return np.frombuffer(text.encode(), dtype=np.uint8)
-
-
 def write_columns(path, schema_version: str, trajs: list, **columns) -> None:
     """Write ``trajs``, plus a caller's own named ``columns``, as one
-    uncompressed npz archive at exactly ``path``.
+    ``archive`` at exactly ``path``.
 
     Reward-term names must be str and their values float, so that no round
     trip changes a type.  Each trajectory's term columns go into the sorted
-    union of term names as one block.  The archive's entries carry a fixed
-    timestamp, so equal inputs give equal bytes.
+    union of term names as one block.
     """
     for t in trajs:
         if t.term_values.dtype != np.float64 or not all(isinstance(n, str) for n in t.term_names):
@@ -192,68 +193,48 @@ def write_columns(path, schema_version: str, trajs: list, **columns) -> None:
         block = (slice(end - len(t), end), [column_of[name] for name in t.term_names])
         term_values[block] = t.term_values
         term_present[block] = t.term_present
-    with open(path, "wb") as fh:   # a file handle: savez appends no .npz suffix
-        np.savez(
-            fh,
-            schema_version=np.array(schema_version),
-            lengths=lengths,
-            states=concat_steps([t.states for t in trajs], shape=(STATE_DIM,)),
-            actions=concat_steps([t.actions for t in trajs], shape=(ACTION_DIM,)),
-            rewards=concat_steps([t.rewards for t in trajs]),
-            term_values=term_values,
-            term_present=term_present,
-            term_names=np.array(names, dtype=str),
-            infractions=_json_bytes([t.infractions for t in trajs]),
-            meta=_json_bytes([t.meta for t in trajs]),
-            **columns,
-        )
+    archive.write(
+        path, schema_version,
+        lengths=lengths,
+        states=concat_steps([t.states for t in trajs], shape=(STATE_DIM,)),
+        actions=concat_steps([t.actions for t in trajs], shape=(ACTION_DIM,)),
+        rewards=concat_steps([t.rewards for t in trajs]),
+        term_values=term_values,
+        term_present=term_present,
+        term_names=np.array(names, dtype=str),
+        infractions=[t.infractions for t in trajs],
+        meta=[t.meta for t in trajs],
+        **columns,
+    )
 
 
-def _read_archive(path) -> dict:
-    """Every member of the npz archive at ``path``, each read once."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != b"PK\x03\x04":
-            raise ValueError(f"{path}: not an npz archive; files of an earlier format "
-                             f"must be collected and segmented again")
-        fh.seek(0)
-        try:
-            with np.load(fh, allow_pickle=False) as archive:
-                return {name: archive[name] for name in archive.files}
-        except (EOFError, ValueError, zipfile.BadZipFile) as exc:
-            raise ValueError(f"{path}: cut or corrupt archive "
-                             f"({type(exc).__name__}: {exc})") from None
-
-
-def read_columns(path, schema_version: str, step_keys=(), other_keys=()) -> tuple:
+def read_columns(path, schema_version: str, step_columns=None, other_columns=None) -> tuple:
     """Read a file written by ``write_columns``.
 
     Returns the trajectories, whose step arrays and reward-term columns are
     views of the archive's flat columns, and a dict of the caller's columns:
-    each of ``step_keys`` (flat one-dimensional step columns) as
-    per-trajectory views, each of ``other_keys`` as stored.  The archive
-    must hold exactly these members, and every step column must have as many
+    each of ``step_columns`` (name to dtype; flat one-dimensional step
+    columns) as per-trajectory views, each of ``other_columns`` (name to
+    (shape, dtype), as ``archive.read`` takes them) as stored.  The archive
+    must hold exactly these entries, and every step column must have as many
     rows as ``lengths`` sums to.
     """
-    arrays = _read_archive(path)
-    found = str(arrays["schema_version"]) if "schema_version" in arrays else None
-    if found != schema_version:
-        raise ValueError(f"{path}: schema version mismatch: expected "
-                         f"{schema_version!r}, found {found!r}")
-    expected = {*_MEMBERS, *step_keys, *other_keys}
-    if set(arrays) != expected:
-        raise ValueError(f"{path}: missing members {sorted(expected - set(arrays))}, "
-                         f"unexpected members {sorted(set(arrays) - expected)}")
+    step_columns, other_columns = step_columns or {}, other_columns or {}
+    arrays = archive.read(
+        path, schema_version,
+        {**_LAYOUT, **{key: ((None,), dtype) for key, dtype in step_columns.items()},
+         **other_columns},
+        json_entries=("infractions", "meta"))
     lengths = arrays["lengths"]
     steps, n_names = int(lengths.sum()), len(arrays["term_names"])
-    shapes = {key: arrays[key].shape for key in (*_STEP_MEMBERS, *step_keys)}
+    shapes = {key: arrays[key].shape for key in (*_STEP_MEMBERS, *step_columns)}
     wanted = {"states": (steps, STATE_DIM), "actions": (steps, ACTION_DIM), "rewards": (steps,),
               "term_values": (steps, n_names), "term_present": (steps, n_names),
-              **{key: (steps,) for key in step_keys}}
-    if lengths.ndim != 1 or np.any(lengths < 1) or shapes != wanted:
+              **{key: (steps,) for key in step_columns}}
+    if np.any(lengths < 1) or shapes != wanted:
         raise ValueError(f"{path}: lengths sum to {steps} steps over {lengths.size} "
                          f"trajectories, stored step columns have shapes {shapes}")
-    metas = json.loads(arrays["meta"].tobytes())
-    infs = json.loads(arrays["infractions"].tobytes())
+    metas, infs = arrays["meta"], arrays["infractions"]
     if len(metas) != len(lengths) or [len(x) for x in infs] != lengths.tolist():
         raise ValueError(f"{path}: lengths {lengths.tolist()} disagree with "
                          f"{len(metas)} meta records and infraction counts "
@@ -267,8 +248,8 @@ def read_columns(path, schema_version: str, step_keys=(), other_keys=()) -> tupl
                         term_names=names, term_values=values[a:b], term_present=present[a:b],
                         infractions=inf, meta=meta)
              for (a, b), inf, meta in zip(spans, infs, metas)]
-    columns = {key: [arrays[key][a:b] for a, b in spans] for key in step_keys}
-    columns.update({key: arrays[key] for key in other_keys})
+    columns = {key: [arrays[key][a:b] for a, b in spans] for key in step_columns}
+    columns.update({key: arrays[key] for key in other_columns})
     return trajs, columns
 
 

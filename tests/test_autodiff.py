@@ -604,38 +604,49 @@ def test_no_grad_skips_tape():
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(9)
     trunk = nn.CausalTransformer(dim=8, heads=2, layers=1, max_tokens=4, rng=rng)
-    path = tmp_path / "ckpt.json"
-    nn.save_checkpoint(path, trunk, arch={"dim": 8}, config={"lr": 1e-3})
-    payload = nn.load_checkpoint(path)
-    trunk2 = nn.CausalTransformer(dim=8, heads=2, layers=1, max_tokens=4,
-                                  rng=np.random.default_rng(123))
-    trunk2.load_state_dict(payload["params"])
+    path = tmp_path / "ckpt.npz"
+    nn.save_checkpoint(path, "trunk-v1", {"dim": 8, "lr": 1e-3}, {"": trunk})
+    def build(meta):
+        trunk = nn.CausalTransformer(dim=meta["dim"], heads=2, layers=1, max_tokens=4,
+                                     rng=np.random.default_rng(123))
+        return (meta, trunk), {"": trunk}
+
+    meta, trunk2 = nn.load_checkpoint(path, "trunk-v1", build)
+    assert meta == {"dim": 8, "lr": 1e-3}
+    for (name, p), (name2, p2) in zip(trunk.named_parameters(), trunk2.named_parameters()):
+        assert name == name2 and p.data.tobytes() == p2.data.tobytes()
     x = RNG.normal(size=(1, 4, 8))
     trunk.eval(), trunk2.eval()
     assert np.array_equal(trunk(Tensor(x)).data, trunk2(Tensor(x)).data)
 
 
+def _linear(meta):
+    layer = nn.Linear(3, 2, np.random.default_rng(1))
+    return layer, {"": layer}
+
+
 def test_cut_checkpoint_names_the_file(tmp_path):
     path = tmp_path / "policy.json"
-    nn.save_checkpoint(path, nn.Linear(3, 2, np.random.default_rng(0)), arch={})
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])
-    with pytest.raises(ValueError, match="policy.json: cut or corrupt checkpoint"):
-        nn.load_checkpoint(path)
+    nn.save_checkpoint(path, "linear-v1", {}, _linear({})[1])
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+    with pytest.raises(ValueError, match="policy.json: cut or corrupt archive"):
+        nn.load_checkpoint(path, "linear-v1", _linear)
 
 
 def test_checkpoint_missing_params_names_the_file(tmp_path):
     path = tmp_path / "policy.json"
-    path.write_text('{"format": "segdt-ckpt-1"}')
-    with pytest.raises(ValueError, match="policy.json: .*'params'"):
-        nn.load_checkpoint(path)
+    nn.save_checkpoint(path, "linear-v1", {}, {"": nn.Linear(3, 2, RNG, bias=False)})
+    with pytest.raises(ValueError, match=r"policy.json: missing members \['bias'\]"):
+        nn.load_checkpoint(path, "linear-v1", _linear)
 
 
 def test_checkpoint_format_mismatch(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"format": "other", "params": {}}')
-    with pytest.raises(ValueError, match="format mismatch"):
-        nn.load_checkpoint(path)
+    nn.save_checkpoint(path, "other", {}, _linear({})[1])
+    with pytest.raises(ValueError, match="schema version mismatch: expected 'linear-v1', "
+                                         "found 'other'"):
+        nn.load_checkpoint(path, "linear-v1", _linear)
 
 
 def _cpus(monkeypatch, n):

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -225,17 +226,108 @@ def test_missing_artifact_exit_3(tmp_path, capsys):
     assert err.count("\n") == 1 and "error: code=3" in err
 
 
-@pytest.mark.parametrize("artifact", ["index", "policy"])
-def test_evaluate_on_a_cut_artifact_exits_2_naming_it(pipeline, artifact, tmp_path, capsys):
-    cut = tmp_path / pipeline[artifact].name
-    raw = pipeline[artifact].read_bytes()
-    cut.write_bytes(raw[: len(raw) // 2])
-    paths = dict(pipeline, **{artifact: cut})
-    rc = run(["evaluate", "--config", SMOKE / "evaluate.cfg", "--policy", paths["policy"],
-              "--dataset", paths["dataset"], "--index", paths["index"],
-              "--predictor", paths["predictor"], "--out", tmp_path / "report.json"])
-    assert rc == 2
-    assert f"{cut}: cut or corrupt" in capsys.readouterr().err
+def first_array(z) -> str:
+    return next(name for name in z.files if name not in ("schema_version", "meta"))
+
+
+def rewrite_container(path, edit) -> None:
+    """Write the container at ``path`` again, its entries passed through ``edit``."""
+    with np.load(path) as z:
+        entries = edit(z, {name: z[name] for name in z.files})
+    with open(path, "wb") as fh:
+        np.savez(fh, **entries)
+
+
+def drop_meta_field(path) -> None:
+    """Write the container again without the last key of its JSON meta."""
+    def edit(z, entries):
+        meta = json.loads(z["meta"].tobytes())
+        meta.pop(sorted(meta)[-1])
+        return dict(entries, meta=np.frombuffer(json.dumps(meta).encode(), np.uint8))
+
+    rewrite_container(path, edit)
+
+
+def flip_meta_byte(path) -> None:
+    with np.load(path) as z:
+        meta = z["meta"].tobytes()
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(meta) + len(meta) // 2] ^= 1
+    path.write_bytes(bytes(raw))
+
+
+def write_parent_format(path) -> None:
+    """The layouts the four artifacts had before the one container: a JSON
+    checkpoint, a plain savez index, a directory of per-member JSON files."""
+    if path.suffix == ".json":
+        path.write_text('{"format": "segdt-ckpt-1", "params": {}}')
+    elif path.suffix == ".npz":
+        np.savez(path, states=np.zeros((3, 12)), values=np.zeros(3), k=5, epsilon=1.0)
+    else:
+        path.mkdir()
+        (path / "manifest.json").write_text('{"kind": "return-ensemble"}')
+        (path / "member_0.json").write_text('{"format": "segdt-ckpt-1"}')
+
+
+# fault: (how it damages a copy of the artifact's container, what the error says
+# after its path); a parent-format artifact is written by write_parent_format
+FAULTS = {
+    "cut": (lambda path: path.write_bytes(path.read_bytes()[:path.stat().st_size // 2]),
+            "cut or corrupt archive"),
+    "meta": (flip_meta_byte, "cut or corrupt archive"),
+    "field": (drop_meta_field, "JSON entries do not describe this artifact (KeyError: '"),
+    "shape": (lambda path: rewrite_container(path, lambda z, e: dict(
+        e, **{first_array(z): e[first_array(z)][..., :-1]})), "entry '"),
+    "missing": (lambda path: rewrite_container(path, lambda z, e: {
+        name: value for name, value in e.items() if name != first_array(z)}),
+                "missing members ['"),
+    "lengths": (lambda path: rewrite_container(path, lambda z, e: dict(
+        e, values=e["values"][:-1])), "states vs"),
+}
+
+
+@pytest.mark.parametrize("artifact, fault", [
+    pytest.param(artifact, fault, id=artifact if fault == "cut" else f"{artifact}-{fault}")
+    for artifact in ("index", "policy", "predictor", "ensemble")
+    for fault in ("cut", "meta", "field", "shape", "missing", "parent")
+] + [pytest.param("index", "lengths", id="index-lengths")])
+def test_evaluate_on_a_cut_artifact_exits_2_naming_it(pipeline, artifact, fault, tmp_path,
+                                                      capsys):
+    """Every fault of a loaded artifact exits 2 naming the file: evaluate for
+    the policy, index and predictor, calibrate for the ensemble."""
+    artifact_path = tmp_path / pipeline[artifact].name
+    if fault == "parent":
+        write_parent_format(artifact_path)
+        named, message = artifact_path, "files of an earlier format must be made again"
+    else:
+        copy = shutil.copytree if pipeline[artifact].is_dir() else shutil.copyfile
+        copy(pipeline[artifact], artifact_path)
+        named = {"ensemble": artifact_path / ReturnEnsemble.FILE,
+                 "predictor": artifact_path / TargetReturnPredictor.FILE}.get(artifact,
+                                                                               artifact_path)
+        damage, message = FAULTS[fault]
+        damage(named)
+    paths = dict(pipeline, **{artifact: artifact_path})
+    if artifact == "ensemble":
+        argv = ["calibrate", "--config", SMOKE / "calibrate.cfg", "--dataset", paths["dataset"],
+                "--ensemble", paths["ensemble"], "--out", tmp_path / "calibration.json"]
+    else:
+        argv = ["evaluate", "--config", SMOKE / "evaluate.cfg", "--policy", paths["policy"],
+                "--dataset", paths["dataset"], "--index", paths["index"],
+                "--predictor", paths["predictor"], "--out", tmp_path / "report.json"]
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.count("\n") == 1 and f"{named}: " in err and message in err
+
+
+def test_build_kdtree_writes_the_index_at_the_path_given(pipeline, tmp_path):
+    out = tmp_path / "index.bin"
+    assert run(["build-kdtree", "--config", SMOKE / "index.cfg", "--segmented",
+                pipeline["segmented"], "--out", out, "--predictor-out", tmp_path / "pred"]) == 0
+    assert out.read_bytes() == pipeline["index"].read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "index.bin", "index.bin.manifest.json", "pred"]
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):

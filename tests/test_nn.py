@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from segdt import nn
 from segdt.nn import Standardizer
 from segdt.planner import TargetPredictorConfig, TargetReturnPredictor
 from segdt.policy import Policy, PolicyConfig, PolicyNormalizer, SequencePolicyModel
@@ -70,10 +69,17 @@ STATE_D = {
 }
 
 
+def saved_meta(path) -> dict:
+    """The JSON ``meta`` entry of the container at ``path``, read apart from
+    the library's reader."""
+    with np.load(path) as z:
+        return json.loads(z["meta"].tobytes())
+
+
 def test_return_ensemble_normalizer_layout(tmp_path):
     ReturnEnsemble(ReturnModelConfig(), [], STATE, Standardizer(1 / 3, 2.5), []).save(tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["normalizer"] == dict(STATE_D, ret_mean=1 / 3, ret_std=2.5)
+    meta = saved_meta(tmp_path / ReturnEnsemble.FILE)
+    assert meta["normalizer"] == dict(STATE_D, ret_mean=1 / 3, ret_std=2.5)
     loaded = ReturnEnsemble.load(tmp_path)
     assert loaded.states.mean.tolist() == STATE_D["state_mean"]
     assert loaded.states.std.tolist() == STATE_D["state_std"]
@@ -85,7 +91,7 @@ def test_policy_normalizer_layout(tmp_path):
     nrm = PolicyNormalizer(STATE, Standardizer(-0.75, 1e-6), Standardizer(12.5, 0.1),
                            R_bounds=(-3.0, 40.0))
     Policy(SequencePolicyModel(cfg, np.random.default_rng(0)), cfg, nrm).save(tmp_path / "p.json")
-    saved = nn.load_checkpoint(tmp_path / "p.json")["extras"]["normalizer"]
+    saved = saved_meta(tmp_path / "p.json")["normalizer"]
     assert saved == dict(STATE_D, rh_mean=-0.75, rh_std=1e-6, R_mean=12.5, R_std=0.1,
                          R_bounds=[-3.0, 40.0])
     loaded = Policy.load(tmp_path / "p.json").normalizer
@@ -95,9 +101,8 @@ def test_policy_normalizer_layout(tmp_path):
 def test_target_predictor_normalizer_layout(tmp_path):
     cfg = TargetPredictorConfig(ensemble_size=0)
     TargetReturnPredictor(cfg, [], STATE, Standardizer(4.5, 0.125)).save(tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest == dict(STATE_D, kind="target-predictor", config=cfg.to_dict(),
-                            y_mean=4.5, y_std=0.125)
+    meta = saved_meta(tmp_path / TargetReturnPredictor.FILE)
+    assert meta == dict(STATE_D, config=cfg.to_dict(), y_mean=4.5, y_std=0.125)
     loaded = TargetReturnPredictor.load(tmp_path)
     assert loaded.states.std.tolist() == STATE_D["state_std"]
     assert (loaded.y.mean, loaded.y.std) == (4.5, 0.125)

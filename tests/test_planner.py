@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from segdt import nn, planner, trajlog
+from segdt import archive, nn, planner, trajlog
 from segdt.autodiff import Tensor
 from segdt.nn import TrainingDiverged
 from segdt.planner import (
@@ -78,6 +78,8 @@ def test_index_roundtrip(tmp_path):
     idx.save(path)
     loaded = KdUncertaintyIndex.load(path)
     assert loaded.k == 4 and loaded.epsilon == 0.3
+    assert loaded._states.tobytes() == idx._states.tobytes()
+    assert loaded._values.tobytes() == idx._values.tobytes()
     for _ in range(20):
         q = rng.normal(size=12)
         assert idx.query(q) == loaded.query(q)
@@ -97,8 +99,9 @@ def test_cut_index_archive_names_the_file(tmp_path, cut):
 
 def test_index_archive_missing_an_entry_names_the_file(tmp_path):
     path = tmp_path / "index.npz"
-    np.savez(path, states=np.zeros((3, 12)), values=np.zeros(3), k=5)
-    with pytest.raises(ValueError, match="index.npz: .*epsilon"):
+    archive.write(path, KdUncertaintyIndex.SCHEMA_VERSION, states=np.zeros((3, 12)),
+                  values=np.zeros(3))
+    with pytest.raises(ValueError, match=r"index.npz: missing members \['meta'\]"):
         KdUncertaintyIndex.load(path)
 
 
@@ -111,14 +114,6 @@ def constant_predictor(mu=2.0, sigma=1.0):
     # zero-init head -> normalized N(0, 1); denormalization supplies (mu, sigma)
     return TargetReturnPredictor(cfg, [member], nn.Standardizer(np.zeros(12), np.ones(12)),
                                  nn.Standardizer(float(mu), float(sigma)))
-
-
-def test_cut_predictor_manifest_names_the_file(tmp_path):
-    constant_predictor().save(tmp_path / "pred")
-    path = tmp_path / "pred" / "manifest.json"
-    path.write_text(path.read_text()[:40])
-    with pytest.raises(ValueError, match="manifest.json: cut or corrupt predictor manifest"):
-        TargetReturnPredictor.load(tmp_path / "pred")
 
 
 def test_median_target_is_mean():
@@ -186,6 +181,10 @@ def test_trained_predictor_tracks_span(trained_predictor):
 def test_predictor_roundtrip(trained_predictor, tmp_path):
     trained_predictor.save(tmp_path / "pred")
     loaded = TargetReturnPredictor.load(tmp_path / "pred")
+    assert loaded.config == trained_predictor.config
+    for member, again in zip(trained_predictor.members, loaded.members, strict=True):
+        for (name, p), (name2, q) in zip(member.named_parameters(), again.named_parameters()):
+            assert name == name2 and p.data.tobytes() == q.data.tobytes()
     s = np.random.default_rng(4).normal(size=12)
     for h in (1, 5, 10):
         assert loaded.predict_target(s, h, 0.7) == \

@@ -234,6 +234,9 @@ def test_checkpoint_roundtrip_bitwise(seg_dataset, tmp_path):
     path = tmp_path / "policy.json"
     pol.save(path)
     loaded = Policy.load(path)
+    for (name, p), (name2, q) in zip(pol.model.named_parameters(),
+                                     loaded.model.named_parameters(), strict=True):
+        assert name == name2 and p.data.tobytes() == q.data.tobytes()
     rng = np.random.default_rng(13)
     steps = make_steps(rng, 4)
     assert np.array_equal(pol.act(steps), loaded.act(steps))
@@ -245,8 +248,9 @@ def test_load_rejects_wrong_family(tmp_path, seg_dataset):
     cfg = tiny_config()
     model = SequencePolicyModel(cfg, np.random.default_rng(0))
     path = tmp_path / "x.json"
-    nn.save_checkpoint(path, model, arch={"family": "other"})
-    with pytest.raises(ValueError, match="not a sequence-policy"):
+    nn.save_checkpoint(path, "other", {"config": cfg.to_dict()}, {"": model})
+    with pytest.raises(ValueError, match="x.json: schema version mismatch: expected "
+                                         "'policy-v1', found 'other'"):
         Policy.load(path)
 
 

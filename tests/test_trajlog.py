@@ -4,7 +4,6 @@ import json
 import math
 import multiprocessing
 import os
-import time
 import tracemalloc
 
 import numpy as np
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from segdt import trajlog
+from segdt import archive, trajlog
 from segdt.env import EnvConfig, ExpertConfig
 from segdt.segmenter import (
     UncertaintyTrace, load_segmented, relabel, save_segmented, segment,
@@ -248,15 +247,6 @@ def test_non_float_term_rejected_at_save(tmp_path, value):
         trajlog.save([traj], path)
 
 
-def test_saves_are_byte_identical(small_dataset, tmp_path, monkeypatch):
-    trajlog.save(small_dataset, tmp_path / "a.npz")
-    # a day later, so an entry stamped with the clock would differ
-    later = time.time() + 86400.0
-    monkeypatch.setattr(time, "time", lambda: later)
-    trajlog.save(trajlog.load(tmp_path / "a.npz"), tmp_path / "b.npz")
-    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
-
-
 def rewrite(path, drop=(), **changes):
     """Save the archive's members again, with some replaced or dropped."""
     with np.load(path) as z:
@@ -272,13 +262,10 @@ def test_truncated_file_fails_loudly(small_dataset, tmp_path):
     flipped = bytearray(blob)
     flipped[len(blob) // 2] ^= 0xFF
     # the temporary path holds the test's name, so match past it
-    for damaged in (blob[:100], blob[:len(blob) // 2], blob[:-1], bytes(flipped)):
+    for damaged in (b"", blob[:3], blob[:100], blob[:len(blob) // 2], blob[:-1],
+                    bytes(flipped)):
         path.write_bytes(damaged)
         with pytest.raises(ValueError, match=r"d\.npz: cut or corrupt archive"):
-            trajlog.load(path)
-    for cut in (b"", blob[:3]):
-        path.write_bytes(cut)
-        with pytest.raises(ValueError, match=r"d\.npz: not an npz archive"):
             trajlog.load(path)
     trajlog.save(small_dataset, path)
     rewrite(path, drop=("meta",))
@@ -425,9 +412,10 @@ def test_loaded_segmented_trajectories_hold_at_most_300_bytes_a_step(small_datas
 
 
 def test_term_columns_are_views_of_the_archive(small_dataset, tmp_path, monkeypatch):
-    read, archives = trajlog._read_archive, []
-    monkeypatch.setattr(trajlog, "_read_archive",
-                        lambda path: archives.append(read(path)) or archives[-1])
+    read, archives = archive.read, []
+    monkeypatch.setattr(archive, "read",
+                        lambda *args, **kwargs: archives.append(read(*args, **kwargs))
+                        or archives[-1])
     trajlog.save(small_dataset, tmp_path / "d.npz")
     loaded = trajlog.load(tmp_path / "d.npz")
     for name in ("term_values", "term_present"):
