@@ -9,6 +9,7 @@ with one fixed time, so equal inputs give equal bytes.
 from __future__ import annotations
 
 import json
+import tokenize
 import zipfile
 
 import numpy as np
@@ -49,7 +50,12 @@ def read(path, tag: str, arrays, json_entries=()) -> dict:
         try:
             with np.load(fh, allow_pickle=False) as archive:
                 entries = {name: archive[name] for name in archive.files}
-        except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        # a flipped byte can also raise: NotImplementedError ("zip file
+        # version ...") and RuntimeError ("... is encrypted") from zipfile, an
+        # OSError (EINVAL) from a seek, and TokenError, SyntaxError or
+        # TypeError from parsing an .npy header
+        except (EOFError, ValueError, zipfile.BadZipFile, RuntimeError, OSError,
+                tokenize.TokenError, SyntaxError, TypeError) as exc:
             raise ValueError(f"{path}: cut or corrupt archive "
                              f"({type(exc).__name__}: {exc})") from None
     found = str(entries.pop("schema_version")) if "schema_version" in entries else None

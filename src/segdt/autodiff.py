@@ -39,21 +39,35 @@ Tape lifecycle: the forward pass records one node per op, holding its
 output ``.data`` and what its closure reads.  ``backward()`` runs each
 interior node's closure once and then drops that node's ``.grad``, which
 nothing reads again; only leaves (``Parameter``s and ``Tensor(...,
-requires_grad=True)``) keep a ``.grad``.  The nodes and their closures stay,
-so a second ``backward()`` on the same loss adds one more gradient into the
-leaves.
+requires_grad=True)``) keep a ``.grad``.  Without a pool the nodes and their
+closures stay, so a second ``backward()`` on the same loss adds one more
+gradient into the leaves.
 
-The training loops rebind ``loss`` (and the outputs) to the next step's
-forward, so the previous step's graph stays alive until that forward
-returns, and their resident peak is about two tapes.  For 16 iterations of
-the default-arch ``unrest`` policy at batch 64 (2-vCPU machine, BLAS at 1
-thread) that peak read 120 MB over a 69 MB base.  Freeing the old graph first
-(``del pred, loss`` at the end of each step) read 71 MB over the base, but
-the 16 iterations took 2.47 s instead of 2.17 s and 315k minor page faults
-instead of 43k, so the loops keep the two tapes.
+Recycling: a training step runs in a function scope under a
+``BufferPool`` (``nn.train_step``), so one graph is alive at a time.  Every
+op of the step that allocates an array of ``_POOLED_BYTES`` or more (an
+output, a gradient, a kernel's scratch) takes it from the pool and writes
+into it through ``out=``: the same numpy calls, so the same bits; malloc
+serves smaller arrays from its own free lists.  ``backward()`` hands
+each consumed interior gradient back as it dies, and spends the graph as
+it goes: once a node's closure has run, the node drops its closure and
+``.data`` and their arrays go back too, for the rest of the backward pass
+to reuse.  When the step returns, the pool takes back whatever is left
+unreferenced, and the next step's forward writes into this step's memory
+instead of faulting fresh pages in.  A pooled result is laid out in C order
+(or as the transpose of a C-order array for a transposed copy): where
+numpy's own result would be laid out otherwise, the op allocates as numpy
+does.  For 16 iterations of the default-arch ``unrest`` policy at batch 64
+(2-vCPU machine, BLAS at 1 thread), keeping each step's graph alive until
+the next forward returned peaked at two tapes, 188 MB; freeing it with no
+pool peaked at one tape but faulted 315k pages instead of 43k; the pool
+peaks at about 137 MB with 17k faults.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 from scipy.special import erf
@@ -61,12 +75,14 @@ from scipy.special import erf
 __all__ = [
     "Tensor",
     "ShapeError",
+    "BufferPool",
     "no_grad",
     "concat",
     "stack",
     "linear",
     "affine_layernorm",
     "masked_softmax",
+    "dropout",
     "gelu",
     "layernorm",
     "softmax",
@@ -104,6 +120,218 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _WGRAD_CHUNK_BYTES = 1 << 19
 
 
+_F64, _BOOL = np.dtype(np.float64), np.dtype(bool)
+# arrays smaller than this are not pooled: malloc serves them from its own
+# free lists without faulting, and the pool's bookkeeping would cost more
+_POOLED_BYTES = 1 << 18
+_POOL = None    # the BufferPool of the running training step, if any
+
+
+def _refs(arr) -> int:
+    return sys.getrefcount(arr)
+
+
+def _calibrate() -> tuple:
+    """What ``sys.getrefcount`` reports on this interpreter for an array
+    that one local name holds: read in that name's frame, and read in a
+    function the name is passed to.  Python versions count differently, so
+    the pool compares against these."""
+    probe = np.empty(0)
+    return sys.getrefcount(probe), _refs(probe)
+
+
+_NAME_REFS, _PASSED_REFS = _calibrate()
+
+
+class BufferPool:
+    """Free 1-D arrays keyed by (size, dtype), lent as C-contiguous views to
+    one training step's tape at a time; ``with pool:`` runs a step under it.
+
+    ``take`` lends a free array of the size asked for, else the smallest
+    larger free one, else a new one; below ``_POOLED_BYTES`` it returns a
+    plain ``np.empty``.  ``backward()`` hands each consumed interior
+    gradient back at once, and each node's own arrays once its closure has
+    run (``_give``, O(1)).  Leaving the block takes back every lent array
+    that nothing else references and keeps of each size no more free arrays
+    than the step held at once.  A step that lent nothing (a tape of small
+    arrays) leaves the pool idle for the steps after it, which then pay
+    none of its bookkeeping and keep the last graph as ``keep`` says.  An
+    exception leaving the block makes the pool
+    forget every array it lent or keeps.
+    """
+
+    def __init__(self):
+        self._free = {}    # (size, dtype) -> arrays ready to lend
+        self._lent = {}    # id -> array lent and not taken back
+        self._held = {}    # (size, dtype) -> arrays lent now
+        self._most = {}    # (size, dtype) -> most arrays lent at once this step
+        self._used = True  # whether the last step lent an array
+        self._kept = None  # an idle pool's last loss (``keep``)
+        self._outer = None
+
+    def __enter__(self):
+        global _POOL
+        self._outer = _POOL
+        if self._used:
+            _POOL = self
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        global _POOL
+        _POOL = self._outer
+        if exc_type is not None:
+            self.__init__()
+            return False
+        for arr in list(self._lent.values()):
+            if sys.getrefcount(arr) == _NAME_REFS + 2:    # ``arr``, the list, _lent
+                self._back(arr)
+        for key, free in self._free.items():
+            del free[self._most.get(key, 0):]
+        self._used = any(self._most.values())
+        self._most = dict(self._held)
+        return False
+
+    def keep(self, loss: "Tensor"):
+        """Hold ``loss``, and so its graph, until the next step's loss is
+        built, when the pool is idle: freed whole after each step, a graph
+        of small arrays lets malloc trim its heap, and the next step faults
+        the pages back in (14k minor faults against 226k over twelve
+        20-step trainings of a two-member smoke-arch return ensemble)."""
+        self._kept = None if self._used else loss
+
+    def take(self, shape: tuple, dtype: np.dtype = _F64) -> np.ndarray:
+        """A C-contiguous array of ``shape`` and ``dtype`` whose content is
+        undefined."""
+        if _small(shape, dtype):
+            return np.empty(shape, dtype)
+        n = math.prod(shape)
+        free = self._free.get((n, dtype))
+        if not free:
+            larger = [key for key, arrays in self._free.items()
+                      if arrays and key[1] == dtype and key[0] > n]
+            free = self._free[min(larger)] if larger else None
+        arr = free.pop() if free else np.empty(n, dtype)
+        key = (arr.size, dtype)
+        self._lent[id(arr)] = arr
+        held = self._held[key] = self._held.get(key, 0) + 1
+        if held > self._most.get(key, 0):
+            self._most[key] = held
+        return (arr if arr.size == n else arr[:n]).reshape(shape)
+
+    def _back(self, arr: np.ndarray):
+        del self._lent[id(arr)]
+        key = (arr.size, arr.dtype)
+        self._held[key] -= 1
+        self._free.setdefault(key, []).append(arr)
+
+
+def _small(shape: tuple, dtype: np.dtype) -> bool:
+    return math.prod(shape) * dtype.itemsize < _POOLED_BYTES
+
+
+def _give(view):
+    """Hand the array ``view`` views back to the running step's pool now, if
+    the pool lent it and the caller's one name for ``view``, which it then
+    drops, is the last reference to either."""
+    arr = view.base
+    if (_POOL is not None and arr is not None and _POOL._lent.get(id(arr)) is arr
+            and sys.getrefcount(view) == _PASSED_REFS
+            and sys.getrefcount(arr) == _NAME_REFS + 2):   # ``arr``, view.base, _lent
+        _POOL._back(arr)
+
+
+def _spend(node: "Tensor"):
+    """Under a pool, once ``node``'s closure has run (its children's ran
+    before): drop the closure and ``node.data``, and hand their arrays that
+    nothing else references back to the pool.  A node whose output is too
+    small to pool is left to the end of the step."""
+    if _small(node.data.shape, node.data.dtype):
+        return
+    saved = [cell.cell_contents for cell in node._backward.__closure__ or ()]
+    saved = [a for a in saved if isinstance(a, np.ndarray)]
+    saved.append(node.data)
+    node._backward = node.data = None
+    while saved:
+        arr = saved.pop()
+        _give(arr)
+
+
+def _empty(shape: tuple, dtype: np.dtype = _F64) -> np.ndarray:
+    """``np.empty(shape, dtype)``, from the running step's pool if any."""
+    return np.empty(shape, dtype) if _POOL is None else _POOL.take(shape, dtype)
+
+
+def _c_ordered(x: np.ndarray, batch_only: bool = False) -> bool:
+    """True when ``x``'s strides (its batch axes' only, for a matmul
+    operand) are non-negative and never grow along its axes of more than
+    one element: numpy then lays out an order-K result in C order."""
+    if x.flags.c_contiguous and not batch_only:
+        return True
+    axes = x.ndim - 2 if batch_only else x.ndim
+    strides = [s for s, n in zip(x.strides[:axes], x.shape[:axes]) if n > 1]
+    return all(s >= 0 for s in strides) and all(
+        a >= b for a, b in zip(strides, strides[1:]))
+
+
+def _out(*operands):
+    """The pooled float64 array an elementwise op over ``operands`` (arrays
+    and scalars) writes, at their broadcast shape; None, so that numpy
+    allocates, with no running pool or an operand not laid out in C order."""
+    if _POOL is None:
+        return None
+    arrays = [x for x in operands if isinstance(x, np.ndarray)]
+    shape = arrays[0].shape if arrays else ()
+    for x in arrays[1:]:
+        if x.shape != shape:
+            shape = np.broadcast_shapes(shape, x.shape)
+    if _small(shape, _F64) or not all(map(_c_ordered, arrays)):
+        return None
+    return _POOL.take(shape)
+
+
+def _copy(g: np.ndarray) -> np.ndarray:
+    """``np.array(g)``: a copy laid out in ``g``'s memory order (order K).
+    Under a pool it is a pooled array when that order is C, or a transpose
+    of one when ``g`` has no axis of one element and its strides, all
+    positive, differ: numpy's copy then has the transposed strides too."""
+    if _POOL is None or _small(g.shape, g.dtype):
+        return np.array(g)
+    out = _out(g)
+    if out is not None:
+        np.copyto(out, g)
+        return out
+    if 1 in g.shape or min(g.strides, default=0) <= 0:
+        return np.array(g)
+    perm = sorted(range(g.ndim), key=lambda i: -g.strides[i])
+    if len(set(g.strides)) < g.ndim:
+        return np.array(g)
+    out = _POOL.take(tuple(g.shape[i] for i in perm))
+    np.copyto(out, g.transpose(perm))
+    return out.transpose(np.argsort(perm))
+
+
+def _zeros_like(x: np.ndarray) -> np.ndarray:
+    """``np.zeros_like(x)``, pooled as ``_copy``."""
+    out = _out(x)
+    if out is None:
+        return np.zeros_like(x)
+    out.fill(0.0)
+    return out
+
+
+def _reshape(x: np.ndarray, shape) -> np.ndarray:
+    """``x.reshape(shape)``; under a pool, the C-order copy it makes where
+    no view has that shape is a pooled array."""
+    if _POOL is None:
+        return x.reshape(shape)
+    try:
+        return np.reshape(x, shape, copy=False)
+    except ValueError:
+        out = _POOL.take(x.shape)
+        np.copyto(out, x)
+        return out.reshape(shape)
+
+
 def _mean_last(x: np.ndarray) -> np.ndarray:
     """``x.mean(axis=-1, keepdims=True)``: the same reduce and divide,
     without ``ndarray.mean``'s Python wrapper."""
@@ -116,12 +344,12 @@ def gelu(x: np.ndarray, with_cdf: bool = False):
     """Exact (erf-based) GELU, ``x * cdf`` with ``cdf`` the standard normal
     cdf at ``x``; ``with_cdf`` returns ``(x * cdf, cdf)``, as the backward
     pass reuses ``cdf``."""
-    cdf = x * _SQRT1_2
+    cdf = np.multiply(x, _SQRT1_2, out=_out(x))
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     if with_cdf:
-        return x * cdf, cdf
+        return np.multiply(x, cdf, out=_out(x, cdf)), cdf
     cdf *= x
     return cdf
 
@@ -129,8 +357,11 @@ def gelu(x: np.ndarray, with_cdf: bool = False):
 def layernorm(x: np.ndarray, eps: float = 1e-5) -> tuple:
     """Last axis to zero mean, unit variance (no affine): returns
     ``(normalized, 1 / sqrt(var + eps))``."""
-    xc = x - _mean_last(x)
-    inv = _mean_last(np.square(xc))
+    m = _mean_last(x)
+    xc = np.subtract(x, m, out=_out(x))
+    sq = np.square(xc, out=_out(xc))
+    inv = _mean_last(sq)
+    _give(sq)
     inv += eps
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -147,21 +378,39 @@ def _exp_normalize(z: np.ndarray, axis: int) -> np.ndarray:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    return _exp_normalize(x - np.maximum.reduce(x, axis=axis, keepdims=True), axis)
+    top = np.maximum.reduce(x, axis=axis, keepdims=True)
+    return _exp_normalize(np.subtract(x, top, out=_out(x)), axis)
 
 
 def scaled_softmax(x: np.ndarray, scale: float, mask: np.ndarray) -> np.ndarray:
     """``softmax(x * scale + mask)`` over the last axis, for an additive
     ``mask`` that broadcasts to ``x``'s shape."""
-    z = x * scale
+    z = np.multiply(x, scale, out=_out(x))
     z += mask
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     return _exp_normalize(z, -1)
 
 
+def _matmul_out(a: np.ndarray, b: np.ndarray):
+    """The pooled array ``a @ b`` writes, for operands of two or more axes
+    whose batch axes are laid out in C order; else None."""
+    if _POOL is None or a.ndim < 2 or b.ndim < 2:
+        return None
+    if b.ndim == 2 or a.shape[:-2] == b.shape[:-2]:
+        batch = a.shape[:-2]
+    elif a.ndim == 2:
+        batch = b.shape[:-2]
+    else:
+        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    shape = batch + (a.shape[-2], b.shape[-1])
+    if _small(shape, _F64) or not (_c_ordered(a, True) and _c_ordered(b, True)):
+        return None
+    return _POOL.take(shape)
+
+
 def _matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
-        return a @ b
+        return np.matmul(a, b, out=_matmul_out(a, b))
     except ValueError as exc:
         raise ShapeError(f"matmul: operands {a.shape} @ {b.shape}: {exc}") from None
 
@@ -184,25 +433,31 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _input_grad(g: np.ndarray, w: np.ndarray, rows: tuple | None) -> np.ndarray:
+    """``g @ w.T``, the gradient of ``a`` in ``a @ w``; ``rows`` is
+    ``Tensor.matmul``'s."""
+    wt = np.swapaxes(w, -1, -2)
+    if rows is None:
+        return _matmul_data(g, wt)
+    T, index = rows
+    full = _empty(g.shape[:-2] + (T, g.shape[-1]))
+    full.fill(0.0)
+    full[..., index, :] = g
+    ga = _matmul_data(full, wt)[..., index, :]
+    _give(full)    # not held while ``b``'s gradient is computed
+    return ga
+
+
 def _matmul_backward(g: np.ndarray, a: "Tensor", b: "Tensor", rows: tuple | None):
     """Accumulate the gradients of ``a @ b`` into ``a``, then ``b``; ``rows``
-    is ``Tensor.matmul``'s."""
+    is ``Tensor.matmul``'s.  Each is handed over unnamed, so that ``_accum``
+    can give it back to the pool once added."""
     if a.requires_grad:
-        if rows is None:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-        else:
-            T, index = rows
-            full = np.zeros(g.shape[:-2] + (T, g.shape[-1]))
-            full[..., index, :] = g
-            ga = (full @ np.swapaxes(b.data, -1, -2))[..., index, :]
-            del full    # not held while ``b``'s gradient is computed
-        a._accum(_unbroadcast(ga, a.shape), owned=True)
+        a._accum(_unbroadcast(_input_grad(g, b.data, rows), a.shape), owned=True)
     if b.requires_grad:
-        if a.ndim == 3 and b.ndim == 2:
-            gb = _weight_grad(a.data, g)
-        else:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        b._accum(gb, owned=True)
+        b._accum(_weight_grad(a.data, g) if a.ndim == 3 and b.ndim == 2 else
+                 _unbroadcast(_matmul_data(np.swapaxes(a.data, -1, -2), g), b.shape),
+                 owned=True)
 
 
 def _add_backward(g: np.ndarray, t: "Tensor"):
@@ -212,9 +467,33 @@ def _add_backward(g: np.ndarray, t: "Tensor"):
         t._accum(gt, owned=gt is not g)
 
 
+def _scaled(d: np.ndarray, scale: float) -> np.ndarray:
+    d *= scale
+    return d
+
+
+def _tanh_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``g * (1.0 - out**2)`` in one new buffer."""
+    d = np.square(out, out=_out(out))
+    np.subtract(1.0, d, out=d)
+    return np.multiply(g, d, out=d)
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """``g * (cdf + x * pdf)`` at ``x``, in one new buffer."""
+    d = np.multiply(x, -0.5, out=_out(x))
+    d *= x
+    np.exp(d, out=d)
+    d /= _SQRT_2PI
+    d *= x
+    d += cdf
+    d *= g
+    return d
+
+
 def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     """``out * (g - (g * out).sum(axis))`` in one new buffer."""
-    d = g * out
+    d = np.multiply(g, out, out=_out(g, out))
     dot = np.add.reduce(d, axis=axis, keepdims=True)
     np.subtract(g, dot, out=d)
     d *= out
@@ -227,26 +506,29 @@ def _layernorm_grad(g: np.ndarray, out: np.ndarray, inv: np.ndarray,
     works in ``g`` itself when the caller ``owned`` it, else in one new
     buffer; either way with one scratch array."""
     gm = _mean_last(g)
-    t = g * out
+    t = np.multiply(g, out, out=_out(g, out))
     gy = _mean_last(t)
     np.multiply(out, gy, out=t)
-    d = np.subtract(g, gm, out=g if owned else None)
+    d = np.subtract(g, gm, out=g if owned else _out(g))
     d -= t
+    _give(t)
     d *= inv
     return d
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
+    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting; a summed
+    ``grad`` goes back to the pool."""
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    out = grad.sum(axis=tuple(range(extra))) if extra > 0 else grad
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and out.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+        out = out.sum(axis=axes, keepdims=True)
+    if out is not grad:
+        _give(grad)
+    return out.reshape(shape)
 
 
 def _is_basic_index(idx) -> bool:
@@ -338,17 +620,23 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward(node.grad)
-                node.grad = None    # consumed: only leaves keep a gradient
+                g, node.grad = node.grad, None    # consumed: only leaves keep a gradient
+                node._backward(g)
+                _give(g)
+                if _POOL is not None and node is not self:
+                    _spend(node)
 
     def _accum(self, g, owned: bool):
         """Add ``g`` into ``grad``.  The first write allocates: it keeps ``g``
         itself when the closure just computed it (``owned``) and copies views
-        and arrays another operand may also receive."""
+        and arrays another operand may also receive.  A later write hands an
+        owned ``g`` back to the pool."""
         if self.grad is None:
-            self.grad = np.asarray(g) if owned else np.array(g)
+            self.grad = np.asarray(g) if owned else _copy(g)
         else:
             self.grad += g
+            if owned:
+                _give(g)
 
     # -- elementwise arithmetic -------------------------------------------
 
@@ -358,7 +646,7 @@ class Tensor:
 
     def __add__(self, other):
         other = Tensor._coerce(other)
-        out_data = self.data + other.data
+        out_data = np.add(self.data, other.data, out=_out(self.data, other.data))
 
         def backward(g):
             _add_backward(g, self)
@@ -371,9 +659,9 @@ class Tensor:
     def __neg__(self):
         def backward(g):
             if self.requires_grad:
-                self._accum(-g, owned=True)
+                self._accum(np.negative(g, out=_out(g)), owned=True)
 
-        return Tensor._result(-self.data, (self,), backward)
+        return Tensor._result(np.negative(self.data, out=_out(self.data)), (self,), backward)
 
     def __sub__(self, other):
         return self + (-Tensor._coerce(other))
@@ -383,13 +671,13 @@ class Tensor:
 
     def __mul__(self, other):
         other = Tensor._coerce(other)
-        out_data = self.data * other.data
+        out_data = np.multiply(self.data, other.data, out=_out(self.data, other.data))
 
         def backward(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.shape), owned=True)
-            if other.requires_grad:
-                other._accum(_unbroadcast(g * self.data, other.shape), owned=True)
+            for t, o in ((self, other), (other, self)):
+                if t.requires_grad:
+                    t._accum(_unbroadcast(np.multiply(g, o.data, out=_out(g, o.data)),
+                                          t.shape), owned=True)
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -397,7 +685,7 @@ class Tensor:
 
     def __truediv__(self, other):
         other = Tensor._coerce(other)
-        out_data = self.data / other.data
+        out_data = np.divide(self.data, other.data, out=_out(self.data, other.data))
 
         def backward(g):
             if self.requires_grad:
@@ -423,11 +711,11 @@ class Tensor:
     # -- unary math --------------------------------------------------------
 
     def exp(self):
-        out_data = np.exp(self.data)
+        out_data = np.exp(self.data, out=_out(self.data))
 
         def backward(g):
             if self.requires_grad:
-                self._accum(g * out_data, owned=True)
+                self._accum(np.multiply(g, out_data, out=_out(g, out_data)), owned=True)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -439,11 +727,11 @@ class Tensor:
         return Tensor._result(np.log(self.data), (self,), backward)
 
     def tanh(self):
-        out_data = np.tanh(self.data)
+        out_data = np.tanh(self.data, out=_out(self.data))
 
         def backward(g):
             if self.requires_grad:
-                self._accum(g * (1.0 - out_data**2), owned=True)
+                self._accum(_tanh_grad(g, out_data), owned=True)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -462,15 +750,8 @@ class Tensor:
         out_data, cdf = gelu(x, with_cdf=True)
 
         def backward(g):
-            if self.requires_grad:    # g * (cdf + x * pdf), in one buffer
-                d = x * -0.5
-                d *= x
-                np.exp(d, out=d)
-                d /= _SQRT_2PI
-                d *= x
-                d += cdf
-                d *= g
-                self._accum(d, owned=True)
+            if self.requires_grad:
+                self._accum(_gelu_grad(g, x, cdf), owned=True)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -501,11 +782,12 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         old_shape = self.shape
-        out_data = self.data.reshape(shape)
+        out_data = _reshape(self.data, shape)
 
         def backward(g):
-            if self.requires_grad:
-                self._accum(g.reshape(old_shape), owned=False)
+            if self.requires_grad:    # a copy of ``g`` is owned
+                r = _reshape(g, old_shape)
+                self._accum(r, owned=not np.may_share_memory(r, g))
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -521,13 +803,20 @@ class Tensor:
         return Tensor._result(out_data, (self,), backward)
 
     def __getitem__(self, idx):
-        out_data = self.data[idx]
+        x = self.data
+        if (_POOL is not None and isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"
+                and idx.size and x.ndim and 0 <= idx.min() and idx.max() < len(x)):
+            # indices in range, so mode "clip" takes ``x[idx]`` as it is
+            out_data = np.take(x, idx, axis=0, mode="clip",
+                               out=_POOL.take(idx.shape + x.shape[1:]))
+        else:
+            out_data = x[idx]
 
         def backward(g):
             if not self.requires_grad:
                 return
             if self.grad is None:
-                self.grad = np.zeros_like(self.data)
+                self.grad = _zeros_like(self.data)
             if _is_basic_index(idx):
                 self.grad[idx] += g
             else:  # integer arrays may repeat an index: accumulate each
@@ -578,8 +867,13 @@ class Tensor:
 
 def concat(tensors: list, axis: int = -1) -> Tensor:
     datas = [t.data for t in tensors]
-    out_data = np.concatenate(datas, axis=axis)
     sizes = [d.shape[axis] for d in datas]
+    out = None
+    if _POOL is not None and all(map(_c_ordered, datas)):
+        shape = list(datas[0].shape)
+        shape[axis] = sum(sizes)
+        out = _POOL.take(tuple(shape))
+    out_data = np.concatenate(datas, axis=axis, out=out)
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
@@ -625,16 +919,18 @@ def affine_layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) 
     """``x.layernorm(eps) * gain + shift`` as one tape node, with its bits
     and gradients; the tape keeps no ``normalized * gain`` array."""
     normed, inv = layernorm(x.data, eps)
-    out_data = normed * gain.data
+    out_data = np.multiply(normed, gain.data, out=_out(normed, gain.data))
     out_data += shift.data
 
     def backward(g):
         _add_backward(g, shift)
         if gain.requires_grad:
-            gain._accum(_unbroadcast(g * normed, gain.shape), owned=True)
+            gain._accum(_unbroadcast(np.multiply(g, normed, out=_out(g, normed)),
+                                     gain.shape), owned=True)
         if x.requires_grad:
-            gn = _unbroadcast(g * gain.data, normed.shape)
-            x._accum(_layernorm_grad(gn, normed, inv, owned=True), owned=True)
+            x._accum(_layernorm_grad(
+                _unbroadcast(np.multiply(g, gain.data, out=_out(g, gain.data)), normed.shape),
+                normed, inv, owned=True), owned=True)
 
     return Tensor._result(out_data, (x, gain, shift), backward)
 
@@ -647,8 +943,31 @@ def masked_softmax(x: Tensor, scale: float, mask: np.ndarray) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            d = _softmax_grad(g, out_data, -1)
-            d *= scale
-            x._accum(d, owned=True)
+            x._accum(_scaled(_softmax_grad(g, out_data, -1), scale), owned=True)
+
+    return Tensor._result(out_data, (x,), backward)
+
+
+def dropout(x: Tensor, p: float, rng: np.random.Generator,
+            rows: tuple | None = None) -> Tensor:
+    """Inverted dropout as one tape node that keeps a bool mask: ``(x *
+    keep) * scale`` forward and ``(g * keep) * scale`` backward, for ``keep =
+    draw >= p`` and ``scale = 1 / (1 - p)``, the bits of ``x`` times the
+    float mask ``keep / (1 - p)``.  ``rows = (T, index)`` says that ``x``
+    holds the rows ``index`` (axis -2) of a T-row activation: the draw is made
+    at the full T-row shape and those rows are kept, so the rng stream and
+    each row's mask are the ones an unpruned call draws."""
+    shape = x.shape if rows is None else x.shape[:-2] + (rows[0], x.shape[-1])
+    draw = rng.random(out=_empty(shape))
+    keep = np.greater_equal(draw if rows is None else draw[..., rows[1], :], p,
+                            out=_empty(x.shape, _BOOL))
+    _give(draw)
+    scale = 1.0 / (1.0 - p)
+    out_data = np.multiply(x.data, keep, out=_out(x.data))
+    out_data *= scale
+
+    def backward(g):
+        if x.requires_grad:
+            x._accum(_scaled(np.multiply(g, keep, out=_out(g)), scale), owned=True)
 
     return Tensor._result(out_data, (x,), backward)

@@ -77,12 +77,15 @@ class RunManifest:
 
     def write(self, path) -> None:
         """Write the record, with the process's and its finished workers'
-        peak resident memory so far (``ru_maxrss``, KiB on Linux) in MB."""
+        peak resident memory so far (``ru_maxrss``, KiB on Linux) in MB, and
+        the minor page faults each has taken so far (``ru_minflt``)."""
         if hasattr(self, "_t0"):
             self.wall_clock_s = time.monotonic() - self._t0
+        own = resource.getrusage(resource.RUSAGE_SELF)
+        workers = resource.getrusage(resource.RUSAGE_CHILDREN)
         self.metrics.update(
-            peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            workers_peak_rss_mb=resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
+            peak_rss_mb=own.ru_maxrss / 1024, workers_peak_rss_mb=workers.ru_maxrss / 1024,
+            minor_faults=own.ru_minflt, workers_minor_faults=workers.ru_minflt)
         payload = {k: v for k, v in dataclasses.asdict(self).items()}
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

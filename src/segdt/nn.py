@@ -3,7 +3,9 @@
 Contains the module system, the causal transformer trunk shared by all three
 model roles, the AdamW optimizer, the Gaussian negative log-likelihood used
 by variance heads, ``Standardizer``, which z-scores every raw input and
-target the networks see, ``map_members``, which trains independent ensemble
+target the networks see, ``train_step``, the training step of all three
+trainers (one graph at a time, its arrays recycled through an
+``autodiff.BufferPool``), ``map_members``, which trains independent ensemble
 members in parallel worker processes, ``map_chunks``, which spreads the data
 path's per-episode and per-trajectory loops (collect, segment, calibrate)
 over the same pool, and checkpoint IO.
@@ -12,16 +14,17 @@ Each layer is written once, as ``run(ops, ...)`` over one of two op sets:
 layer's ``__call__``), and ``ARRAY`` runs it on plain ndarrays with no tape
 (its ``infer``).  Each array op computes what its taped twin's ``.data``
 holds, so ``infer`` returns the taped call's bits by construction.  The
-taped ``linear``, ``layernorm`` and ``softmax`` entries are the fused
-single-node ops of ``autodiff`` (``x @ w + b``, ``layernorm(x) * gain +
-shift`` and ``softmax(x * scale + mask)``); their array twins compose the
-same arithmetic.  A trunk can compute only the rows its caller reads
-(``rows=``): the last block, its dropout and ``ln_f`` then run on those
-rows, with the bits, gradients and rng draws of the every-row call.
-``TapeOps.dropout`` draws its mask at the full shape, the pruned ``Linear``
-layers pad their input gradient back to every row (``rows`` of
-``autodiff.linear``), and ``CausalTransformer._last_rows`` sends a
-single-row read through every row.
+taped ``linear``, ``layernorm``, ``softmax`` and ``dropout`` entries are
+the fused single-node ops of ``autodiff`` (``x @ w + b``, ``layernorm(x) *
+gain + shift``, ``softmax(x * scale + mask)`` and ``x`` times a bool mask
+and a scale); the array twins of the first three compose the same
+arithmetic, and ``ARRAY.dropout`` is the identity.  A trunk can compute
+only the rows its caller reads (``rows=``): the last block, its dropout and
+``ln_f`` then run on those rows, with the bits, gradients and rng draws of
+the every-row call.  ``autodiff.dropout`` draws its mask at the full shape,
+the pruned ``Linear`` layers pad their input gradient back to every row
+(``rows`` of ``autodiff.linear``), and ``CausalTransformer._last_rows``
+sends a single-row read through every row.
 A checkpoint is one ``archive`` container: each parameter a float64 array
 entry, and the config and normalizers in one JSON ``meta`` entry, so a
 save/load round trip is bitwise exact.
@@ -39,8 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import archive
-from .autodiff import (Tensor, ShapeError, affine_layernorm, concat, gelu, layernorm,
-                       linear, masked_softmax, scaled_softmax)
+from .autodiff import (BufferPool, Tensor, ShapeError, affine_layernorm, concat, dropout,
+                       gelu, layernorm, linear, masked_softmax, scaled_softmax)
 
 NEG_INF = -1e9  # finite mask constant; keeps softmax NaN-free on padded rows
 
@@ -69,24 +72,11 @@ class TapeOps:
     gelu = staticmethod(Tensor.gelu)
     softmax = staticmethod(masked_softmax)  # (x, scale, mask)
     layernorm = staticmethod(affine_layernorm)  # (x, gain, shift)
+    dropout = staticmethod(dropout)         # (x, p, rng, rows=None)
 
     @staticmethod
     def param(p: Parameter) -> Tensor:
         return p
-
-    @staticmethod
-    def dropout(x: Tensor, p: float, rng: np.random.Generator,
-                rows: tuple | None = None) -> Tensor:
-        """Inverted dropout.  ``rows = (T, index)`` says that ``x`` holds the
-        rows ``index`` (axis -2) of a T-row activation: the mask is drawn at
-        the full T-row shape and those rows are kept, so the rng stream and
-        each row's mask are the ones an unpruned call draws."""
-        if rows is None:
-            draw = rng.random(x.shape)
-        else:
-            T, index = rows
-            draw = rng.random(x.shape[:-2] + (T, x.shape[-1]))[..., index, :]
-        return x * Tensor((draw >= p) / (1.0 - p))
 
     @staticmethod
     def call(module: "Module", *args, **kwargs):
@@ -262,7 +252,7 @@ class LayerNorm(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout (``TapeOps.dropout``, whose ``rows`` keep a pruned
+    """Inverted dropout (``autodiff.dropout``, whose ``rows`` keep a pruned
     call's mask); identity in eval mode, without an ``rng`` and in ``infer``."""
 
     def __init__(self, p: float):
@@ -549,6 +539,31 @@ class AdamW:
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
+
+
+def train_step(pool: BufferPool, opt: AdamW, loss_fn, who: str, when: str) -> float:
+    """One training step under ``pool``: ``loss_fn()`` builds the taped
+    loss, then backward and one ``opt`` update; returns the loss value.
+
+    The step's graph lives in ``_step``'s frame only, so it is gone when the
+    pool takes back the step's arrays for the next step to reuse.  A
+    non-finite loss raises TrainingDiverged, naming ``who`` and ``when``,
+    before any update.
+    """
+    with pool:
+        return _step(pool, opt, loss_fn, who, when)
+
+
+def _step(pool: BufferPool, opt: AdamW, loss_fn, who: str, when: str) -> float:
+    loss = loss_fn()
+    pool.keep(loss)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise TrainingDiverged(f"{who}: non-finite loss {value} at {when}")
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+    return value
 
 
 # ---------------------------------------------------------------------------

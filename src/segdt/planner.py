@@ -27,7 +27,6 @@ from scipy.special import ndtri
 
 from . import archive, nn
 from .env import STATE_DIM
-from .nn import TrainingDiverged
 from .policy import PolicyStep
 from .return_model import mixture_moments
 
@@ -230,20 +229,15 @@ class TargetReturnPredictor:
             rng = np.random.default_rng(config.seed + k)  # init, then batches
             member = _TargetMlp(config, rng)
             opt = nn.AdamW(member.parameters(), lr=config.learning_rate)
+            pool = nn.BufferPool()
             curve = []
             for it in range(config.iters):
                 xs, ys = sample_batch(rng)
-                # the previous step's graph lives until this forward returns, so the
-                # peak is two tapes; autodiff's tape lifecycle says why no del frees it
-                mu, lv = member.forward(xs)
-                loss = nn.gaussian_nll(mu, lv, y(ys))
-                curve.append(loss.item())
-                if not np.isfinite(curve[-1]):
-                    raise TrainingDiverged(
-                        f"target predictor member {k}: non-finite loss at iter {it}")
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
+                # one graph at a time: the step's arrays go back to the pool
+                # when it returns, and the next step's forward takes them
+                curve.append(nn.train_step(
+                    pool, opt, lambda: nn.gaussian_nll(*member.forward(xs), y(ys)),
+                    f"target predictor member {k}", f"iter {it}"))
             return member.state_dict(), curve
 
         members, curves = [], []

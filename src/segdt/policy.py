@@ -29,7 +29,6 @@ import numpy as np
 from . import nn, trajlog
 from .autodiff import Tensor
 from .env import ACTION_DIM, STATE_DIM, denorm_action, norm_actions
-from .nn import TrainingDiverged
 
 log = logging.getLogger(__name__)
 
@@ -301,6 +300,7 @@ def train_policy(segs: list, config: PolicyConfig, progress: bool = False):
                    weight_decay=config.weight_decay)
     batch_rng = np.random.default_rng(config.seed + 1)
     drop_rng = np.random.default_rng(config.seed + 2)
+    pool = nn.BufferPool()
     curve = []
     model.train()
     for epoch in range(config.epochs):
@@ -314,18 +314,11 @@ def train_policy(segs: list, config: PolicyConfig, progress: bool = False):
             b["r_h"] = normalizer.norm_rh(b["r_h"])
             b["R"] = normalizer.norm_R(b["R_raw"])
             b["R_bounds"] = normalizer.R_bounds
-            # the previous step's graph lives until this forward returns, so the
-            # peak is two tapes; autodiff's tape lifecycle says why no del frees it
-            pred = model.forward(b, drop_rng)
-            loss = nn.mse_loss(pred, target, b["mask"])
-            if not np.isfinite(loss.item()):
-                raise TrainingDiverged(
-                    f"policy {config.kind}: non-finite loss {loss.item()} at "
-                    f"epoch {epoch}, iter {it}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(loss.item())
+            # one graph at a time: the step's arrays go back to the pool when
+            # it returns, and the next step's forward takes them
+            losses.append(nn.train_step(
+                pool, opt, lambda: nn.mse_loss(model.forward(b, drop_rng), target, b["mask"]),
+                f"policy {config.kind}", f"epoch {epoch}, iter {it}"))
         curve.append(float(np.mean(losses)))
         if progress:
             log.info("policy %s epoch %d train mse %.5f", config.kind, epoch, curve[-1])

@@ -371,23 +371,22 @@ def train_return_models(trajs: list, config: ReturnModelConfig,
                        weight_decay=config.weight_decay)
         drop_rng = np.random.default_rng(mseed + 2)
         batch_rng = np.random.default_rng(mseed + 3)
+        pool = nn.BufferPool()
+
+        def loss_of(b):
+            mu_s, lv_s, mu_a, lv_a = member.forward(
+                b["states"], b["actions"], b["mask"], drop_rng)
+            return (nn.gaussian_nll(mu_s, lv_s, b["returns"], b["mask"])
+                    + nn.gaussian_nll(mu_a, lv_a, b["returns"], b["mask"]))
+
         curve = [untrained]                                 # epoch 0
         for epoch in range(config.epochs):
             for it in range(config.iters_per_epoch):
                 b = prep(subset, subset_returns, batch_rng)
-                # the previous step's graph lives until this forward returns, so the
-                # peak is two tapes; autodiff's tape lifecycle says why no del frees it
-                mu_s, lv_s, mu_a, lv_a = member.forward(
-                    b["states"], b["actions"], b["mask"], drop_rng)
-                loss = (nn.gaussian_nll(mu_s, lv_s, b["returns"], b["mask"])
-                        + nn.gaussian_nll(mu_a, lv_a, b["returns"], b["mask"]))
-                if not np.isfinite(loss.item()):
-                    raise TrainingDiverged(
-                        f"member {k}: non-finite loss {loss.item()} at "
-                        f"epoch {epoch}, iter {it}")
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
+                # one graph at a time: the step's arrays go back to the pool
+                # when it returns, and the next step's forward takes them
+                nn.train_step(pool, opt, lambda: loss_of(b), f"member {k}",
+                              f"epoch {epoch}, iter {it}")
             member.eval()
             curve.append(_heldout_nll(member, val_batches))
             member.train()

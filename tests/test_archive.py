@@ -84,3 +84,21 @@ def test_read_names_the_path_on_each_fault(tmp_path, entries, arrays, message):
     archive.write(path, "t-v1", **entries)
     with pytest.raises(ValueError, match=rf"a\.npz: {message}"):
         archive.read(path, "t-v1", arrays, json_entries=("meta",))
+
+
+def test_every_flipped_byte_loads_or_names_the_path(tmp_path):
+    """Each byte of a small archive, flipped in turn by a seeded nonzero
+    mask, either still loads or raises the ValueError that names the path:
+    no fault escapes as another exception type."""
+    path = tmp_path / "a.npz"
+    archive.write(path, "t-v1", x=np.arange(6.0).reshape(3, 2), meta={"k": 1})
+    blob = path.read_bytes()
+    masks = np.random.default_rng(11).integers(1, 256, size=len(blob))
+    for i, mask in enumerate(masks):
+        bad = bytearray(blob)
+        bad[i] ^= int(mask)
+        path.write_bytes(bytes(bad))
+        try:
+            archive.read(path, "t-v1", LAYOUT, json_entries=("meta",))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), (i, exc)

@@ -463,6 +463,154 @@ def test_backward_peak_at_the_default_arch():
     assert backward_over_tape(64, 64) <= 0.20
 
 
+def test_training_steps_recycle_one_tape():
+    """Three default-arch policy steps under one pool: steps 2 and 3 take
+    every tape array the pool serves (128 KiB and up) from the arrays step 1
+    left in it, and peak within 1.3 times one forward tape (about 2.2 times
+    when each step's graph lived until the next forward returned)."""
+    cfg = PolicyConfig(n_layers=2, n_heads=4, embed_dim=64, seq_length=10, dropout=0.1,
+                       h_max=6)
+    model = SequencePolicyModel(cfg, np.random.default_rng(0)).train()
+    opt = nn.AdamW(model.parameters())
+    rng = np.random.default_rng(1)
+    B, L = 64, cfg.seq_length
+    batch = {"states": rng.normal(size=(B, L, 12)), "actions": rng.uniform(-1, 1, size=(B, L, 2)),
+             "h": rng.integers(0, cfg.h_max + 1, size=(B, L)), "r_h": rng.normal(size=(B, L)),
+             "R": rng.normal(size=(B, L)), "R_raw": rng.normal(size=(B, L)),
+             "R_bounds": (-5.0, 5.0), "mask": np.ones((B, L), dtype=bool)}
+    pool, known, outside = autodiff.BufferPool(), set(), []
+
+    def loss_fn():
+        loss = nn.mse_loss(model.forward(batch, rng), batch["actions"], batch["mask"])
+        roots = {id(n.data if n.data.base is None else n.data.base)
+                 for n in _tape_nodes(loss) if n.data.nbytes >= autodiff._POOLED_BYTES}
+        outside.append(len(roots - known))
+        return loss
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = loss_fn()
+        tape = tracemalloc.get_traced_memory()[0] - base
+        del loss
+        nn.train_step(pool, opt, loss_fn, "policy", "step 1")
+        known.update(id(a) for arrays in pool._free.values() for a in arrays)
+        tracemalloc.reset_peak()
+        for step in (2, 3):
+            nn.train_step(pool, opt, loss_fn, "policy", f"step {step}")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert not pool._lent
+    assert outside[2:] == [0, 0]
+    assert peak <= 1.3 * tape, peak / tape
+
+
+def test_diverged_step_leaves_no_array_lent():
+    w = nn.Parameter(np.ones(1 << 15))
+    x = np.ones(1 << 15)
+    x[1] = np.nan
+    opt, pool, lent = nn.AdamW([w]), autodiff.BufferPool(), []
+
+    def loss_fn():
+        loss = (w * Tensor(x)).sum()
+        lent.append(len(pool._lent))
+        return loss
+
+    with pytest.raises(nn.TrainingDiverged, match="probe: non-finite loss nan at step 0"):
+        nn.train_step(pool, opt, loss_fn, "probe", "step 0")
+    assert lent[0] > 0
+    assert not pool._lent and not pool._free
+    assert np.array_equal(w.data, np.ones(1 << 15))
+
+
+def test_pool_takes_back_only_unreferenced_arrays():
+    pool, n = autodiff.BufferPool(), autodiff._POOLED_BYTES // 8   # floats
+    with pool:
+        assert pool.take((n - 1,)).base is None    # below the pooled size
+        a = pool.take((n // 2, 2))
+        kept = a
+        autodiff._give(a)      # ``kept`` still refers to it
+        assert id(a.base) in pool._lent
+        del kept
+        autodiff._give(a)
+        assert not pool._lent
+        b = pool.take((2, n // 2))  # the free array, at another shape
+        assert b.base is a.base and b.flags.c_contiguous
+        big = pool.take((2 * n,))[1:]
+        autodiff._give(big)    # a view hands back the array it views
+        assert list(pool._lent) == [id(b.base)]
+    assert list(pool._lent) == [id(b.base)]    # still referenced as the step ends
+    del a, b, big
+    with pool:
+        c = pool.take((n + 1,))    # the smallest larger free array
+        assert c.base.size == 2 * n
+        del c
+    assert not pool._lent
+
+
+def test_pool_idles_after_a_step_that_lends_nothing():
+    """A small tape runs on malloc alone, and each step's graph lives until
+    the next step's loss is built."""
+    w = nn.Parameter(np.ones(3))
+    pool, opt, losses = autodiff.BufferPool(), nn.AdamW([w]), []
+
+    def loss_fn():
+        assert autodiff._POOL is (pool if not losses else None)
+        losses.append((w * w).sum())    # below the pooled size: not lent
+        return losses[-1]
+
+    for step in range(3):
+        nn.train_step(pool, opt, loss_fn, "probe", f"step {step}")
+    assert pool._kept is losses[-1] and not pool._lent
+
+
+def hard_with_nonfinite(shape, rng):
+    x = hard_inputs(shape, rng)
+    x.reshape(-1)[8:11] = [np.inf, -np.inf, np.nan]
+    return x
+
+
+@pytest.mark.parametrize("rows", [None, (7, slice(1, None, 3)), (7, slice(2, 5))],
+                         ids=["every-row", "strided", "contiguous"])
+def test_dropout_matches_composed_ops(rows):
+    """One node with a bool mask gives the bits of ``x`` times the float
+    mask ``(draw >= p) / (1 - p)``, forward and backward, on the same draws."""
+    R = 7 if rows is None else len(range(7)[rows[1]])
+    x = hard_with_nonfinite((3, R, 6), RNG)
+    g = hard_with_nonfinite(x.shape, RNG)[::-1].copy()
+
+    def composed(t):
+        draw = np.random.default_rng(5).random((3, 7, 6))
+        draw = draw if rows is None else draw[..., rows[1], :]
+        return t * Tensor((draw >= 0.3) / (1.0 - 0.3))
+
+    results = []
+    for fn in (lambda t: autodiff.dropout(t, 0.3, np.random.default_rng(5), rows), composed):
+        t = Tensor(x.copy(), requires_grad=True)
+        t.grad = None
+        with np.errstate(invalid="ignore"):    # inf * 0
+            out = fn(t)
+            out._backward(g)
+        results.append((out, t.grad))
+    (out, gx), (want, want_gx) = results
+    assert_bits(out.data, want.data)
+    assert_bits(gx, want_gx)
+    assert _tape_nodes(out) == [out]
+    masks = [c.cell_contents for c in out._backward.__closure__
+             if isinstance(c.cell_contents, np.ndarray)]
+    assert [m.dtype for m in masks] == [np.dtype(bool)]
+
+
+def test_dropout_gradcheck():
+    w = Tensor(RNG.normal(size=(2, 5, 4)))
+    finite_diff_check(lambda t: (autodiff.dropout(t, 0.4, np.random.default_rng(3)) * w).sum(),
+                      [RNG.normal(size=(2, 5, 4))])
+    finite_diff_check(
+        lambda t: (autodiff.dropout(t, 0.4, np.random.default_rng(3), (7, slice(2, 7))) * w).sum(),
+        [RNG.normal(size=(2, 5, 4))])
+
+
 def test_mean_sum_axis_gradcheck():
     x = RNG.normal(size=(3, 4, 2))
     finite_diff_check(lambda t: (t.mean(axis=1) * t.sum(axis=(0, 2)).mean()).sum(), [x])
@@ -626,18 +774,18 @@ def _linear(meta):
 
 
 def test_cut_checkpoint_names_the_file(tmp_path):
-    path = tmp_path / "policy.json"
+    path = tmp_path / "policy.npz"
     nn.save_checkpoint(path, "linear-v1", {}, _linear({})[1])
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(ValueError, match="policy.json: cut or corrupt archive"):
+    with pytest.raises(ValueError, match="policy.npz: cut or corrupt archive"):
         nn.load_checkpoint(path, "linear-v1", _linear)
 
 
 def test_checkpoint_missing_params_names_the_file(tmp_path):
-    path = tmp_path / "policy.json"
+    path = tmp_path / "policy.npz"
     nn.save_checkpoint(path, "linear-v1", {}, {"": nn.Linear(3, 2, RNG, bias=False)})
-    with pytest.raises(ValueError, match=r"policy.json: missing members \['bias'\]"):
+    with pytest.raises(ValueError, match=r"policy.npz: missing members \['bias'\]"):
         nn.load_checkpoint(path, "linear-v1", _linear)
 
 

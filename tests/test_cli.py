@@ -18,7 +18,8 @@ from segdt.policy import Policy, train_policy
 from segdt.return_model import ReturnEnsemble, split_train_val
 
 SMOKE = Path(__file__).parents[1] / "configs" / "smoke"
-RSS = ("peak_rss_mb", "workers_peak_rss_mb")   # every manifest's memory high-water marks
+RUSAGE = ("peak_rss_mb", "workers_peak_rss_mb", "minor_faults",
+          "workers_minor_faults")   # every manifest's memory and page-fault figures
 
 
 def run(argv):
@@ -31,7 +32,7 @@ def pipeline(tmp_path_factory):
     d = tmp_path_factory.mktemp("pipeline")
     p = {
         "dataset": d / "data.npz", "ensemble": d / "ensemble",
-        "segmented": d / "seg.npz", "policy": d / "policy.json",
+        "segmented": d / "seg.npz", "policy": d / "policy.npz",
         "index": d / "index.npz", "predictor": d / "predictor",
         "report": d / "report.json", "calibration": d / "calibration.json",
     }
@@ -88,7 +89,7 @@ def test_segment_manifest_records_stage_metrics(pipeline):
     u = np.concatenate([s.u for s in segmenter.load_segmented(pipeline["segmented"])])
     epsilon = float(parse_flat_file(SMOKE / "segment.cfg")["epsilon"])
     assert set(m.metrics) == {"load_s", "forecast_s", "save_s", "uncertain_fraction",
-                              "u_p50", "u_p90", "u_p99", "u_max", "workers", *RSS}
+                              "u_p50", "u_p90", "u_p99", "u_max", "workers", *RUSAGE}
     assert all(m.metrics[k] >= 0.0 for k in ("load_s", "forecast_s", "save_s"))
     assert m.metrics["uncertain_fraction"] == (u > epsilon).mean()
     for name, q in (("u_p50", 0.5), ("u_p90", 0.9), ("u_p99", 0.99), ("u_max", 1.0)):
@@ -99,8 +100,8 @@ def test_segment_manifest_records_stage_metrics(pipeline):
 def test_trainer_manifests_record_stage_metrics(pipeline):
     ret = RunManifest.load(RunManifest.manifest_path(pipeline["ensemble"]))
     pol = RunManifest.load(RunManifest.manifest_path(pipeline["policy"]))
-    assert set(ret.metrics) == {"load_s", "train_s", "save_s", *RSS}
-    assert set(pol.metrics) == {"load_s", "train_s", "save_s", "loss_curve", *RSS}
+    assert set(ret.metrics) == {"load_s", "train_s", "save_s", *RUSAGE}
+    assert set(pol.metrics) == {"load_s", "train_s", "save_s", "loss_curve", *RUSAGE}
     for m in (ret, pol):
         assert all(m.metrics[k] >= 0.0 for k in ("load_s", "train_s", "save_s"))
     config = Policy.load(pipeline["policy"]).config
@@ -125,12 +126,12 @@ def test_rerun_reproduces_artifact_hashes(pipeline, tmp_path):
 def test_stage_manifests_record_timings(pipeline):
     metrics = {name: RunManifest.load(RunManifest.manifest_path(pipeline[name])).metrics
                for name in ("dataset", "segmented", "calibration", "index", "report")}
-    assert set(metrics["dataset"]) == {"collect_s", "save_s", "steps", "workers", *RSS}
+    assert set(metrics["dataset"]) == {"collect_s", "save_s", "steps", "workers", *RUSAGE}
     assert metrics["dataset"]["steps"] == sum(len(t) for t in trajlog.load(pipeline["dataset"]))
-    assert set(metrics["calibration"]) == {"load_s", "forecast_s", "save_s", "workers", *RSS}
+    assert set(metrics["calibration"]) == {"load_s", "forecast_s", "save_s", "workers", *RUSAGE}
     assert set(metrics["index"]) == {"load_s", "build_s", "train_s", "save_s", "loss_curves",
-                                     *RSS}
-    assert set(metrics["report"]) == {"load_s", "rollout_s", "episodes", *RSS}
+                                     *RUSAGE}
+    assert set(metrics["report"]) == {"load_s", "rollout_s", "episodes", *RUSAGE}
     assert metrics["report"]["episodes"] == 3
     # the data stages spread over every usable CPU, and never more workers than items
     cpus = len(os.sched_getaffinity(0))
@@ -407,7 +408,7 @@ def test_train_policy_rejects_other_schemas_exit_2(pipeline, tmp_path, capsys):
     for segmented, message in ((v2, "not an npz archive"),
                                (pipeline["dataset"], "schema version mismatch")):
         rc = run(["train-policy", "--config", SMOKE / "policy.cfg", "--segmented",
-                  segmented, "--out", tmp_path / "policy.json", "--force"])
+                  segmented, "--out", tmp_path / "policy.npz", "--force"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{segmented}: {message}" in err

@@ -50,12 +50,16 @@ def test_manifest_roundtrip(tmp_path):
     assert loaded.outputs["dataset"]["sha256"] == sha256_file(artifact)
     assert loaded.wall_clock_s >= 0.0
     assert loaded.version == MANIFEST_VERSION
-    assert set(loaded.metrics) == {"load_s", "peak_rss_mb", "workers_peak_rss_mb"}
+    assert set(loaded.metrics) == {"load_s", "peak_rss_mb", "workers_peak_rss_mb",
+                                   "minor_faults", "workers_minor_faults"}
     assert loaded.metrics["load_s"] == 0.25
     # high-water marks so far, in MB
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     assert 0.0 < loaded.metrics["peak_rss_mb"] <= peak
     assert loaded.metrics["workers_peak_rss_mb"] >= 0.0
+    # minor page faults so far, of the process and of its finished workers
+    for key in ("minor_faults", "workers_minor_faults"):
+        assert type(loaded.metrics[key]) is int and loaded.metrics[key] >= 0, key
 
 
 def test_manifest_without_metrics_still_loads(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from segdt import trajlog
+from segdt import nn, trajlog
 from segdt.env import V_MAX
 from segdt.nn import Standardizer, TrainingDiverged
 from segdt.policy import (
@@ -231,7 +231,7 @@ def test_policy_recovers_linear_return_map():
 def test_checkpoint_roundtrip_bitwise(seg_dataset, tmp_path):
     cfg = tiny_config(use_global_return=True)
     pol, _ = train_policy(seg_dataset, cfg)
-    path = tmp_path / "policy.json"
+    path = tmp_path / "policy.npz"
     pol.save(path)
     loaded = Policy.load(path)
     for (name, p), (name2, q) in zip(pol.model.named_parameters(),
@@ -241,6 +241,36 @@ def test_checkpoint_roundtrip_bitwise(seg_dataset, tmp_path):
     steps = make_steps(rng, 4)
     assert np.array_equal(pol.act(steps), loaded.act(steps))
     assert loaded.config == cfg
+
+
+def test_train_policy_matches_a_loop_without_the_pool(seg_dataset):
+    """Three default-arch steps by hand, with no pool (forward, mse_loss,
+    backward, AdamW), give ``train_policy``'s parameters bit for bit."""
+    cfg = PolicyConfig(n_layers=2, n_heads=4, embed_dim=64, seq_length=10, dropout=0.1,
+                       batch_size=64, epochs=1, iters_per_epoch=3)
+    trained, _ = train_policy(seg_dataset, cfg)
+
+    nrm = PolicyNormalizer.fit(seg_dataset)
+    model = SequencePolicyModel(cfg, np.random.default_rng(cfg.seed)).train()
+    opt = nn.AdamW(model.parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    batch_rng = np.random.default_rng(cfg.seed + 1)
+    drop_rng = np.random.default_rng(cfg.seed + 2)
+    columns = {"h": [s.h for s in seg_dataset], "r_h": [s.r_h for s in seg_dataset],
+               "R_raw": [s.global_returns for s in seg_dataset]}
+    for _ in range(3):
+        b = trajlog.sample_window([s.traj for s in seg_dataset], cfg.seq_length,
+                                  cfg.batch_size, batch_rng, columns=columns)
+        mask = b["mask"][..., None]
+        target = nrm.norm_actions(b["actions"]) * mask
+        b.update(states=nrm.norm_states(b["states"]) * mask, actions=target,
+                 r_h=nrm.norm_rh(b["r_h"]), R=nrm.norm_R(b["R_raw"]), R_bounds=nrm.R_bounds)
+        loss = nn.mse_loss(model.forward(b, drop_rng), target, b["mask"])
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+    for (name, p), (_, q) in zip(trained.model.named_parameters(),
+                                 model.named_parameters(), strict=True):
+        assert p.data.tobytes() == q.data.tobytes(), name
 
 
 def test_load_rejects_wrong_family(tmp_path, seg_dataset):
