@@ -35,37 +35,51 @@ of the composed ``Tensor`` ops and its backward does their arithmetic in
 the same operand order, but the tape keeps no intermediate array that no
 backward reads.
 
-Tape lifecycle: the forward pass records one node per op, holding its
-output ``.data`` and what its closure reads.  ``backward()`` runs each
+Tape lifecycle: a ``Tensor`` is a handle that owns ``.data``; the op that
+made it records a ``Node``, which owns the gradient, the backward closure
+and the parent nodes.  A closure keeps the nodes it adds gradients into and
+only the arrays its backward reads: the operands of ``linear``, ``matmul``,
+``*`` and ``/`` (each only where the other operand takes a gradient),
+GELU's input and cdf, the outputs of ``exp``, ``tanh`` and softmax, the
+fused ops' normalized arrays and masks, and shapes.  So a forward output
+that no backward reads dies with its last handle.  ``backward()`` runs each
 interior node's closure once and then drops that node's ``.grad``, which
 nothing reads again; only leaves (``Parameter``s and ``Tensor(...,
-requires_grad=True)``) keep a ``.grad``.  Without a pool the nodes and their
-closures stay, so a second ``backward()`` on the same loss adds one more
-gradient into the leaves.
+requires_grad=True)``) keep a ``.grad``.  A closure that kept an array of
+``_POOLED_BYTES`` or more is dropped once it has run, so its arrays go as
+backward proceeds; a graph of smaller arrays keeps its closures, and a
+second ``backward()`` on the same loss adds one more gradient into the
+leaves.  A second ``backward()`` through a dropped closure raises.
 
 Recycling: a training step runs in a function scope under a
 ``BufferPool`` (``nn.train_step``), so one graph is alive at a time.  Every
 op of the step that allocates an array of ``_POOLED_BYTES`` or more (an
 output, a gradient, a kernel's scratch) takes it from the pool and writes
 into it through ``out=``: the same numpy calls, so the same bits; malloc
-serves smaller arrays from its own free lists.  ``backward()`` hands
-each consumed interior gradient back as it dies, and spends the graph as
-it goes: once a node's closure has run, the node drops its closure and
-``.data`` and their arrays go back too, for the rest of the backward pass
-to reuse.  When the step returns, the pool takes back whatever is left
-unreferenced, and the next step's forward writes into this step's memory
-instead of faulting fresh pages in.  A pooled result is laid out in C order
-(or as the transpose of a C-order array for a transposed copy): where
-numpy's own result would be laid out otherwise, the op allocates as numpy
-does.  For 16 iterations of the default-arch ``unrest`` policy at batch 64
-(2-vCPU machine, BLAS at 1 thread), keeping each step's graph alive until
-the next forward returned peaked at two tapes, 188 MB; freeing it with no
-pool peaked at one tape but faulted 315k pages instead of 43k; the pool
-peaks at about 137 MB with 17k faults.
+serves smaller arrays from its own free lists.  An array goes back to the
+pool as soon as nothing references it: when the last handle on a forward
+output that no closure keeps dies (``Tensor.__del__``), as a layer's ``run``
+rebinds a name or returns, so the rest of the forward and the backward
+write into it; when backward has consumed an interior gradient; and when a
+dropped closure's arrays are free.  When the step returns, the pool takes
+back whatever is left unreferenced, and the next step's forward writes into
+this step's memory instead of faulting fresh pages in.  A step that had to
+make an array leaves the pool only the free arrays a replay of that step's
+takes and gives needs, so a run of same-shape steps trims once, after the
+first, and takes no new array after it.  A pooled result is laid out in C order (or as the transpose
+of a C-order array for a transposed copy): where numpy's own result would
+be laid out otherwise, the op allocates as numpy does.  A default-arch
+``unrest`` policy step at batch 64 (2-vCPU machine, BLAS at 1 thread)
+holds a 36.0 MB forward tape (53.6 MB when every output stayed on the tape
+until backward), and three steps under one pool peak at 1.26 times that
+tape (``tests/test_autodiff.py``); the pool keeps 43.8 MB between steps
+(45.7 MB, and a 1.31 times peak, when each size kept as many free arrays as
+the step held at once).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 
@@ -149,25 +163,31 @@ class BufferPool:
 
     ``take`` lends a free array of the size asked for, else the smallest
     larger free one, else a new one; below ``_POOLED_BYTES`` it returns a
-    plain ``np.empty``.  ``backward()`` hands each consumed interior
-    gradient back at once, and each node's own arrays once its closure has
-    run (``_give``, O(1)).  Leaving the block takes back every lent array
-    that nothing else references and keeps of each size no more free arrays
-    than the step held at once.  A step that lent nothing (a tape of small
-    arrays) leaves the pool idle for the steps after it, which then pay
-    none of its bookkeeping and keep the last graph as ``keep`` says.  An
-    exception leaving the block makes the pool
-    forget every array it lent or keeps.
+    plain ``np.empty``.  An array comes back (``_give``, O(1)) as soon as
+    nothing references it: when the last handle of a forward output that no
+    backward reads dies, when backward has consumed an interior gradient, and
+    when a node's closure has run.  Leaving the block takes back every lent
+    array that nothing else references.  A step that had to make an array
+    then trims the pool to the free arrays a replay of its takes and gives
+    needs (``_trim``): it made an array whenever it had no free one that
+    fit, so it made more than a step that starts with all of them needs.  A
+    step that made none leaves the pool as it found it, so training steps of
+    one shape trim once, after the first.  ``borrow`` lends the free arrays
+    between steps.  A step that lent nothing (a tape of small arrays) leaves
+    the pool idle for the steps after it, which then pay none of its
+    bookkeeping and keep the last graph as ``keep`` says.  An exception
+    leaving the block makes the pool forget every array it lent or keeps.
     """
 
     def __init__(self):
-        self._free = {}    # (size, dtype) -> arrays ready to lend
-        self._lent = {}    # id -> array lent and not taken back
-        self._held = {}    # (size, dtype) -> arrays lent now
-        self._most = {}    # (size, dtype) -> most arrays lent at once this step
-        self._used = True  # whether the last step lent an array
-        self._kept = None  # an idle pool's last loss (``keep``)
+        self._free = {}     # (size, dtype) -> arrays ready to lend
+        self._lent = {}     # id -> array lent and not taken back
+        self._log = []      # this step's takes (size, dtype, id) and gives (id)
+        self._made = False  # whether this step made an array
+        self._used = True   # whether the last step lent an array
+        self._kept = None   # an idle pool's last loss (``keep``)
         self._outer = None
+        self._loan = None   # ids lent in the running ``borrow`` block
 
     def __enter__(self):
         global _POOL
@@ -182,14 +202,36 @@ class BufferPool:
         if exc_type is not None:
             self.__init__()
             return False
-        for arr in list(self._lent.values()):
-            if sys.getrefcount(arr) == _NAME_REFS + 2:    # ``arr``, the list, _lent
-                self._back(arr)
-        for key, free in self._free.items():
-            del free[self._most.get(key, 0):]
-        self._used = any(self._most.values())
-        self._most = dict(self._held)
+        self._sweep()
+        if self._made:
+            self._trim()
+        self._used = bool(self._log)
+        self._log, self._made = [], False
         return False
+
+    @contextlib.contextmanager
+    def borrow(self):
+        """Lend the free arrays to a pass between steps that records no tape,
+        and take them back after it, leaving what the pool keeps for the
+        steps as it was: a take that finds no free array first takes back the
+        arrays the pass no longer references, the arrays the block had to
+        make are dropped when it ends, and one still referenced then is
+        forgotten.  An idle pool lends nothing."""
+        global _POOL
+        outer, self._loan = _POOL, set()
+        kept = {id(a) for arrays in self._free.values() for a in arrays} | set(self._lent)
+        if self._used:
+            _POOL = self
+        try:
+            yield self
+        finally:
+            _POOL = outer
+            self._sweep()
+            for key in self._loan & set(self._lent):
+                del self._lent[key]
+            for arrays in self._free.values():
+                arrays[:] = [a for a in arrays if id(a) in kept]
+            self._loan = None
 
     def keep(self, loss: "Tensor"):
         """Hold ``loss``, and so its graph, until the next step's loss is
@@ -205,24 +247,75 @@ class BufferPool:
         if _small(shape, dtype):
             return np.empty(shape, dtype)
         n = math.prod(shape)
-        free = self._free.get((n, dtype))
-        if not free:
-            larger = [key for key, arrays in self._free.items()
-                      if arrays and key[1] == dtype and key[0] > n]
-            free = self._free[min(larger)] if larger else None
-        arr = free.pop() if free else np.empty(n, dtype)
-        key = (arr.size, dtype)
+        arr = _pick(self._free, n, dtype)
+        if arr is None and self._loan is not None:
+            self._sweep()
+            arr = _pick(self._free, n, dtype)
+        if arr is None:
+            arr = np.empty(n, dtype)
+            if self._loan is None:
+                self._made = True
         self._lent[id(arr)] = arr
-        held = self._held[key] = self._held.get(key, 0) + 1
-        if held > self._most.get(key, 0):
-            self._most[key] = held
+        if self._loan is not None:
+            self._loan.add(id(arr))
+        else:
+            self._log.append((n, dtype, id(arr)))
         return (arr if arr.size == n else arr[:n]).reshape(shape)
 
     def _back(self, arr: np.ndarray):
         del self._lent[id(arr)]
-        key = (arr.size, arr.dtype)
-        self._held[key] -= 1
-        self._free.setdefault(key, []).append(arr)
+        if self._loan is None or id(arr) not in self._loan:
+            self._log.append(id(arr))
+        self._free.setdefault((arr.size, arr.dtype), []).append(arr)
+
+    def _sweep(self):
+        """Take back every lent array that nothing else references."""
+        for arr in list(self._lent.values()):
+            if sys.getrefcount(arr) == _NAME_REFS + 2:    # ``arr``, the list, _lent
+                self._back(arr)
+
+    def _trim(self):
+        """Drop, largest first, each free array without which a replay of
+        the step's takes and gives still finds a free array for every take."""
+        keep = sorted((a for arrays in self._free.values() for a in arrays),
+                      key=lambda a: a.nbytes)
+        for arr in keep[::-1]:
+            rest = [a for a in keep if a is not arr]
+            if _serves(rest, self._log):
+                keep = rest
+        self._free = {}
+        for arr in keep:
+            self._free.setdefault((arr.size, arr.dtype), []).append(arr)
+
+
+def _serves(arrays: list, log: list) -> bool:
+    """Whether replaying the takes and gives of ``log`` (``BufferPool._trim``)
+    on ``arrays`` as the free arrays finds one for every take.  A give of an
+    array an earlier step lent is skipped: the replay starts with it free."""
+    free, lent = {}, {}
+    for arr in arrays:
+        free.setdefault((arr.size, arr.dtype), []).append(arr)
+    for event in log:
+        if isinstance(event, tuple):
+            n, dtype, real = event
+            arr = lent[real] = _pick(free, n, dtype)
+            if arr is None:
+                return False
+        elif event in lent:
+            arr = lent.pop(event)
+            free[(arr.size, arr.dtype)].append(arr)
+    return True
+
+
+def _pick(free: dict, n: int, dtype: np.dtype):
+    """Pop from ``free`` an array of ``n`` elements of ``dtype``, else the
+    smallest larger one; None when there is neither."""
+    arrays = free.get((n, dtype))
+    if not arrays:
+        larger = [key for key, arrays in free.items()
+                  if arrays and key[1] == dtype and key[0] > n]
+        arrays = free[min(larger)] if larger else None
+    return arrays.pop() if arrays else None
 
 
 def _small(shape: tuple, dtype: np.dtype) -> bool:
@@ -240,17 +333,17 @@ def _give(view):
         _POOL._back(arr)
 
 
-def _spend(node: "Tensor"):
-    """Under a pool, once ``node``'s closure has run (its children's ran
-    before): drop the closure and ``node.data``, and hand their arrays that
-    nothing else references back to the pool.  A node whose output is too
-    small to pool is left to the end of the step."""
-    if _small(node.data.shape, node.data.dtype):
-        return
+def _spend(node: "Node"):
+    """Once ``node``'s closure has run (its children's ran before): drop the
+    closure if it keeps an array of ``_POOLED_BYTES`` or more, and hand the
+    arrays it kept that nothing else references back to the pool.  A closure
+    that keeps only smaller arrays stays, so a graph of small arrays can be
+    run backward again."""
     saved = [cell.cell_contents for cell in node._backward.__closure__ or ()]
     saved = [a for a in saved if isinstance(a, np.ndarray)]
-    saved.append(node.data)
-    node._backward = node.data = None
+    if not any(a.nbytes >= _POOLED_BYTES for a in saved):
+        return
+    node._backward = None
     while saved:
         arr = saved.pop()
         _give(arr)
@@ -310,11 +403,11 @@ def _copy(g: np.ndarray) -> np.ndarray:
     return out.transpose(np.argsort(perm))
 
 
-def _zeros_like(x: np.ndarray) -> np.ndarray:
-    """``np.zeros_like(x)``, pooled as ``_copy``."""
-    out = _out(x)
-    if out is None:
-        return np.zeros_like(x)
+def _zeros(shape: tuple) -> np.ndarray:
+    """``np.zeros(shape)``, from the running step's pool if any."""
+    if _POOL is None or _small(shape, _F64):
+        return np.zeros(shape)
+    out = _POOL.take(shape)
     out.fill(0.0)
     return out
 
@@ -440,29 +533,40 @@ def _input_grad(g: np.ndarray, w: np.ndarray, rows: tuple | None) -> np.ndarray:
     if rows is None:
         return _matmul_data(g, wt)
     T, index = rows
-    full = _empty(g.shape[:-2] + (T, g.shape[-1]))
-    full.fill(0.0)
+    full = _zeros(g.shape[:-2] + (T, g.shape[-1]))
     full[..., index, :] = g
     ga = _matmul_data(full, wt)[..., index, :]
-    _give(full)    # not held while ``b``'s gradient is computed
+    _give(full)    # scratch: back before the gradient is added
     return ga
 
 
-def _matmul_backward(g: np.ndarray, a: "Tensor", b: "Tensor", rows: tuple | None):
-    """Accumulate the gradients of ``a @ b`` into ``a``, then ``b``; ``rows``
-    is ``Tensor.matmul``'s.  Each is handed over unnamed, so that ``_accum``
-    can give it back to the pool once added."""
-    if a.requires_grad:
-        a._accum(_unbroadcast(_input_grad(g, b.data, rows), a.shape), owned=True)
-    if b.requires_grad:
-        b._accum(_weight_grad(a.data, g) if a.ndim == 3 and b.ndim == 2 else
-                 _unbroadcast(_matmul_data(np.swapaxes(a.data, -1, -2), g), b.shape),
-                 owned=True)
+def _matmul_backward(x: "Tensor", w: "Tensor", rows: tuple | None, b: "Tensor | None" = None):
+    """The backward closure of ``x @ w`` (``+ b`` with ``b``): it adds ``b``'s
+    gradient, then ``w``'s, whose run buffer is gone before ``x``'s gradient
+    is made, then ``x``'s.  It keeps ``w``'s array only when ``x`` takes a
+    gradient, and ``x``'s only when ``w`` does; ``rows`` is
+    ``Tensor.matmul``'s.  Each gradient is handed over unnamed, so that
+    ``_accum`` can give it back to the pool once added."""
+    a, c, bias = x._node, w._node, None if b is None else b._node
+    xd = x.data if c is not None else None
+    wd = w.data if a is not None else None
+
+    def backward(g):
+        if bias is not None:
+            _add_backward(g, bias)
+        if c is not None:
+            c._accum(_weight_grad(xd, g) if xd.ndim == 3 and len(c.shape) == 2 else
+                     _unbroadcast(_matmul_data(np.swapaxes(xd, -1, -2), g), c.shape),
+                     owned=True)
+        if a is not None:
+            a._accum(_unbroadcast(_input_grad(g, wd, rows), a.shape), owned=True)
+
+    return backward
 
 
-def _add_backward(g: np.ndarray, t: "Tensor"):
+def _add_backward(g: np.ndarray, t: "Node | None"):
     """One operand's share of ``+``'s backward."""
-    if t.requires_grad:
+    if t is not None:
         gt = _unbroadcast(g, t.shape)
         t._accum(gt, owned=gt is not g)
 
@@ -543,17 +647,47 @@ def _is_basic_index(idx) -> bool:
     return True
 
 
-class Tensor:
-    """A float64 array plus optional gradient buffer and tape record."""
+class Node:
+    """A tape record: the gradient, the output's shape, the backward closure
+    and the parent nodes it adds gradients into.  A leaf (a ``Parameter`` or
+    ``Tensor(..., requires_grad=True)``) has no closure and keeps its grad."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("grad", "shape", "_backward", "_parents")
+
+    def __init__(self, shape: tuple, grad=None, backward=None, parents: tuple = ()):
+        self.grad = grad
+        self.shape = shape
+        self._backward = backward
+        self._parents = parents
+
+    def _accum(self, g, owned: bool):
+        """Add ``g`` into ``grad``.  The first write allocates: it keeps ``g``
+        itself when the closure just computed it (``owned``) and copies views
+        and arrays another operand may also receive.  A later write hands an
+        owned ``g`` back to the pool."""
+        if self.grad is None:
+            self.grad = np.asarray(g) if owned else _copy(g)
+        else:
+            self.grad += g
+            if owned:
+                _give(g)
+
+
+class Tensor:
+    """A handle on a float64 array, with the tape ``Node`` it was recorded
+    as, if any.  When the last handle on an array that no closure keeps dies
+    during a training step, the array goes back to the step's pool."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = np.zeros_like(self.data) if requires_grad else None
-        self._backward = None
-        self._parents: tuple = ()
+        self._node = Node(self.data.shape, np.zeros_like(self.data)) if requires_grad else None
+
+    def __del__(self):
+        if _POOL is not None:
+            data, self.data = self.data, None
+            _give(data)
 
     # -- basics ------------------------------------------------------------
 
@@ -564,6 +698,18 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._node.grad = value
 
     def item(self) -> float:
         return float(self.data)
@@ -582,25 +728,26 @@ class Tensor:
 
     @staticmethod
     def _result(data, parents, backward) -> "Tensor":
+        """A handle on ``data``, recorded with ``backward`` when grad is
+        enabled and one of the ``parents`` nodes exists."""
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents):
-            out.requires_grad = True
-            out.grad = None  # allocated lazily during backward
-            out._parents = tuple(parents)
-            out._backward = backward
+        parents = tuple(p for p in parents if p is not None)
+        if _GRAD_ENABLED and parents:
+            out._node = Node(out.data.shape, None, backward, parents)
         return out
 
     def backward(self):
-        """Populate ``grad`` on every reachable tensor; ``self`` must be scalar."""
+        """Populate ``grad`` on every reachable node; ``self`` must be scalar."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.shape}")
-        if self._backward is None and not self.requires_grad:
+        root = self._node
+        if root is None:
             raise ValueError("backward() called on a tensor with no recorded operations")
 
-        topo: list[Tensor] = []
+        topo: list[Node] = []
         seen = set()
 
-        def visit(node: Tensor):
+        def visit(node: Node):
             stack = [(node, iter(node._parents))]
             seen.add(id(node))
             while stack:
@@ -616,27 +763,17 @@ class Tensor:
                     topo.append(cur)
                     stack.pop()
 
-        visit(self)
-        self.grad = np.ones_like(self.data)
+        visit(root)
+        if any(node._backward is None and node._parents for node in topo):
+            raise ValueError("backward() through a graph an earlier backward() spent")
+        root.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
                 g, node.grad = node.grad, None    # consumed: only leaves keep a gradient
                 node._backward(g)
                 _give(g)
-                if _POOL is not None and node is not self:
+                if node is not root:
                     _spend(node)
-
-    def _accum(self, g, owned: bool):
-        """Add ``g`` into ``grad``.  The first write allocates: it keeps ``g``
-        itself when the closure just computed it (``owned``) and copies views
-        and arrays another operand may also receive.  A later write hands an
-        owned ``g`` back to the pool."""
-        if self.grad is None:
-            self.grad = np.asarray(g) if owned else _copy(g)
-        else:
-            self.grad += g
-            if owned:
-                _give(g)
 
     # -- elementwise arithmetic -------------------------------------------
 
@@ -647,21 +784,23 @@ class Tensor:
     def __add__(self, other):
         other = Tensor._coerce(other)
         out_data = np.add(self.data, other.data, out=_out(self.data, other.data))
+        a, b = self._node, other._node
 
         def backward(g):
-            _add_backward(g, self)
-            _add_backward(g, other)
+            _add_backward(g, a)
+            _add_backward(g, b)
 
-        return Tensor._result(out_data, (self, other), backward)
+        return Tensor._result(out_data, (a, b), backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        def backward(g):
-            if self.requires_grad:
-                self._accum(np.negative(g, out=_out(g)), owned=True)
+        a = self._node
 
-        return Tensor._result(np.negative(self.data, out=_out(self.data)), (self,), backward)
+        def backward(g):
+            a._accum(np.negative(g, out=_out(g)), owned=True)
+
+        return Tensor._result(np.negative(self.data, out=_out(self.data)), (a,), backward)
 
     def __sub__(self, other):
         return self + (-Tensor._coerce(other))
@@ -671,102 +810,101 @@ class Tensor:
 
     def __mul__(self, other):
         other = Tensor._coerce(other)
-        out_data = np.multiply(self.data, other.data, out=_out(self.data, other.data))
+        x, y = self.data, other.data
+        out_data = np.multiply(x, y, out=_out(x, y))
+        a, b = self._node, other._node
+        x, y = (x if b is not None else None), (y if a is not None else None)
 
         def backward(g):
-            for t, o in ((self, other), (other, self)):
-                if t.requires_grad:
-                    t._accum(_unbroadcast(np.multiply(g, o.data, out=_out(g, o.data)),
-                                          t.shape), owned=True)
+            for t, o in ((a, y), (b, x)):
+                if t is not None:
+                    t._accum(_unbroadcast(np.multiply(g, o, out=_out(g, o)), t.shape),
+                             owned=True)
 
-        return Tensor._result(out_data, (self, other), backward)
+        return Tensor._result(out_data, (a, b), backward)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Tensor._coerce(other)
-        out_data = np.divide(self.data, other.data, out=_out(self.data, other.data))
+        x, y = self.data, other.data
+        out_data = np.divide(x, y, out=_out(x, y))
+        a, b = self._node, other._node
+        x = x if b is not None else None
 
         def backward(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g / other.data, self.shape), owned=True)
-            if other.requires_grad:
-                other._accum(_unbroadcast(-g * self.data / other.data**2, other.shape),
-                             owned=True)
+            if a is not None:
+                a._accum(_unbroadcast(g / y, a.shape), owned=True)
+            if b is not None:
+                b._accum(_unbroadcast(-g * x / y**2, b.shape), owned=True)
 
-        return Tensor._result(out_data, (self, other), backward)
+        return Tensor._result(out_data, (a, b), backward)
 
     def __rtruediv__(self, other):
         return Tensor._coerce(other) / self
 
     def __pow__(self, exponent: float):
-        out_data = self.data**exponent
+        x, a = self.data, self._node
 
         def backward(g):
-            if self.requires_grad:
-                self._accum(g * exponent * self.data ** (exponent - 1), owned=True)
+            a._accum(g * exponent * x ** (exponent - 1), owned=True)
 
-        return Tensor._result(out_data, (self,), backward)
+        return Tensor._result(x**exponent, (a,), backward)
 
     # -- unary math --------------------------------------------------------
 
     def exp(self):
-        out_data = np.exp(self.data, out=_out(self.data))
+        out_data, a = np.exp(self.data, out=_out(self.data)), self._node
 
         def backward(g):
-            if self.requires_grad:
-                self._accum(np.multiply(g, out_data, out=_out(g, out_data)), owned=True)
+            a._accum(np.multiply(g, out_data, out=_out(g, out_data)), owned=True)
 
-        return Tensor._result(out_data, (self,), backward)
+        return Tensor._result(out_data, (a,), backward)
 
     def log(self):
-        def backward(g):
-            if self.requires_grad:
-                self._accum(g / self.data, owned=True)
+        x, a = self.data, self._node
 
-        return Tensor._result(np.log(self.data), (self,), backward)
+        def backward(g):
+            a._accum(g / x, owned=True)
+
+        return Tensor._result(np.log(x), (a,), backward)
 
     def tanh(self):
-        out_data = np.tanh(self.data, out=_out(self.data))
+        out_data, a = np.tanh(self.data, out=_out(self.data)), self._node
 
         def backward(g):
-            if self.requires_grad:
-                self._accum(_tanh_grad(g, out_data), owned=True)
+            a._accum(_tanh_grad(g, out_data), owned=True)
 
-        return Tensor._result(out_data, (self,), backward)
+        return Tensor._result(out_data, (a,), backward)
 
     def relu(self):
-        out_data = np.maximum(self.data, 0.0)
+        x, a = self.data, self._node
 
         def backward(g):
-            if self.requires_grad:
-                self._accum(g * (self.data > 0), owned=True)
+            a._accum(g * (x > 0), owned=True)
 
-        return Tensor._result(out_data, (self,), backward)
+        return Tensor._result(np.maximum(x, 0.0), (a,), backward)
 
     def gelu(self):
         """Exact (erf-based) GELU."""
-        x = self.data
+        x, a = self.data, self._node
         out_data, cdf = gelu(x, with_cdf=True)
 
         def backward(g):
-            if self.requires_grad:
-                self._accum(_gelu_grad(g, x, cdf), owned=True)
+            a._accum(_gelu_grad(g, x, cdf), owned=True)
 
-        return Tensor._result(out_data, (self,), backward)
+        return Tensor._result(out_data, (a,), backward)
 
     # -- reductions --------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        a = self._node
 
         def backward(g):
-            if not self.requires_grad:
-                return
             gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(gg, self.shape), owned=False)
+            a._accum(np.broadcast_to(gg, a.shape), owned=False)
 
-        return Tensor._result(out_data, (self,), backward)
+        return Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -781,29 +919,26 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        old_shape = self.shape
-        out_data = _reshape(self.data, shape)
+        a = self._node
 
-        def backward(g):
-            if self.requires_grad:    # a copy of ``g`` is owned
-                r = _reshape(g, old_shape)
-                self._accum(r, owned=not np.may_share_memory(r, g))
+        def backward(g):    # a copy of ``g`` is owned
+            r = _reshape(g, a.shape)
+            a._accum(r, owned=not np.may_share_memory(r, g))
 
-        return Tensor._result(out_data, (self,), backward)
+        return Tensor._result(_reshape(self.data, shape), (a,), backward)
 
     def transpose(self, axes):
         axes = tuple(axes)
         inv = tuple(np.argsort(axes))
-        out_data = self.data.transpose(axes)
+        a = self._node
 
         def backward(g):
-            if self.requires_grad:
-                self._accum(g.transpose(inv), owned=False)
+            a._accum(g.transpose(inv), owned=False)
 
-        return Tensor._result(out_data, (self,), backward)
+        return Tensor._result(self.data.transpose(axes), (a,), backward)
 
     def __getitem__(self, idx):
-        x = self.data
+        x, a = self.data, self._node
         if (_POOL is not None and isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"
                 and idx.size and x.ndim and 0 <= idx.min() and idx.max() < len(x)):
             # indices in range, so mode "clip" takes ``x[idx]`` as it is
@@ -813,16 +948,14 @@ class Tensor:
             out_data = x[idx]
 
         def backward(g):
-            if not self.requires_grad:
-                return
-            if self.grad is None:
-                self.grad = _zeros_like(self.data)
+            if a.grad is None:
+                a.grad = _zeros(a.shape)
             if _is_basic_index(idx):
-                self.grad[idx] += g
+                a.grad[idx] += g
             else:  # integer arrays may repeat an index: accumulate each
-                np.add.at(self.grad, idx, g)
+                np.add.at(a.grad, idx, g)
 
-        return Tensor._result(out_data, (self,), backward)
+        return Tensor._result(out_data, (a,), backward)
 
     # -- linear algebra ----------------------------------------------------
 
@@ -834,35 +967,29 @@ class Tensor:
         on the product's row count, and the padding gives each row the bits
         of the T-row product's."""
         other = Tensor._coerce(other)
-        out_data = _matmul_data(self.data, other.data)
-
-        def backward(g):
-            _matmul_backward(g, self, other, rows)
-
-        return Tensor._result(out_data, (self, other), backward)
+        return Tensor._result(_matmul_data(self.data, other.data),
+                              (self._node, other._node), _matmul_backward(self, other, rows))
 
     __matmul__ = matmul
 
     # -- softmax / normalization -------------------------------------------
 
     def softmax(self, axis: int = -1):
-        out_data = softmax(self.data, axis)
+        out_data, a = softmax(self.data, axis), self._node
 
         def backward(g):
-            if self.requires_grad:
-                self._accum(_softmax_grad(g, out_data, axis), owned=True)
+            a._accum(_softmax_grad(g, out_data, axis), owned=True)
 
-        return Tensor._result(out_data, (self,), backward)
+        return Tensor._result(out_data, (a,), backward)
 
     def layernorm(self, eps: float = 1e-5):
         """Normalize the last axis to zero mean, unit variance (no affine)."""
-        out_data, inv = layernorm(self.data, eps)
+        (out_data, inv), a = layernorm(self.data, eps), self._node
 
         def backward(g):
-            if self.requires_grad:
-                self._accum(_layernorm_grad(g, out_data, inv), owned=True)
+            a._accum(_layernorm_grad(g, out_data, inv), owned=True)
 
-        return Tensor._result(out_data, (self,), backward)
+        return Tensor._result(out_data, (a,), backward)
 
 
 def concat(tensors: list, axis: int = -1) -> Tensor:
@@ -875,27 +1002,29 @@ def concat(tensors: list, axis: int = -1) -> Tensor:
         out = _POOL.take(tuple(shape))
     out_data = np.concatenate(datas, axis=axis, out=out)
     offsets = np.cumsum([0] + sizes)
+    nodes = [t._node for t in tensors]
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for t, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if t is not None:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 t._accum(g[tuple(sl)], owned=False)
 
-    return Tensor._result(out_data, tuple(tensors), backward)
+    return Tensor._result(out_data, nodes, backward)
 
 
 def stack(tensors: list, axis: int = 0) -> Tensor:
     out_data = np.stack([t.data for t in tensors], axis=axis)
+    nodes = [t._node for t in tensors]
 
     def backward(g):
-        parts = np.split(g, len(tensors), axis=axis)
-        for t, part in zip(tensors, parts):
-            if t.requires_grad:
+        parts = np.split(g, len(nodes), axis=axis)
+        for t, part in zip(nodes, parts):
+            if t is not None:
                 t._accum(np.squeeze(part, axis=axis), owned=False)
 
-    return Tensor._result(out_data, tuple(tensors), backward)
+    return Tensor._result(out_data, nodes, backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -906,46 +1035,45 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
     out_data = _matmul_data(x.data, w.data)
     if b is not None:
         out_data += b.data
-
-    def backward(g):
-        if b is not None:
-            _add_backward(g, b)
-        _matmul_backward(g, x, w, rows)
-
-    return Tensor._result(out_data, (x, w) if b is None else (x, w, b), backward)
+    parents = (x._node, w._node) if b is None else (x._node, w._node, b._node)
+    return Tensor._result(out_data, parents, _matmul_backward(x, w, rows, b))
 
 
 def affine_layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
     """``x.layernorm(eps) * gain + shift`` as one tape node, with its bits
-    and gradients; the tape keeps no ``normalized * gain`` array."""
+    and gradients; the tape keeps no ``normalized * gain`` array, and keeps
+    the normalized array, ``1 / sqrt(var + eps)`` and the gain only where a
+    gradient reads them."""
     normed, inv = layernorm(x.data, eps)
     out_data = np.multiply(normed, gain.data, out=_out(normed, gain.data))
     out_data += shift.data
+    a, gn, sn = x._node, gain._node, shift._node
+    gd, inv = (gain.data, inv) if a is not None else (None, None)
+    normed = normed if a is not None or gn is not None else None
 
     def backward(g):
-        _add_backward(g, shift)
-        if gain.requires_grad:
-            gain._accum(_unbroadcast(np.multiply(g, normed, out=_out(g, normed)),
-                                     gain.shape), owned=True)
-        if x.requires_grad:
-            x._accum(_layernorm_grad(
-                _unbroadcast(np.multiply(g, gain.data, out=_out(g, gain.data)), normed.shape),
+        _add_backward(g, sn)
+        if gn is not None:
+            gn._accum(_unbroadcast(np.multiply(g, normed, out=_out(g, normed)), gn.shape),
+                      owned=True)
+        if a is not None:
+            a._accum(_layernorm_grad(
+                _unbroadcast(np.multiply(g, gd, out=_out(g, gd)), normed.shape),
                 normed, inv, owned=True), owned=True)
 
-    return Tensor._result(out_data, (x, gain, shift), backward)
+    return Tensor._result(out_data, (a, gn, sn), backward)
 
 
 def masked_softmax(x: Tensor, scale: float, mask: np.ndarray) -> Tensor:
     """``(x * scale + mask).softmax(-1)`` as one tape node, with its bits and
     gradients, for a constant ``scale`` and additive ``mask`` that broadcasts
     to ``x``'s shape; the tape keeps neither the scaled nor the masked scores."""
-    out_data = scaled_softmax(x.data, scale, mask)
+    out_data, a = scaled_softmax(x.data, scale, mask), x._node
 
     def backward(g):
-        if x.requires_grad:
-            x._accum(_scaled(_softmax_grad(g, out_data, -1), scale), owned=True)
+        a._accum(_scaled(_softmax_grad(g, out_data, -1), scale), owned=True)
 
-    return Tensor._result(out_data, (x,), backward)
+    return Tensor._result(out_data, (a,), backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator,
@@ -965,9 +1093,9 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
     scale = 1.0 / (1.0 - p)
     out_data = np.multiply(x.data, keep, out=_out(x.data))
     out_data *= scale
+    a = x._node
 
     def backward(g):
-        if x.requires_grad:
-            x._accum(_scaled(np.multiply(g, keep, out=_out(g)), scale), owned=True)
+        a._accum(_scaled(np.multiply(g, keep, out=_out(g)), scale), owned=True)
 
-    return Tensor._result(out_data, (x,), backward)
+    return Tensor._result(out_data, (a,), backward)

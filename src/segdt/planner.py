@@ -97,6 +97,10 @@ class KdUncertaintyIndex:
         states, values = entries["states"], entries["values"]
         if len(states) != len(values) or len(values) == 0:
             raise ValueError(f"{path}: {len(states)} states vs {len(values)} values")
+        if not (np.isfinite(states).all() and np.isfinite(values).all()):
+            raise ValueError(f"{path}: a stored state or value is not finite")
+        if (values < 0).any():
+            raise ValueError(f"{path}: a stored uncertainty value is negative")
         return cls(states, values, **settings)
 
 

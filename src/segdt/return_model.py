@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn, trajlog
+from .autodiff import no_grad
 from .env import STATE_DIM, ACTION_DIM, norm_actions
 
 log = logging.getLogger(__name__)
@@ -314,8 +315,10 @@ def _heldout_nll(member: ReturnMemberModel | None, batches: list) -> float:
         if member is None:
             zero = np.zeros(b["mask"].shape)
             heads = (zero, zero, zero, zero)
-        else:
-            heads = member.infer(b["states"], b["actions"], b["mask"])
+        else:   # the taped ops, recording nothing: under ``BufferPool.borrow``
+            # they write into the pool's arrays, where ``infer`` would allocate
+            with no_grad():
+                heads = [h.data for h in member.forward(b["states"], b["actions"], b["mask"])]
         for mu, lv in (heads[:2], heads[2:]):
             head_total, head_count = nn.masked_nll_sum(mu, lv, b["returns"], b["mask"])
             total += head_total
@@ -388,7 +391,8 @@ def train_return_models(trajs: list, config: ReturnModelConfig,
                 nn.train_step(pool, opt, lambda: loss_of(b), f"member {k}",
                               f"epoch {epoch}, iter {it}")
             member.eval()
-            curve.append(_heldout_nll(member, val_batches))
+            with pool.borrow():    # the steps' free arrays, left as they were
+                curve.append(_heldout_nll(member, val_batches))
             member.train()
             if progress:
                 log.info("member %d epoch %d held-out nll %.4f", k, epoch, curve[-1])

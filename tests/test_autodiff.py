@@ -9,7 +9,7 @@ from scipy.special import erf
 
 from segdt.autodiff import (Tensor, ShapeError, affine_layernorm, concat, linear,
                             masked_softmax, no_grad)
-from segdt import autodiff, nn
+from segdt import autodiff, nn, planner, return_model
 from segdt.policy import PolicyConfig, SequencePolicyModel
 
 from gradcheck import finite_diff_check
@@ -133,7 +133,8 @@ def test_node_without_gradient_gradcheck():
 
 
 def _tape_nodes(root):
-    nodes, stack = {}, [root]
+    """The interior nodes of ``root``'s tape."""
+    nodes, stack = {}, [root._node]
     while stack:
         node = stack.pop()
         if id(node) not in nodes and node._parents:
@@ -406,7 +407,7 @@ def test_tape_kernels_leave_their_inputs_alone():
         t = Tensor(x.copy(), requires_grad=True)
         out = op(t)
         g = upstream(out.shape)
-        out._backward(g)
+        out._node._backward(g)
         assert_bits(t.data, x)
         assert_bits(g, upstream(out.shape))
         assert not np.shares_memory(t.grad, g)
@@ -421,22 +422,77 @@ def test_second_backward_adds_one_more_gradient():
     assert np.array_equal(x.grad, 8.0 * x.data)
 
 
-def backward_over_tape(dim: int, batch: int) -> float:
-    """One taped step of an ``unrest`` policy (2 layers, 4 heads, seq 10):
-    backward's peak above the forward tape, as a fraction of the tape.  Also
-    checks that only the leaves kept a gradient."""
+def test_second_backward_through_a_dropped_closure_raises():
+    """A closure that kept an array of 256 KiB or more is dropped once it
+    has run, so a second backward() would miss its gradient: it raises."""
+    x = Tensor(np.ones(autodiff._POOLED_BYTES // 8), requires_grad=True)
+    loss = (x * x).sum()
+    loss.backward()
+    assert np.array_equal(x.grad, 2.0 * x.data)
+    with pytest.raises(ValueError, match="an earlier backward"):
+        loss.backward()
+    assert np.array_equal(x.grad, 2.0 * x.data)
+
+
+def _kept_arrays(root):
+    """Every array the closures of ``root``'s tape keep."""
+    return [cell.cell_contents for node in _tape_nodes(root)
+            for cell in node._backward.__closure__ or ()
+            if isinstance(cell.cell_contents, np.ndarray)]
+
+
+def policy_step(dim=64, B=64):
+    """An ``unrest`` policy (2 layers, 4 heads, seq 10; the default arch at
+    ``dim`` 64) and a loss function over one fixed batch of ``B`` windows."""
     cfg = PolicyConfig(n_layers=2, n_heads=4, embed_dim=dim, seq_length=10, dropout=0.1,
                        h_max=6)
     model = SequencePolicyModel(cfg, np.random.default_rng(0)).train()
     rng = np.random.default_rng(1)
-    B, L = batch, cfg.seq_length
+    L = cfg.seq_length
     batch = {"states": rng.normal(size=(B, L, 12)), "actions": rng.uniform(-1, 1, size=(B, L, 2)),
              "h": rng.integers(0, cfg.h_max + 1, size=(B, L)), "r_h": rng.normal(size=(B, L)),
              "R": rng.normal(size=(B, L)), "R_raw": rng.normal(size=(B, L)),
              "R_bounds": (-5.0, 5.0), "mask": np.ones((B, L), dtype=bool)}
+    return model, lambda: nn.mse_loss(model.forward(batch, rng), batch["actions"],
+                                      batch["mask"])
+
+
+def member_step():
+    """A default-arch return member (twin trunks, each reading its own
+    ``rows`` slice) and a loss function over one fixed batch of 64 windows."""
+    cfg = return_model.ReturnModelConfig()
+    model = return_model.ReturnMemberModel(cfg, np.random.default_rng(0)).train()
+    rng = np.random.default_rng(1)
+    B, L = cfg.batch_size, cfg.seq_length
+    states, actions = rng.normal(size=(B, L, 12)), rng.uniform(-1, 1, size=(B, L, 2))
+    returns, mask = rng.normal(size=(B, L)), np.ones((B, L), dtype=bool)
+    mask[:5, :3] = False
+
+    def loss_fn():
+        mu_s, lv_s, mu_a, lv_a = model.forward(states, actions, mask, rng)
+        return (nn.gaussian_nll(mu_s, lv_s, returns, mask)
+                + nn.gaussian_nll(mu_a, lv_a, returns, mask))
+
+    return model, loss_fn
+
+
+def predictor_step():
+    """A default-config target predictor member and its loss function."""
+    cfg = planner.TargetPredictorConfig()
+    model = planner._TargetMlp(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    xs, ys = rng.normal(size=(cfg.batch_size, 13)), rng.normal(size=cfg.batch_size)
+    return model, lambda: nn.gaussian_nll(*model.forward(xs), ys)
+
+
+def backward_over_tape(dim: int, batch: int) -> float:
+    """One taped step of an ``unrest`` policy (2 layers, 4 heads, seq 10):
+    backward's peak above the forward tape, as a fraction of the tape.  Also
+    checks that only the leaves kept a gradient."""
+    model, loss_fn = policy_step(dim, batch)
     tracemalloc.start()
     try:
-        loss = nn.mse_loss(model.forward(batch, rng), batch["actions"], batch["mask"])
+        loss = loss_fn()
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         loss.backward()
@@ -463,47 +519,147 @@ def test_backward_peak_at_the_default_arch():
     assert backward_over_tape(64, 64) <= 0.20
 
 
-def test_training_steps_recycle_one_tape():
-    """Three default-arch policy steps under one pool: steps 2 and 3 take
-    every tape array the pool serves (128 KiB and up) from the arrays step 1
-    left in it, and peak within 1.3 times one forward tape (about 2.2 times
-    when each step's graph lived until the next forward returned)."""
-    cfg = PolicyConfig(n_layers=2, n_heads=4, embed_dim=64, seq_length=10, dropout=0.1,
-                       h_max=6)
-    model = SequencePolicyModel(cfg, np.random.default_rng(0)).train()
-    opt = nn.AdamW(model.parameters())
-    rng = np.random.default_rng(1)
-    B, L = 64, cfg.seq_length
-    batch = {"states": rng.normal(size=(B, L, 12)), "actions": rng.uniform(-1, 1, size=(B, L, 2)),
-             "h": rng.integers(0, cfg.h_max + 1, size=(B, L)), "r_h": rng.normal(size=(B, L)),
-             "R": rng.normal(size=(B, L)), "R_raw": rng.normal(size=(B, L)),
-             "R_bounds": (-5.0, 5.0), "mask": np.ones((B, L), dtype=bool)}
-    pool, known, outside = autodiff.BufferPool(), set(), []
+def _root_id(arr: np.ndarray) -> int:
+    return id(arr if arr.base is None else arr.base)
 
-    def loss_fn():
-        loss = nn.mse_loss(model.forward(batch, rng), batch["actions"], batch["mask"])
-        roots = {id(n.data if n.data.base is None else n.data.base)
-                 for n in _tape_nodes(loss) if n.data.nbytes >= autodiff._POOLED_BYTES}
+
+def recycled_peak(model, loss_fn) -> float:
+    """Three training steps under one pool: checks that in steps 2 and 3
+    every op output and every array a closure keeps, of 256 KiB and up, is
+    one of the arrays step 1 left in the pool, and returns their peak as a
+    multiple of one forward tape."""
+    opt = nn.AdamW(model.parameters())
+    pool, known, outside, outputs = autodiff.BufferPool(), set(), [], []
+
+    def step_loss():
+        loss = loss_fn()
+        roots = {_root_id(a) for a in _kept_arrays(loss) if a.nbytes >= autodiff._POOLED_BYTES}
         outside.append(len(roots - known))
         return loss
+
+    init = Tensor.__init__
+
+    def spy(self, data, requires_grad=False):
+        init(self, data, requires_grad)
+        if self.data.nbytes >= autodiff._POOLED_BYTES:
+            outputs.append(_root_id(self.data))
 
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        loss = loss_fn()
+        loss = step_loss()
         tape = tracemalloc.get_traced_memory()[0] - base
         del loss
-        nn.train_step(pool, opt, loss_fn, "policy", "step 1")
+        nn.train_step(pool, opt, step_loss, "probe", "step 1")
         known.update(id(a) for arrays in pool._free.values() for a in arrays)
         tracemalloc.reset_peak()
+        Tensor.__init__ = spy
         for step in (2, 3):
-            nn.train_step(pool, opt, loss_fn, "policy", f"step {step}")
+            nn.train_step(pool, opt, step_loss, "probe", f"step {step}")
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
+        Tensor.__init__ = init
         tracemalloc.stop()
     assert not pool._lent
     assert outside[2:] == [0, 0]
-    assert peak <= 1.3 * tape, peak / tape
+    assert len(outputs) > 50 and set(outputs) <= known
+    return peak / tape
+
+
+def test_training_steps_recycle_one_tape():
+    """Three default-arch policy steps under one pool: steps 2 and 3 take
+    every array of 256 KiB and up from the arrays step 1 left in it, and
+    peak within 1.3 times one forward tape (about 2.2 times when each step's
+    graph lived until the next forward returned)."""
+    ratio = recycled_peak(*policy_step())
+    assert ratio <= 1.3, ratio
+
+
+def test_member_training_steps_recycle_one_tape():
+    """The same for a default-arch twin-trunk return member at batch 64."""
+    ratio = recycled_peak(*member_step())
+    assert ratio <= 1.3, ratio
+
+
+@pytest.mark.parametrize("make", [policy_step, member_step, predictor_step],
+                         ids=["policy", "member", "predictor"])
+def test_tape_keeps_only_what_backward_reads(make):
+    """After a taped forward no node holds an array, and every array a
+    closure keeps is one its backward reads: with that array taken out, the
+    closure fails."""
+    model, loss_fn = make()
+    loss = loss_fn()
+    nodes = _tape_nodes(loss)
+    assert all(not isinstance(getattr(node, slot), np.ndarray)
+               for node in nodes for slot in autodiff.Node.__slots__)
+    checked = 0
+    for node in nodes:
+        for cell in node._backward.__closure__ or ():
+            kept = cell.cell_contents
+            if not isinstance(kept, np.ndarray):
+                continue
+            cell.cell_contents = object()     # no array, index or scalar
+            with pytest.raises(Exception):
+                node._backward(np.ones(node.shape))
+            cell.cell_contents = kept
+            checked += 1
+    assert checked > 10
+
+
+def test_dropped_intermediate_is_lent_again_in_the_same_forward():
+    """Oracle: ``+`` keeps neither operand, so once the last handle on ``a``
+    is gone its array is back in the pool, and the next op of the same
+    forward writes into it."""
+    w = nn.Parameter(np.ones(autodiff._POOLED_BYTES // 8))
+    with autodiff.BufferPool():
+        a = w * 2.0
+        lent = id(a.data.base)
+        b = a + 1.0
+        assert id(b.data.base) != lent
+        del a
+        c = b.exp()
+        assert id(c.data.base) == lent
+        assert np.array_equal(c.data, np.full(w.shape, np.exp(3.0)))
+
+
+def test_heldout_pass_borrows_the_members_pool(monkeypatch):
+    """Between epochs the held-out pass runs on the arrays a training step
+    left in the member's pool: every op output of 256 KiB or more is a view
+    of one of them, and the pool keeps the same free arrays afterwards.  The
+    NLL has the bits of the same score over the tape-free ``infer``."""
+    model, loss_fn = member_step()
+    pool = autodiff.BufferPool()
+    nn.train_step(pool, nn.AdamW(model.parameters()), loss_fn, "probe", "step 1")
+    free = {id(a) for arrays in pool._free.values() for a in arrays}
+    rng = np.random.default_rng(5)
+    B, L = 64, model.config.seq_length
+    batches = [{"states": rng.normal(size=(B, L, 12)), "actions": rng.uniform(-1, 1, (B, L, 2)),
+                "returns": rng.normal(size=(B, L)), "mask": rng.random((B, L)) < 0.9}
+               for _ in range(4)]
+    model.eval()
+    total = count = 0.0
+    for b in batches:
+        heads = model.infer(b["states"], b["actions"], b["mask"])
+        for mu, lv in (heads[:2], heads[2:]):
+            head_total, head_count = nn.masked_nll_sum(mu, lv, b["returns"], b["mask"])
+            total += head_total
+            count += head_count
+    want = total / max(count, 1.0)
+    outputs, init = [], Tensor.__init__
+
+    def spy(self, data, requires_grad=False):
+        init(self, data, requires_grad)
+        if self.data.nbytes >= autodiff._POOLED_BYTES:
+            outputs.append(id(self.data.base))
+
+    monkeypatch.setattr(Tensor, "__init__", spy)
+    with pool.borrow():
+        got = return_model._heldout_nll(model, batches)
+    monkeypatch.undo()
+    assert len(outputs) > 50 and set(outputs) <= free
+    assert {id(a) for arrays in pool._free.values() for a in arrays} == free
+    assert not pool._lent
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_diverged_step_leaves_no_array_lent():
@@ -513,7 +669,7 @@ def test_diverged_step_leaves_no_array_lent():
     opt, pool, lent = nn.AdamW([w]), autodiff.BufferPool(), []
 
     def loss_fn():
-        loss = (w * Tensor(x)).sum()
+        loss = (w * Tensor(x)).exp().sum()    # ``exp`` keeps its pooled output
         lent.append(len(pool._lent))
         return loss
 
@@ -546,6 +702,29 @@ def test_pool_takes_back_only_unreferenced_arrays():
         c = pool.take((n + 1,))    # the smallest larger free array
         assert c.base.size == 2 * n
         del c
+    assert not pool._lent
+
+
+def test_pool_keeps_the_arrays_a_replay_of_the_step_needs():
+    """Oracle: a step that lends ``n`` floats, then ``2n``, then ``n``, one
+    at a time, makes both arrays, but a replay that starts with the ``2n``
+    one free serves every take from it, so that is all the pool keeps.  The
+    next such step makes no array and leaves the pool as it found it."""
+    pool, n = autodiff.BufferPool(), autodiff._POOLED_BYTES // 8
+    for step in range(2):
+        with pool:
+            made = []
+            for size in (n, 2 * n, n):
+                arr = pool.take((size,))
+                made.append(id(arr.base))
+                del arr
+                pool._sweep()
+        assert [a.size for arrays in pool._free.values() for a in arrays] == [2 * n]
+        if step == 0:
+            kept = id(pool._free[(2 * n, autodiff._F64)][0])
+            assert len(set(made)) == 2
+        else:
+            assert made == [kept] * 3
     assert not pool._lent
 
 
@@ -591,13 +770,13 @@ def test_dropout_matches_composed_ops(rows):
         t.grad = None
         with np.errstate(invalid="ignore"):    # inf * 0
             out = fn(t)
-            out._backward(g)
+            out._node._backward(g)
         results.append((out, t.grad))
     (out, gx), (want, want_gx) = results
     assert_bits(out.data, want.data)
     assert_bits(gx, want_gx)
-    assert _tape_nodes(out) == [out]
-    masks = [c.cell_contents for c in out._backward.__closure__
+    assert _tape_nodes(out) == [out._node]
+    masks = [c.cell_contents for c in out._node._backward.__closure__
              if isinstance(c.cell_contents, np.ndarray)]
     assert [m.dtype for m in masks] == [np.dtype(bool)]
 
@@ -744,7 +923,7 @@ def test_no_grad_skips_tape():
     x = Tensor(2.0, requires_grad=True)
     with no_grad():
         y = x * x
-    assert y._backward is None
+    assert y._node is None
     with pytest.raises(ValueError):
         y.backward()
 

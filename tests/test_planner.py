@@ -105,6 +105,22 @@ def test_index_archive_missing_an_entry_names_the_file(tmp_path):
         KdUncertaintyIndex.load(path)
 
 
+@pytest.mark.parametrize("entry,at,bad,fault", [
+    ("states", (2, 5), np.nan, "not finite"), ("states", (0, 0), -np.inf, "not finite"),
+    ("values", 1, np.inf, "not finite"), ("values", 4, -1e-3, "negative")])
+def test_corrupt_index_values_name_the_file(tmp_path, entry, at, bad, fault):
+    """A non-finite stored state or value, or a negative value, fails at load
+    with a ValueError naming the file, not later inside the KD-tree."""
+    rng = np.random.default_rng(4)
+    stored = {"states": rng.normal(size=(6, 12)), "values": rng.uniform(size=6)}
+    stored[entry][at] = bad
+    path = tmp_path / "index.npz"
+    archive.write(path, KdUncertaintyIndex.SCHEMA_VERSION, **stored,
+                  meta={"k": 2, "epsilon": 0.5})
+    with pytest.raises(ValueError, match=f"index.npz: .*{fault}"):
+        KdUncertaintyIndex.load(path)
+
+
 # -- target predictor -------------------------------------------------------
 
 
