@@ -51,7 +51,7 @@ backward proceeds; a graph of smaller arrays keeps its closures, and a
 second ``backward()`` on the same loss adds one more gradient into the
 leaves.  A second ``backward()`` through a dropped closure raises.
 
-Recycling: a training step runs in a function scope under a
+Recycling: each ``nn.fit`` step runs in a function scope under the loop's
 ``BufferPool`` (``nn.train_step``), so one graph is alive at a time.  Every
 op of the step that allocates an array of ``_POOLED_BYTES`` or more (an
 output, a gradient, a kernel's scratch) takes it from the pool and writes

@@ -3,8 +3,8 @@
 Contains the module system, the causal transformer trunk shared by all three
 model roles, the AdamW optimizer, the Gaussian negative log-likelihood used
 by variance heads, ``Standardizer``, which z-scores every raw input and
-target the networks see, ``train_step``, the training step of all three
-trainers (one graph at a time, its arrays recycled through an
+target the networks see, ``fit``, the training loop of all three trainers
+(AdamW steps, one graph at a time, their arrays recycled through one
 ``autodiff.BufferPool``), ``map_members``, which trains independent ensemble
 members in parallel worker processes, ``map_chunks``, which spreads the data
 path's per-episode and per-trajectory loops (collect, segment, calibrate)
@@ -564,6 +564,33 @@ def _step(pool: BufferPool, opt: AdamW, loss_fn, who: str, when: str) -> float:
     loss.backward()
     opt.step()
     return value
+
+
+def fit(model: Module, batch, loss, after_epoch, *, epochs: int, iters: int, lr: float,
+        who: str, weight_decay: float = 0.0) -> list:
+    """Train ``model`` with AdamW, ``epochs`` x ``iters`` steps under one pool
+    that dies with the call; returns each epoch's ``after_epoch`` value.
+
+    A step draws ``b = batch()``, then runs ``train_step`` on ``loss(b)`` in
+    train mode.  ``after_epoch(epoch, step_losses)`` runs in eval mode under
+    ``pool.borrow()``, and the model returns in eval mode.  A count below 1
+    raises ValueError before the first step.
+    """
+    if epochs < 1 or iters < 1:
+        raise ValueError(f"{who}: training needs epochs >= 1 and iters >= 1, "
+                         f"got epochs={epochs}, iters={iters}")
+    opt = AdamW(model.parameters(), lr=lr, weight_decay=weight_decay)
+    pool, results = BufferPool(), []
+    for epoch in range(epochs):
+        model.train()
+        losses = []
+        for it in range(iters):
+            b = batch()
+            losses.append(train_step(pool, opt, lambda: loss(b), who, f"epoch {epoch}, iter {it}"))
+        model.eval()
+        with pool.borrow():    # the steps' free arrays, left as they were
+            results.append(after_epoch(epoch, losses))
+    return results
 
 
 # ---------------------------------------------------------------------------

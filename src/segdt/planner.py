@@ -224,24 +224,16 @@ class TargetReturnPredictor:
             return xs, ys
 
         stat_rng = np.random.default_rng(config.seed + 100)
-        _, y_probe = sample_batch(stat_rng)
-        for _ in range(9):
-            y_probe = np.concatenate([y_probe, sample_batch(stat_rng)[1]])
-        y = nn.Standardizer.fit(y_probe)
+        y = nn.Standardizer.fit(np.concatenate([sample_batch(stat_rng)[1] for _ in range(10)]))
 
         def train_member(k: int) -> tuple:
             rng = np.random.default_rng(config.seed + k)  # init, then batches
             member = _TargetMlp(config, rng)
-            opt = nn.AdamW(member.parameters(), lr=config.learning_rate)
-            pool = nn.BufferPool()
-            curve = []
-            for it in range(config.iters):
-                xs, ys = sample_batch(rng)
-                # one graph at a time: the step's arrays go back to the pool
-                # when it returns, and the next step's forward takes them
-                curve.append(nn.train_step(
-                    pool, opt, lambda: nn.gaussian_nll(*member.forward(xs), y(ys)),
-                    f"target predictor member {k}", f"iter {it}"))
+            curve, = nn.fit(
+                member, lambda: sample_batch(rng),
+                lambda b: nn.gaussian_nll(*member.forward(b[0]), y(b[1])),
+                lambda epoch, losses: losses, epochs=1, iters=config.iters,
+                lr=config.learning_rate, who=f"target predictor member {k}")
             return member.state_dict(), curve
 
         members, curves = [], []

@@ -296,31 +296,28 @@ def train_policy(segs: list, config: PolicyConfig, progress: bool = False):
         "R_raw": [s.global_returns for s in segs],
     }
     model = SequencePolicyModel(config, np.random.default_rng(config.seed))
-    opt = nn.AdamW(model.parameters(), lr=config.learning_rate,
-                   weight_decay=config.weight_decay)
     batch_rng = np.random.default_rng(config.seed + 1)
     drop_rng = np.random.default_rng(config.seed + 2)
-    pool = nn.BufferPool()
-    curve = []
-    model.train()
-    for epoch in range(config.epochs):
-        losses = []
-        for it in range(config.iters_per_epoch):
-            b = trajlog.sample_window(trajs, config.seq_length, config.batch_size,
-                                      batch_rng, columns=columns)
-            target = normalizer.norm_actions(b["actions"]) * b["mask"][..., None]
-            b["states"] = normalizer.norm_states(b["states"]) * b["mask"][..., None]
-            b["actions"] = target
-            b["r_h"] = normalizer.norm_rh(b["r_h"])
-            b["R"] = normalizer.norm_R(b["R_raw"])
-            b["R_bounds"] = normalizer.R_bounds
-            # one graph at a time: the step's arrays go back to the pool when
-            # it returns, and the next step's forward takes them
-            losses.append(nn.train_step(
-                pool, opt, lambda: nn.mse_loss(model.forward(b, drop_rng), target, b["mask"]),
-                f"policy {config.kind}", f"epoch {epoch}, iter {it}"))
-        curve.append(float(np.mean(losses)))
+
+    def batch():
+        b = trajlog.sample_window(trajs, config.seq_length, config.batch_size,
+                                  batch_rng, columns=columns)
+        b["actions"] = normalizer.norm_actions(b["actions"]) * b["mask"][..., None]
+        b["states"] = normalizer.norm_states(b["states"]) * b["mask"][..., None]
+        b["r_h"] = normalizer.norm_rh(b["r_h"])
+        b["R"] = normalizer.norm_R(b["R_raw"])
+        b["R_bounds"] = normalizer.R_bounds
+        return b
+
+    def mean_mse(epoch: int, losses: list) -> float:
+        mse = float(np.mean(losses))
         if progress:
-            log.info("policy %s epoch %d train mse %.5f", config.kind, epoch, curve[-1])
-    model.eval()
+            log.info("policy %s epoch %d train mse %.5f", config.kind, epoch, mse)
+        return mse
+
+    curve = nn.fit(model, batch,
+                   lambda b: nn.mse_loss(model.forward(b, drop_rng), b["actions"], b["mask"]),
+                   mean_mse, epochs=config.epochs, iters=config.iters_per_epoch,
+                   lr=config.learning_rate, who=f"policy {config.kind}",
+                   weight_decay=config.weight_decay)
     return Policy(model, config, normalizer), curve

@@ -34,9 +34,6 @@ from .env import STATE_DIM, ACTION_DIM, norm_actions
 log = logging.getLogger(__name__)
 
 
-from .nn import TrainingDiverged  # noqa: F401  (re-exported for callers)
-
-
 def _require_gaussians(mu: np.ndarray, var: np.ndarray) -> None:
     """ValueError naming the first entry that is not a valid Gaussian."""
     bad = ~(np.isfinite(mu) & np.isfinite(var) & (var > 0))
@@ -289,14 +286,6 @@ class ReturnEnsemble:
 # ---------------------------------------------------------------------------
 
 
-def _window_batch(trajs, returns_norm, config, rng):
-    batch = trajlog.sample_window(
-        trajs, config.seq_length, config.batch_size, rng,
-        columns={"returns": returns_norm},
-    )
-    return batch
-
-
 def split_train_val(trajs: list, val_fraction: float, seed: int):
     idx = np.random.default_rng(seed).permutation(len(trajs))
     n_val = max(1, int(round(val_fraction * len(trajs)))) if val_fraction > 0 else 0
@@ -352,7 +341,8 @@ def train_return_models(trajs: list, config: ReturnModelConfig,
     val_source = val if val else train
 
     def prep(ts, rets, rng):
-        b = _window_batch(ts, rets, config, rng)
+        b = trajlog.sample_window(ts, config.seq_length, config.batch_size, rng,
+                                  columns={"returns": rets})
         b["states"] = states(b["states"]) * b["mask"][..., None]
         b["actions"] = norm_actions(b["actions"]) * b["mask"][..., None]
         return b
@@ -370,11 +360,8 @@ def train_return_models(trajs: list, config: ReturnModelConfig,
         subset_returns = norm_cols(subset)
 
         member = ReturnMemberModel(config, np.random.default_rng(mseed + 1))
-        opt = nn.AdamW(member.parameters(), lr=config.learning_rate,
-                       weight_decay=config.weight_decay)
         drop_rng = np.random.default_rng(mseed + 2)
         batch_rng = np.random.default_rng(mseed + 3)
-        pool = nn.BufferPool()
 
         def loss_of(b):
             mu_s, lv_s, mu_a, lv_a = member.forward(
@@ -382,21 +369,17 @@ def train_return_models(trajs: list, config: ReturnModelConfig,
             return (nn.gaussian_nll(mu_s, lv_s, b["returns"], b["mask"])
                     + nn.gaussian_nll(mu_a, lv_a, b["returns"], b["mask"]))
 
-        curve = [untrained]                                 # epoch 0
-        for epoch in range(config.epochs):
-            for it in range(config.iters_per_epoch):
-                b = prep(subset, subset_returns, batch_rng)
-                # one graph at a time: the step's arrays go back to the pool
-                # when it returns, and the next step's forward takes them
-                nn.train_step(pool, opt, lambda: loss_of(b), f"member {k}",
-                              f"epoch {epoch}, iter {it}")
-            member.eval()
-            with pool.borrow():    # the steps' free arrays, left as they were
-                curve.append(_heldout_nll(member, val_batches))
-            member.train()
+        def heldout(epoch: int, _) -> float:
+            nll = _heldout_nll(member, val_batches)
             if progress:
-                log.info("member %d epoch %d held-out nll %.4f", k, epoch, curve[-1])
-        return member.state_dict(), curve
+                log.info("member %d epoch %d held-out nll %.4f", k, epoch, nll)
+            return nll
+
+        curve = nn.fit(member, lambda: prep(subset, subset_returns, batch_rng), loss_of,
+                       heldout, epochs=config.epochs, iters=config.iters_per_epoch,
+                       lr=config.learning_rate, who=f"member {k}",
+                       weight_decay=config.weight_decay)
+        return member.state_dict(), [untrained, *curve]
 
     members, history = [], []
     for state, curve in nn.map_members(train_member, config.ensemble_size):

@@ -1,5 +1,6 @@
 """End-to-end pipeline smoke test plus CLI error-path contracts."""
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -9,13 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segdt import cli, evaluator, segmenter, trajlog
+from segdt import cli, evaluator, nn, segmenter, trajlog
 from segdt.config import parse_flat_file
 from segdt.manifest import RunManifest, hash_artifact
 from segdt.nn import TrainingDiverged
-from segdt.planner import TargetReturnPredictor
-from segdt.policy import Policy, train_policy
-from segdt.return_model import ReturnEnsemble, split_train_val
+from segdt.planner import TargetPredictorConfig, TargetReturnPredictor
+from segdt.policy import Policy, PolicyConfig, train_policy
+from segdt.return_model import (ReturnEnsemble, ReturnModelConfig, split_train_val,
+                               train_return_models)
 
 SMOKE = Path(__file__).parents[1] / "configs" / "smoke"
 RUSAGE = ("peak_rss_mb", "workers_peak_rss_mb", "minor_faults",
@@ -368,6 +370,76 @@ def test_divergence_exit_4(pipeline, tmp_path, capsys, monkeypatch):
               pipeline["dataset"], "--out", tmp_path / "ens"])
     assert rc == 4
     assert "error: code=4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, key, message", [
+    ("train-policy", "epochs", "policy unrest: training needs epochs >= 1 and iters >= 1, "
+                               "got epochs=0, iters=30"),
+    ("train-policy", "iters_per_epoch", "policy unrest: training needs epochs >= 1 and "
+                                        "iters >= 1, got epochs=2, iters=0"),
+    ("train-return", "epochs", "member 0: training needs epochs >= 1 and iters >= 1, "
+                               "got epochs=0, iters=30"),
+    ("build-kdtree", "iters", "target predictor member 0: training needs epochs >= 1 and "
+                              "iters >= 1, got epochs=1, iters=0"),
+], ids=["policy-epochs", "policy-iters", "return-epochs", "predictor-iters"])
+def test_a_trainer_with_zero_steps_exits_2_and_writes_nothing(pipeline, tmp_path, capsys,
+                                                              stage, key, message):
+    config = {"train-policy": "policy.cfg", "train-return": "return.cfg",
+              "build-kdtree": "index.cfg"}[stage]
+    lines = (SMOKE / config).read_text().splitlines(keepends=True)
+    cfg = tmp_path / config
+    cfg.write_text("".join(line for line in lines if not line.startswith(f"{key} ="))
+                   + f"{key} = 0\n")
+    inputs = {"train-policy": ["--segmented", pipeline["segmented"]],
+              "train-return": ["--dataset", pipeline["dataset"]],
+              "build-kdtree": ["--segmented", pipeline["segmented"],
+                               "--predictor-out", tmp_path / "predictor"]}[stage]
+    rc = run([stage, "--config", cfg, "--out", tmp_path / "model", *inputs])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: code=2 command={stage}: "
+                                       f"ValueError: {message}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def _poison_fit(monkeypatch):
+    """Make ``nn.fit``'s loss NaN at the third step of the last epoch."""
+    real_fit = nn.fit
+
+    def fit(model, batch, loss, after_epoch, *, epochs, iters, **kw):
+        steps, poisoned = itertools.count(), (epochs - 1) * iters + 2
+
+        def poisoned_loss(b):
+            value = loss(b)
+            return value * np.nan if next(steps) == poisoned else value
+
+        return real_fit(model, batch, poisoned_loss, after_epoch, epochs=epochs, iters=iters,
+                        **kw)
+
+    monkeypatch.setattr(nn, "fit", fit)
+
+
+@pytest.mark.parametrize("trainer, message", [
+    ("policy", "policy unrest: non-finite loss nan at epoch 1, iter 2"),
+    ("return", "member 0: non-finite loss nan at epoch 1, iter 2"),
+    ("predictor", "target predictor member 0: non-finite loss nan at epoch 0, iter 2"),
+], ids=["policy", "return", "predictor"])
+def test_each_trainer_names_the_step_that_diverged(pipeline, monkeypatch, trainer, message):
+    _poison_fit(monkeypatch)
+    small = dict(n_layers=1, n_heads=2, embed_dim=16, seq_length=5, epochs=2,
+                 iters_per_epoch=4)
+    train = {
+        "policy": lambda: train_policy(segmenter.load_segmented(pipeline["segmented"]),
+                                       PolicyConfig(**small)),
+        "return": lambda: train_return_models(
+            trajlog.annotate_dataset(trajlog.load(pipeline["dataset"]), gammas=(0.95,)),
+            ReturnModelConfig(ensemble_size=1, **small)),
+        "predictor": lambda: TargetReturnPredictor.train(
+            trajlog.load(pipeline["dataset"]),
+            TargetPredictorConfig(ensemble_size=1, hidden_dim=8, n_hidden=1, iters=4)),
+    }[trainer]
+    with pytest.raises(TrainingDiverged) as exc:
+        train()
+    assert str(exc.value) == message
 
 
 def test_build_kdtree_trains_the_predictor_with_the_seed_flag(pipeline, tmp_path):

@@ -1,8 +1,11 @@
+import contextlib
 import json
 
 import numpy as np
 import pytest
 
+from segdt import autodiff, nn
+from segdt.autodiff import Tensor
 from segdt.nn import Standardizer
 from segdt.planner import TargetPredictorConfig, TargetReturnPredictor
 from segdt.policy import Policy, PolicyConfig, PolicyNormalizer, SequencePolicyModel
@@ -106,3 +109,48 @@ def test_target_predictor_normalizer_layout(tmp_path):
     loaded = TargetReturnPredictor.load(tmp_path)
     assert loaded.states.std.tolist() == STATE_D["state_std"]
     assert (loaded.y.mean, loaded.y.std) == (4.5, 0.125)
+
+
+# -- the training loop -----------------------------------------------------
+
+
+def test_fit_steps_in_train_mode_and_hooks_each_epoch_in_eval_mode(monkeypatch):
+    """Steps run in train mode; each epoch's hook runs in eval mode inside
+    the pool's ``borrow``, gets that epoch's step losses, and its values
+    come back in epoch order."""
+    model = nn.Linear(3, 1, np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(4, 3))
+    seen, lending, borrow = [], [], autodiff.BufferPool.borrow
+
+    @contextlib.contextmanager
+    def spied_borrow(pool):
+        with borrow(pool):
+            lending.append(pool)
+            yield pool
+            lending.pop()
+
+    def loss(b):
+        seen.append((model.training, bool(lending)))
+        return nn.mse_loss(model(Tensor(b)), np.zeros((4, 1)))
+
+    def hook(epoch, losses):
+        seen.append((model.training, bool(lending)))
+        return epoch, losses
+
+    monkeypatch.setattr(autodiff.BufferPool, "borrow", spied_borrow)
+    out = nn.fit(model, lambda: x, loss, hook, epochs=2, iters=3, lr=0.1, who="probe")
+    assert seen == ([(True, False)] * 3 + [(False, True)]) * 2 and not model.training
+    assert [epoch for epoch, _ in out] == [0, 1]
+    assert all(len(losses) == 3 and all(type(v) is float for v in losses) for _, losses in out)
+
+
+@pytest.mark.parametrize("epochs, iters", [(0, 3), (2, 0), (-1, 1)])
+def test_fit_rejects_a_count_below_one_before_any_step(epochs, iters):
+    model = nn.Linear(3, 1, np.random.default_rng(0))
+    before, drawn = model.state_dict(), []
+    with pytest.raises(ValueError, match=f"^probe: training needs epochs >= 1 and iters >= 1, "
+                                         f"got epochs={epochs}, iters={iters}$"):
+        nn.fit(model, lambda: drawn.append(1), None, None, epochs=epochs, iters=iters,
+               lr=0.1, who="probe")
+    assert drawn == []
+    assert all(np.array_equal(before[k], v) for k, v in model.state_dict().items())

@@ -226,6 +226,46 @@ def _unit_reward_trajs(n=8, length=30):
         infractions=[None] * (length - i)) for i in range(n)]
 
 
+def test_predictor_matches_a_loop_without_the_pool():
+    """Five steps at the default architecture by hand, with no pool (forward,
+    NLL, backward, AdamW), give the member's parameters and per-iteration
+    losses bit for bit."""
+    cfg = TargetPredictorConfig(ensemble_size=1, iters=5, span_max=10)
+    trajs = _unit_reward_trajs()
+    trained = TargetReturnPredictor.train(trajs, cfg)
+
+    states = nn.Standardizer.fit(np.concatenate([t.states for t in trajs]))
+    cdf = _choice_cdf(np.array([len(t) for t in trajs], dtype=np.float64))
+
+    def sample(rng):
+        xs, ys = np.empty((cfg.batch_size, 13)), np.empty(cfg.batch_size)
+        for i in range(cfg.batch_size):
+            traj = trajs[_choice_draw(cdf, rng)]
+            t, h = int(rng.integers(len(traj))), int(rng.integers(1, cfg.span_max + 1))
+            xs[i] = [*states(traj.states[t]), h / cfg.span_max]
+            ys[i] = traj.rewards[t: t + h].sum()
+        return xs, ys
+
+    stat_rng = np.random.default_rng(cfg.seed + 100)
+    y = nn.Standardizer.fit(np.concatenate([sample(stat_rng)[1] for _ in range(10)]))
+    rng = np.random.default_rng(cfg.seed)
+    member = _TargetMlp(cfg, rng)
+    opt = nn.AdamW(member.parameters(), lr=cfg.learning_rate)
+    losses = []
+    for _ in range(cfg.iters):
+        xs, ys = sample(rng)
+        loss = nn.gaussian_nll(*member.forward(xs), y(ys))
+        losses.append(loss.item())
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+
+    assert trained.loss_curves == [losses]
+    for (name, p), (_, q) in zip(trained.members[0].named_parameters(),
+                                 member.named_parameters(), strict=True):
+        assert p.data.tobytes() == q.data.tobytes(), name
+
+
 POOLED = TargetPredictorConfig(ensemble_size=3, hidden_dim=16, n_hidden=2, iters=30,
                                batch_size=16, span_max=10, seed=4)
 

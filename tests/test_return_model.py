@@ -5,11 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from segdt import archive, return_model, trajlog
+from segdt import archive, nn, return_model, trajlog
 from segdt.env import EnvConfig, ExpertConfig, norm_actions
-from segdt.nn import Standardizer
+from segdt.nn import Standardizer, TrainingDiverged
 from segdt.return_model import (
-    ReturnEnsemble, ReturnMemberModel, ReturnModelConfig, TrainingDiverged,
+    ReturnEnsemble, ReturnMemberModel, ReturnModelConfig,
     mixture_moments,
     split_train_val, train_return_models,
 )
@@ -222,6 +222,65 @@ def test_untrained_nll_is_a_fresh_members(dataset, val_fraction, monkeypatch):
         fresh = ReturnMemberModel(config, np.random.default_rng(ensemble.mask_seeds[k] + 1))
         want = heldout_nll(fresh.eval(), batches)
         assert np.float64(curve[0]).tobytes() == np.float64(want).tobytes(), k
+
+
+def test_member_matches_a_loop_without_the_pool(dataset):
+    """Two epochs of three default-arch steps by hand, with dropout and no
+    pool (forward, the two heads' NLL sum, backward, AdamW), held out
+    through ``infer``, give the member's parameters and curve bit for bit."""
+    cfg = ReturnModelConfig(ensemble_size=1, epochs=2, iters_per_epoch=3)
+    assert cfg.dropout > 0 and cfg.embed_dim == 64
+    trajs = dataset[:40]
+    ensemble, (curve,) = train_return_models(trajs, cfg)
+
+    train, val = split_train_val(trajs, cfg.val_fraction, cfg.seed)
+    states = Standardizer.fit(np.concatenate([t.states for t in train]))
+    returns = Standardizer.fit(np.concatenate([t.returns_for(cfg.discount) for t in train]))
+
+    def batch(ts, rng):
+        b = trajlog.sample_window(ts, cfg.seq_length, cfg.batch_size, rng, columns={
+            "returns": [returns(t.returns_for(cfg.discount)) for t in ts]})
+        mask = b["mask"][..., None]
+        return (states(b["states"]) * mask, norm_actions(b["actions"]) * mask, b["mask"],
+                b["returns"])
+
+    val_rng = np.random.default_rng(cfg.seed + 999)
+    val_batches = [batch(val, val_rng) for _ in range(4)]
+
+    def heldout(heads) -> float:
+        total, count = 0.0, 0.0
+        for b in val_batches:
+            out = heads(b)
+            for mu, lv in (out[:2], out[2:]):
+                head_total, head_count = nn.masked_nll_sum(mu, lv, b[3], b[2])
+                total += head_total
+                count += head_count
+        return total / max(count, 1.0)
+
+    mseed = int(np.random.default_rng(cfg.seed).integers(2**31))
+    include = np.random.default_rng(mseed).random(len(train)) < cfg.data_mask_prob
+    subset = [t for t, inc in zip(train, include) if inc]
+    member = ReturnMemberModel(cfg, np.random.default_rng(mseed + 1)).train()
+    opt = nn.AdamW(member.parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    drop_rng = np.random.default_rng(mseed + 2)
+    batch_rng = np.random.default_rng(mseed + 3)
+    want = [heldout(lambda b: [np.zeros(b[2].shape)] * 4)]   # untrained: zero heads
+    for _ in range(cfg.epochs):
+        for _ in range(cfg.iters_per_epoch):
+            s, a, mask, ret = batch(subset, batch_rng)
+            mu_s, lv_s, mu_a, lv_a = member.forward(s, a, mask, drop_rng)
+            loss = nn.gaussian_nll(mu_s, lv_s, ret, mask) + nn.gaussian_nll(mu_a, lv_a, ret, mask)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        member.eval()
+        want.append(heldout(lambda b: member.infer(*b[:3])))
+        member.train()
+
+    assert np.array(curve).tobytes() == np.array(want).tobytes()
+    for (name, p), (_, q) in zip(ensemble.members[0].named_parameters(),
+                                 member.named_parameters(), strict=True):
+        assert p.data.tobytes() == q.data.tobytes(), name
 
 
 def test_members_disagree(trained, dataset):
