@@ -42,14 +42,29 @@ only the arrays its backward reads: the operands of ``linear``, ``matmul``,
 ``*`` and ``/`` (each only where the other operand takes a gradient),
 GELU's input and cdf, the outputs of ``exp``, ``tanh`` and softmax, the
 fused ops' normalized arrays and masks, and shapes.  So a forward output
-that no backward reads dies with its last handle.  ``backward()`` runs each
-interior node's closure once and then drops that node's ``.grad``, which
-nothing reads again; only leaves (``Parameter``s and ``Tensor(...,
-requires_grad=True)``) keep a ``.grad``.  A closure that kept an array of
-``_POOLED_BYTES`` or more is dropped once it has run, so its arrays go as
-backward proceeds; a graph of smaller arrays keeps its closures, and a
-second ``backward()`` on the same loss adds one more gradient into the
-leaves.  A second ``backward()`` through a dropped closure raises.
+that no backward reads dies with its last handle.  An op that records
+nothing keeps nothing that only backward reads: an unrecorded GELU makes
+no cdf.  ``backward()`` runs each interior node's closure once and then
+drops that node's ``.grad``, which nothing reads again; only leaves
+(``Parameter``s and ``Tensor(..., requires_grad=True)``) keep a ``.grad``.
+A closure that kept an array of ``_POOLED_BYTES`` or more is dropped once
+it has run, so its arrays go as backward proceeds; a graph of smaller
+arrays keeps its closures, and a second ``backward()`` on the same loss
+adds one more gradient into the leaves.  A second ``backward()`` through a
+dropped closure raises.
+
+Rebuild, don't keep: the recorded outputs of ``Tensor.gelu``,
+``affine_layernorm`` and ``dropout`` carry a rebuild (``Tensor._rebuild``),
+a ``functools.partial`` of the forward's own elementwise op (``x * cdf``,
+``normalized * gain + shift``, ``(x * keep) * scale``) over arrays that a
+closure keeps anyway, so it remakes the output's bits.  The matmul closure
+that reads such an output keeps its rebuild instead of its array: it
+remakes the input for the weight gradient one run of batch items at a time
+(``_weight_grad``; a 4-D operand whole), giving each back to the pool
+before the input gradient exists, and ``_spend`` counts the arrays a kept
+rebuild captures as the closure's own.  A dropout whose input array only
+its handle holds (a residual branch, not a softmax's output) carries no
+rebuild, which would keep that array from the pool.
 
 Recycling: each ``nn.fit`` step runs in a function scope under the loop's
 ``BufferPool`` (``nn.train_step``), so one graph is alive at a time.  Every
@@ -66,22 +81,25 @@ back whatever is left unreferenced, and the next step's forward writes into
 this step's memory instead of faulting fresh pages in.  A step that had to
 make an array leaves the pool only the free arrays a replay of that step's
 takes and gives needs, so a run of same-shape steps trims once, after the
-first, and takes no new array after it.  A pooled result is laid out in C order (or as the transpose
-of a C-order array for a transposed copy): where numpy's own result would
-be laid out otherwise, the op allocates as numpy does.  A default-arch
-``unrest`` policy step at batch 64 (2-vCPU machine, BLAS at 1 thread)
-holds a 36.0 MB forward tape (53.6 MB when every output stayed on the tape
-until backward), and three steps under one pool peak at 1.26 times that
-tape (``tests/test_autodiff.py``); the pool keeps 43.8 MB between steps
-(45.7 MB, and a 1.31 times peak, when each size kept as many free arrays as
-the step held at once).
+first, and takes no new array after it.  A pooled result is laid out in
+C order (or as the transpose of a C-order array for a transposed copy):
+where numpy's own result would be laid out otherwise, the op allocates as
+numpy does.  A default-arch ``unrest`` policy step at batch 64 (BLAS at 1
+thread, ``scripts/step_memory.py``) holds a 24.7 MB forward tape (36.0 MB
+when it kept the arrays its rebuilds remake, 53.6 MB when every output
+stayed on the tape until backward), backward peaks at 30.0 MB, and three
+steps under one pool peak at 36.3 MB, 1.01 times the 36.0 MB tape that
+``tests/test_autodiff.py`` states its bounds against; the pool keeps
+34.4 MB between steps (43.8 MB when the tape kept those arrays).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
+import types
 
 import numpy as np
 from scipy.special import erf
@@ -147,14 +165,15 @@ def _refs(arr) -> int:
 
 def _calibrate() -> tuple:
     """What ``sys.getrefcount`` reports on this interpreter for an array
-    that one local name holds: read in that name's frame, and read in a
-    function the name is passed to.  Python versions count differently, so
-    the pool compares against these."""
-    probe = np.empty(0)
-    return sys.getrefcount(probe), _refs(probe)
+    that one local name holds, read in that name's frame and read in a
+    function the name is passed to, and for an array that one object's
+    attribute holds, read as that attribute.  Python versions count
+    differently, so the pool and ``dropout`` compare against these."""
+    probe, holder = np.empty(0), types.SimpleNamespace(data=np.empty(0))
+    return sys.getrefcount(probe), _refs(probe), sys.getrefcount(holder.data)
 
 
-_NAME_REFS, _PASSED_REFS = _calibrate()
+_NAME_REFS, _PASSED_REFS, _SLOT_REFS = _calibrate()
 
 
 class BufferPool:
@@ -336,11 +355,14 @@ def _give(view):
 def _spend(node: "Node"):
     """Once ``node``'s closure has run (its children's ran before): drop the
     closure if it keeps an array of ``_POOLED_BYTES`` or more, and hand the
-    arrays it kept that nothing else references back to the pool.  A closure
+    arrays it kept that nothing else references back to the pool.  The
+    arrays a kept rebuild captures count as the closure's own.  A closure
     that keeps only smaller arrays stays, so a graph of small arrays can be
     run backward again."""
     saved = [cell.cell_contents for cell in node._backward.__closure__ or ()]
-    saved = [a for a in saved if isinstance(a, np.ndarray)]
+    saved = [a for kept in saved
+             for a in (kept.args if isinstance(kept, functools.partial) else (kept,))
+             if isinstance(a, np.ndarray)]
     if not any(a.nbytes >= _POOLED_BYTES for a in saved):
         return
     node._backward = None
@@ -433,18 +455,42 @@ def _mean_last(x: np.ndarray) -> np.ndarray:
     return m
 
 
-def gelu(x: np.ndarray, with_cdf: bool = False):
-    """Exact (erf-based) GELU, ``x * cdf`` with ``cdf`` the standard normal
-    cdf at ``x``; ``with_cdf`` returns ``(x * cdf, cdf)``, as the backward
-    pass reuses ``cdf``."""
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal cdf at ``x``, in one new buffer."""
     cdf = np.multiply(x, _SQRT1_2, out=_out(x))
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    if with_cdf:
-        return np.multiply(x, cdf, out=_out(x, cdf)), cdf
+    return cdf
+
+
+def gelu(x: np.ndarray) -> np.ndarray:
+    """Exact (erf-based) GELU, ``x * cdf`` with ``cdf`` the standard normal
+    cdf at ``x``, in the cdf's buffer."""
+    cdf = _normal_cdf(x)
     cdf *= x
     return cdf
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x * y`` in one new buffer: a recorded GELU's output and rebuild."""
+    return np.multiply(x, y, out=_out(x, y))
+
+
+def _affine(normed: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``normed * gain + shift`` in one new buffer: ``affine_layernorm``'s
+    output and rebuild."""
+    out = np.multiply(normed, gain, out=_out(normed, gain))
+    out += shift
+    return out
+
+
+def _dropped(x: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
+    """``(x * keep) * scale`` in one new buffer: ``dropout``'s output and
+    rebuild."""
+    out = np.multiply(x, keep, out=_out(x))
+    out *= scale
+    return out
 
 
 def layernorm(x: np.ndarray, eps: float = 1e-5) -> tuple:
@@ -508,22 +554,39 @@ def _matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul: operands {a.shape} @ {b.shape}: {exc}") from None
 
 
-def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The gradient of a 2-D weight under a (B, T, D) input: the batch-axis
-    sum of the (B, D, O) stack ``swapaxes(x) @ g``.  numpy sums axis 0 item
-    after item, so the stack is built and summed in runs of batch items that
-    fit ``_WGRAD_CHUNK_BYTES``, each run's first item carrying the sum so far:
-    the same additions in the same order, without the whole stack."""
-    B, D, O = x.shape[0], x.shape[-1], g.shape[-1]
+def _weight_grad(x, g: np.ndarray, D: int) -> np.ndarray:
+    """The gradient of a (D, O) weight under a (B, T, D) input: the
+    batch-axis sum of the (B, D, O) stack ``swapaxes(x) @ g``.  numpy sums
+    axis 0 item after item, so the stack is built and summed in runs of
+    batch items that fit ``_WGRAD_CHUNK_BYTES``, each run's first item
+    carrying the sum so far: the same additions in the same order, without
+    the whole stack.  ``x`` is the input array or its rebuild, which then
+    remakes one run's items at a time (``_items``), so the whole input is
+    never rebuilt."""
+    B, O = g.shape[0], g.shape[-1]
     step = max(1, _WGRAD_CHUNK_BYTES // (8 * D * O))
-    xt = np.swapaxes(x, -1, -2)
     part, acc = np.empty((min(step, B), D, O)), None
     for lo in range(0, B, step):
-        run = np.matmul(xt[lo:lo + step], g[lo:lo + step], out=part[:min(step, B - lo)])
+        xs = _items(x, lo, lo + step)
+        run = np.matmul(np.swapaxes(xs, -1, -2), g[lo:lo + step], out=part[:min(step, B - lo)])
+        _give(xs)    # rebuilt items go back; a view of a kept input stays
+        del xs
         if acc is not None:
             run[0] += acc
         acc = np.add.reduce(run, axis=0, out=acc)
     return acc
+
+
+def _items(x, lo: int, hi: int) -> np.ndarray:
+    """Batch items ``lo:hi`` (axis 0) of an array ``x``, or of the array a
+    rebuild ``x`` remakes: its op run on those items of each argument that
+    has the batch axis (more than one item on axis 0 at the output's rank;
+    the other arguments broadcast), which gives those items' bits."""
+    if not isinstance(x, functools.partial):
+        return x[lo:hi]
+    rank = max(a.ndim for a in x.args if isinstance(a, np.ndarray))
+    return x.func(*(a[lo:hi] if isinstance(a, np.ndarray) and a.ndim == rank and len(a) > 1
+                    else a for a in x.args))
 
 
 def _input_grad(g: np.ndarray, w: np.ndarray, rows: tuple | None) -> np.ndarray:
@@ -544,20 +607,27 @@ def _matmul_backward(x: "Tensor", w: "Tensor", rows: tuple | None, b: "Tensor | 
     """The backward closure of ``x @ w`` (``+ b`` with ``b``): it adds ``b``'s
     gradient, then ``w``'s, whose run buffer is gone before ``x``'s gradient
     is made, then ``x``'s.  It keeps ``w``'s array only when ``x`` takes a
-    gradient, and ``x``'s only when ``w`` does; ``rows`` is
-    ``Tensor.matmul``'s.  Each gradient is handed over unnamed, so that
-    ``_accum`` can give it back to the pool once added."""
+    gradient, and ``x``'s only when ``w`` does: ``x``'s rebuild where ``x``
+    has one, which it runs for ``w``'s gradient and gives back to the pool
+    before ``x``'s gradient exists.  ``rows`` is ``Tensor.matmul``'s.  Each
+    gradient is handed over unnamed, so that ``_accum`` can give it back to
+    the pool once added."""
     a, c, bias = x._node, w._node, None if b is None else b._node
-    xd = x.data if c is not None else None
+    xd = (x.data if x._rebuild is None else x._rebuild) if c is not None else None
     wd = w.data if a is not None else None
 
     def backward(g):
         if bias is not None:
             _add_backward(g, bias)
         if c is not None:
-            c._accum(_weight_grad(xd, g) if xd.ndim == 3 and len(c.shape) == 2 else
-                     _unbroadcast(_matmul_data(np.swapaxes(xd, -1, -2), g), c.shape),
-                     owned=True)
+            if g.ndim == 3 and len(c.shape) == 2:    # a (B, T, D) input
+                c._accum(_weight_grad(xd, g, c.shape[0]), owned=True)
+            else:
+                xa = xd() if isinstance(xd, functools.partial) else xd
+                c._accum(_unbroadcast(_matmul_data(np.swapaxes(xa, -1, -2), g), c.shape),
+                         owned=True)
+                _give(xa)    # a rebuilt array; the closure still holds a kept one
+                del xa
         if a is not None:
             a._accum(_unbroadcast(_input_grad(g, wd, rows), a.shape), owned=True)
 
@@ -675,14 +745,16 @@ class Node:
 
 class Tensor:
     """A handle on a float64 array, with the tape ``Node`` it was recorded
-    as, if any.  When the last handle on an array that no closure keeps dies
-    during a training step, the array goes back to the step's pool."""
+    as, if any, and the rebuild that remakes the array, if it has one.  When
+    the last handle on an array that no closure keeps dies during a training
+    step, the array goes back to the step's pool."""
 
-    __slots__ = ("data", "_node")
+    __slots__ = ("data", "_node", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self._node = Node(self.data.shape, np.zeros_like(self.data)) if requires_grad else None
+        self._rebuild = None
 
     def __del__(self):
         if _POOL is not None:
@@ -727,13 +799,15 @@ class Tensor:
     # -- graph construction ------------------------------------------------
 
     @staticmethod
-    def _result(data, parents, backward) -> "Tensor":
-        """A handle on ``data``, recorded with ``backward`` when grad is
-        enabled and one of the ``parents`` nodes exists."""
+    def _result(data, parents, backward, rebuild=None) -> "Tensor":
+        """A handle on ``data``, recorded with ``backward`` (and carrying
+        ``rebuild``, a ``functools.partial`` that remakes ``data``) when
+        grad is enabled and one of the ``parents`` nodes exists."""
         out = Tensor(data)
         parents = tuple(p for p in parents if p is not None)
         if _GRAD_ENABLED and parents:
             out._node = Node(out.data.shape, None, backward, parents)
+            out._rebuild = rebuild
         return out
 
     def backward(self):
@@ -886,14 +960,19 @@ class Tensor:
         return Tensor._result(np.maximum(x, 0.0), (a,), backward)
 
     def gelu(self):
-        """Exact (erf-based) GELU."""
+        """Exact (erf-based) GELU.  Recorded, it keeps its input and the
+        normal cdf, and its output's rebuild is their product; unrecorded,
+        it makes no cdf beside its output."""
         x, a = self.data, self._node
-        out_data, cdf = gelu(x, with_cdf=True)
+        if not (_GRAD_ENABLED and a is not None):
+            return Tensor(gelu(x))
+        cdf = _normal_cdf(x)
+        rebuild = functools.partial(_product, x, cdf)
 
         def backward(g):
             a._accum(_gelu_grad(g, x, cdf), owned=True)
 
-        return Tensor._result(out_data, (a,), backward)
+        return Tensor._result(rebuild(), (a,), backward, rebuild)
 
     # -- reductions --------------------------------------------------------
 
@@ -1043,13 +1122,15 @@ def affine_layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) 
     """``x.layernorm(eps) * gain + shift`` as one tape node, with its bits
     and gradients; the tape keeps no ``normalized * gain`` array, and keeps
     the normalized array, ``1 / sqrt(var + eps)`` and the gain only where a
-    gradient reads them."""
+    gradient reads them.  Where the normalized array is kept, the output's
+    rebuild is ``normalized * gain + shift`` again."""
     normed, inv = layernorm(x.data, eps)
-    out_data = np.multiply(normed, gain.data, out=_out(normed, gain.data))
-    out_data += shift.data
+    rebuild = functools.partial(_affine, normed, gain.data, shift.data)
+    out_data = rebuild()
     a, gn, sn = x._node, gain._node, shift._node
     gd, inv = (gain.data, inv) if a is not None else (None, None)
-    normed = normed if a is not None or gn is not None else None
+    if a is None and gn is None:    # no gradient reads the normalized array
+        normed = rebuild = None
 
     def backward(g):
         _add_backward(g, sn)
@@ -1061,7 +1142,7 @@ def affine_layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) 
                 _unbroadcast(np.multiply(g, gd, out=_out(g, gd)), normed.shape),
                 normed, inv, owned=True), owned=True)
 
-    return Tensor._result(out_data, (a, gn, sn), backward)
+    return Tensor._result(out_data, (a, gn, sn), backward, rebuild)
 
 
 def masked_softmax(x: Tensor, scale: float, mask: np.ndarray) -> Tensor:
@@ -1084,18 +1165,21 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
     float mask ``keep / (1 - p)``.  ``rows = (T, index)`` says that ``x``
     holds the rows ``index`` (axis -2) of a T-row activation: the draw is made
     at the full T-row shape and those rows are kept, so the rng stream and
-    each row's mask are the ones an unpruned call draws."""
+    each row's mask are the ones an unpruned call draws.  The output's
+    rebuild is ``(x * keep) * scale`` again, where a closure keeps ``x``'s
+    array anyway (a softmax's output): over an array that only ``x`` holds,
+    a rebuild would keep it from going back to the pool."""
     shape = x.shape if rows is None else x.shape[:-2] + (rows[0], x.shape[-1])
     draw = rng.random(out=_empty(shape))
     keep = np.greater_equal(draw if rows is None else draw[..., rows[1], :], p,
                             out=_empty(x.shape, _BOOL))
     _give(draw)
     scale = 1.0 / (1.0 - p)
-    out_data = np.multiply(x.data, keep, out=_out(x.data))
-    out_data *= scale
+    held = sys.getrefcount(x.data) > _SLOT_REFS    # by more than ``x``
+    rebuild = functools.partial(_dropped, x.data, keep, scale)
     a = x._node
 
     def backward(g):
         a._accum(_scaled(np.multiply(g, keep, out=_out(g)), scale), owned=True)
 
-    return Tensor._result(out_data, (a,), backward)
+    return Tensor._result(rebuild(), (a,), backward, rebuild if held else None)

@@ -70,6 +70,15 @@ def _field_type(field):
     return t
 
 
+def require_steps(config, *names: str):
+    """Raise ValueError for the first field of ``config`` in ``names``, a
+    training step count, that is below 1."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def build_config(cls, file_values: dict | None = None, overrides: dict | None = None):
     """Instantiate config dataclass ``cls`` from file values and overrides."""
     fields = {f.name: f for f in dataclasses.fields(cls)}

@@ -307,7 +307,8 @@ class CausalSelfAttention(Module):
     def run(self, ops, x, key_mask: np.ndarray | None = None,
             rows: slice = slice(None), rng: np.random.Generator | None = None):
         """The attention output at the query positions ``rows`` only; keys and
-        values still come from every position."""
+        values still come from every position.  The scores and the dropped
+        attention, which no backward keeps, go once read."""
         B, T, D = x.shape
         H, hd = self.heads, self.head_dim
         pad = None if rows == slice(None) else (T, rows)   # for Linear and Dropout
@@ -320,8 +321,11 @@ class CausalSelfAttention(Module):
 
         scores = q @ k.transpose((0, 1, 3, 2))  # (B,H,R,T)
         att = ops.softmax(scores, 1.0 / np.sqrt(hd), _attention_mask(T, key_mask, rows))
+        del scores
         att = self.drop.run(ops, att, pad, rng)
-        out = (att @ v).transpose((0, 2, 1, 3)).reshape(B, R, D)
+        out = att @ v
+        del att
+        out = out.transpose((0, 2, 1, 3)).reshape(B, R, D)
         return self.drop.run(ops, self.proj.run(ops, out, pad), pad, rng)
 
 
@@ -337,12 +341,16 @@ class TransformerBlock(Module):
 
     def run(self, ops, x, key_mask=None, rows: slice = slice(None), rng=None):
         """The block's output at positions ``rows`` (every position attends as
-        usual), with the gradients and dropout draws of the every-row call."""
+        usual), with the gradients and dropout draws of the every-row call.
+        The MLP hidden goes once ``fc2`` has read it, and ``fc2``'s output
+        once dropped."""
         pad = None if rows == slice(None) else (x.shape[1], rows)
         res = x if pad is None else x[:, rows]
         x = res + self.attn.run(ops, self.ln1.run(ops, x), key_mask, rows, rng)
         h = ops.gelu(self.fc1.run(ops, self.ln2.run(ops, x), pad))
-        return x + self.drop.run(ops, self.fc2.run(ops, h, pad), pad, rng)
+        h = self.fc2.run(ops, h, pad)
+        h = self.drop.run(ops, h, pad, rng)
+        return x + h
 
 
 class CausalTransformer(Module):

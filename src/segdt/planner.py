@@ -26,6 +26,7 @@ from scipy.spatial import cKDTree
 from scipy.special import ndtri
 
 from . import archive, nn
+from .config import require_steps
 from .env import STATE_DIM
 from .policy import PolicyStep
 from .return_model import mixture_moments
@@ -119,6 +120,9 @@ class TargetPredictorConfig:
     iters: int = 600
     span_max: int = 100       # spans are sampled in [1, span_max]
     seed: int = 0
+
+    def __post_init__(self):
+        require_steps(self, "iters")
 
     def to_dict(self) -> dict:
         return asdict(self)

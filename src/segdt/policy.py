@@ -28,6 +28,7 @@ import numpy as np
 
 from . import nn, trajlog
 from .autodiff import Tensor
+from .config import require_steps
 from .env import ACTION_DIM, STATE_DIM, denorm_action, norm_actions
 
 log = logging.getLogger(__name__)
@@ -73,6 +74,7 @@ class PolicyConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        require_steps(self, "epochs", "iters_per_epoch")
 
     @property
     def tokens_per_step(self) -> int:

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import nn, trajlog
 from .autodiff import no_grad
+from .config import require_steps
 from .env import STATE_DIM, ACTION_DIM, norm_actions
 
 log = logging.getLogger(__name__)
@@ -102,6 +103,9 @@ class ReturnModelConfig:
 
     # paper-scale reference values: n_layers=4, n_heads=8, embed_dim=128,
     # batch_size=256, learning_rate=1e-4, ensemble_size=5
+
+    def __post_init__(self):
+        require_steps(self, "epochs", "iters_per_epoch")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -372,32 +372,53 @@ def test_divergence_exit_4(pipeline, tmp_path, capsys, monkeypatch):
     assert "error: code=4" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("stage, key, message", [
-    ("train-policy", "epochs", "policy unrest: training needs epochs >= 1 and iters >= 1, "
-                               "got epochs=0, iters=30"),
-    ("train-policy", "iters_per_epoch", "policy unrest: training needs epochs >= 1 and "
-                                        "iters >= 1, got epochs=2, iters=0"),
-    ("train-return", "epochs", "member 0: training needs epochs >= 1 and iters >= 1, "
-                               "got epochs=0, iters=30"),
-    ("build-kdtree", "iters", "target predictor member 0: training needs epochs >= 1 and "
-                              "iters >= 1, got epochs=1, iters=0"),
-], ids=["policy-epochs", "policy-iters", "return-epochs", "predictor-iters"])
-def test_a_trainer_with_zero_steps_exits_2_and_writes_nothing(pipeline, tmp_path, capsys,
-                                                              stage, key, message):
-    config = {"train-policy": "policy.cfg", "train-return": "return.cfg",
-              "build-kdtree": "index.cfg"}[stage]
+ZERO_STEPS = [
+    ("train-policy", "epochs", "invalid PolicyConfig: epochs must be >= 1, got 0"),
+    ("train-policy", "iters_per_epoch", "invalid PolicyConfig: iters_per_epoch must be >= 1, "
+                                        "got 0"),
+    ("train-return", "epochs", "invalid ReturnModelConfig: epochs must be >= 1, got 0"),
+    ("build-kdtree", "iters", "invalid IndexConfig: iters must be >= 1, got 0"),
+]
+ZERO_STEP_IDS = ["policy-epochs", "policy-iters", "return-epochs", "predictor-iters"]
+CONFIG_FILES = {"train-policy": "policy.cfg", "train-return": "return.cfg",
+                "build-kdtree": "index.cfg"}
+
+
+def _zero_step_config(tmp_path, stage: str, key: str) -> Path:
+    """The smoke config of ``stage`` with ``key = 0``."""
+    config = CONFIG_FILES[stage]
     lines = (SMOKE / config).read_text().splitlines(keepends=True)
     cfg = tmp_path / config
     cfg.write_text("".join(line for line in lines if not line.startswith(f"{key} ="))
                    + f"{key} = 0\n")
+    return cfg
+
+
+@pytest.mark.parametrize("stage, key, message", ZERO_STEPS, ids=ZERO_STEP_IDS)
+def test_a_trainer_with_zero_steps_exits_2_and_writes_nothing(pipeline, tmp_path, capsys,
+                                                              stage, key, message):
+    cfg = _zero_step_config(tmp_path, stage, key)
     inputs = {"train-policy": ["--segmented", pipeline["segmented"]],
               "train-return": ["--dataset", pipeline["dataset"]],
               "build-kdtree": ["--segmented", pipeline["segmented"],
                                "--predictor-out", tmp_path / "predictor"]}[stage]
     rc = run([stage, "--config", cfg, "--out", tmp_path / "model", *inputs])
     assert rc == 2
-    assert capsys.readouterr().err == (f"error: code=2 command={stage}: "
-                                       f"ValueError: {message}\n")
+    assert capsys.readouterr().err == f"error: code=2 command={stage}: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("stage, key, message", ZERO_STEPS, ids=ZERO_STEP_IDS)
+def test_zero_steps_exit_2_before_the_stage_reads_its_inputs(tmp_path, capsys,
+                                                             stage, key, message):
+    """The config rejects the count when the stage reads it: a missing input
+    file, which would exit 3, is never looked at."""
+    cfg = _zero_step_config(tmp_path, stage, key)
+    missing = tmp_path / "missing.npz"
+    flag = "--dataset" if stage == "train-return" else "--segmented"
+    rc = run([stage, "--config", cfg, "--out", tmp_path / "model", flag, missing])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: code=2 command={stage}: {message}\n"
     assert list(tmp_path.iterdir()) == [cfg]
 
 
