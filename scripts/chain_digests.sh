@@ -1,8 +1,10 @@
 #!/bin/sh
 # Run a config directory's pipeline, collect through evaluate, in a work
 # directory with BLAS pinned to one thread, then print the sha256 of its
-# nine outputs and of each manifest's loss curve(s).  Two checkouts that
-# print the same lines produced the same bits.
+# nine outputs and of each manifest's loss curve(s).  The dt and bc
+# baselines are trained on the same seg.npz and evaluated too, and their
+# reports' sha256 follow.  Two checkouts that print the same lines produced
+# the same bits.
 #
 # Usage: scripts/chain_digests.sh CONFIG_DIR WORK_DIR
 #   e.g. scripts/chain_digests.sh configs/smoke /tmp/smoke-chain
@@ -28,9 +30,16 @@ stage build-kdtree --config "$cfg/index.cfg"     --segmented seg.npz --out index
                    --predictor-out predictor/
 stage evaluate     --config "$cfg/evaluate.cfg"  --policy policy.npz --dataset data.npz \
                    --index index.npz --predictor predictor/ --out report.json
+for kind in dt bc; do
+    stage train-policy --config "$cfg/policy.cfg" --kind $kind --segmented seg.npz \
+                       --out policy_$kind.npz
+    stage evaluate     --config "$cfg/evaluate.cfg" --policy policy_$kind.npz \
+                       --dataset data.npz --out report_$kind.json
+done
 
 sha256sum data.npz ensemble/ensemble.npz ensemble/training_history.json calibration.json \
-          seg.npz policy.npz index.npz predictor/predictor.npz report.json
+          seg.npz policy.npz index.npz predictor/predictor.npz report.json \
+          report_dt.json report_bc.json
 python - <<'PY'
 import hashlib, json
 for name, key in (("policy.npz", "loss_curve"), ("index.npz", "loss_curves")):

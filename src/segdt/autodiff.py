@@ -110,7 +110,6 @@ __all__ = [
     "BufferPool",
     "no_grad",
     "concat",
-    "stack",
     "linear",
     "affine_layernorm",
     "masked_softmax",
@@ -786,9 +785,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -1089,19 +1085,6 @@ def concat(tensors: list, axis: int = -1) -> Tensor:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 t._accum(g[tuple(sl)], owned=False)
-
-    return Tensor._result(out_data, nodes, backward)
-
-
-def stack(tensors: list, axis: int = 0) -> Tensor:
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-    nodes = [t._node for t in tensors]
-
-    def backward(g):
-        parts = np.split(g, len(nodes), axis=axis)
-        for t, part in zip(nodes, parts):
-            if t is not None:
-                t._accum(np.squeeze(part, axis=axis), owned=False)
 
     return Tensor._result(out_data, nodes, backward)
 

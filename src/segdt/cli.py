@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluator, nn, segmenter, trajlog
-from .config import ConfigError, build_config, parse_flat_file
+from .config import ConfigError, build_config, parse_flat_file, require_steps
 from .env import EnvConfig, ExpertConfig
 from .manifest import RunManifest
 from .nn import TrainingDiverged
@@ -78,6 +78,9 @@ class EvaluateConfig:
     history_length: int = 5
     target_quantile: float = 0.7
     initial_target: float = float("nan")   # NaN -> dataset quantile
+
+    def __post_init__(self):
+        require_steps(self, "history_length")
 
 
 @dataclass(frozen=True)
@@ -302,8 +305,11 @@ def cmd_build_kdtree(args) -> int:
 
 def _make_actor(kind: str, trained: Policy, cfg: EvaluateConfig, args,
                 manifest: RunManifest):
-    if kind in ("bc",):
-        return evaluator.ClonedActor(trained, history_length=cfg.history_length)
+    if cfg.history_length > trained.config.seq_length:
+        raise CliError(EXIT_CONFIG, f"history_length {cfg.history_length} exceeds the "
+                       f"policy's seq_length {trained.config.seq_length}")
+    if kind == "bc":   # reads no return token, so needs no target
+        return evaluator.ReturnConditionedActor(trained, 0.0, cfg.history_length)
 
     dataset = _require(args.dataset, "--dataset")
     manifest.add_input("dataset", dataset)

@@ -72,7 +72,7 @@ def _field_type(field):
 
 def require_steps(config, *names: str):
     """Raise ValueError for the first field of ``config`` in ``names``, a
-    training step count, that is below 1."""
+    step count, that is below 1."""
     for name in names:
         value = getattr(config, name)
         if value < 1:

@@ -1,10 +1,11 @@
 """Seeded closed-loop evaluation, calibration metrics, and the
 deterministic-alignment check on an exhaustive tabular MDP.
 
-The rollout harness drives the toy highway environment with one of five
-actors (planned policy, return-conditioned baseline, behavior cloning,
-privileged rule expert, random) and reduces per-episode results into a
-report whose aggregates are recomputable from the raw records.
+The rollout harness drives the toy highway environment with one of four
+actors (planned policy, return-conditioned policy, privileged rule expert,
+random) and reduces per-episode results into a report whose aggregates are
+recomputable from the raw records.  The return-conditioned actor drives both
+baselines: dt reads its return-to-go, bc reads no return token at all.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from scipy.special import logsumexp
 from .env import EnvAction, EnvConfig, ExpertConfig, HighwayEnv, RuleExpert, V_MAX
 from .planner import (KdUncertaintyIndex, PlannerConfig, PlannerState,
                       TargetReturnPredictor, plan_step)
-from .policy import Policy, PolicyStep
+from .policy import Context, Policy
 from .return_model import mixture_moments, predict_trajectories
 
 log = logging.getLogger(__name__)
@@ -128,7 +129,8 @@ class PlannedActor:
 
 
 class ReturnConditionedActor:
-    """DT-style baseline: condition on the decremented global return-to-go."""
+    """DT-style baseline: condition on the decremented global return-to-go.
+    A bc policy reads no return token, so this actor also drives it."""
 
     def __init__(self, policy: Policy, initial_target: float, history_length: int = 5):
         self.policy = policy
@@ -137,35 +139,14 @@ class ReturnConditionedActor:
 
     def reset(self, seed: int):
         self._R = self.initial_target
-        self._history = []
+        self._context = Context(self.history_length)
 
     def act(self, state, prev_reward):
         if prev_reward is not None:
             self._R -= prev_reward
-        step = PolicyStep(state=state.as_array(), R=self._R)
-        self._history.append(step)
-        self._history = self._history[-self.history_length:]
-        action = self.policy.act(self._history)
-        step.action = action
-        return EnvAction(float(action[0]), float(action[1]))
-
-
-class ClonedActor:
-    """BC baseline: plain state/action context."""
-
-    def __init__(self, policy: Policy, history_length: int = 5):
-        self.policy = policy
-        self.history_length = history_length
-
-    def reset(self, seed: int):
-        self._history = []
-
-    def act(self, state, prev_reward):
-        step = PolicyStep(state=state.as_array())
-        self._history.append(step)
-        self._history = self._history[-self.history_length:]
-        action = self.policy.act(self._history)
-        step.action = action
+        self._context.push(state.as_array(), R=self._R)
+        action = self.policy.act(self._context)
+        self._context.record(action)
         return EnvAction(float(action[0]), float(action[1]))
 
 

@@ -365,12 +365,6 @@ class CausalTransformer(Module):
         self.ln_f = LayerNorm(dim)
         self.drop = Dropout(dropout)
 
-    def __call__(self, tokens: Tensor, key_mask: np.ndarray | None = None,
-                 rng: np.random.Generator | None = None,
-                 rows: slice = slice(None)) -> Tensor:
-        """The taped ``run``, ``rng`` third, where its callers pass it."""
-        return self.run(TAPE, tokens, key_mask, rows, rng)
-
     @staticmethod
     def _last_rows(T: int, rows: slice) -> tuple:
         """(the rows the last block computes, the rows kept after ``ln_f``)

@@ -28,7 +28,7 @@ from scipy.special import ndtri
 from . import archive, nn
 from .config import require_steps
 from .env import STATE_DIM
-from .policy import PolicyStep
+from .policy import Context
 from .return_model import mixture_moments
 
 log = logging.getLogger(__name__)
@@ -293,8 +293,6 @@ class PlannerConfig:
             raise ValueError("span_horizon must be >= 1")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must be in (0, 1)")
-        if self.history_length < 1:
-            raise ValueError("history_length must be >= 1")
         return self
 
 
@@ -305,16 +303,17 @@ class PlannerState:
     R_unclamped: float          # bookkeeping value, may go negative
     h: int
     r_h: float
+    context: Context            # the policy's window of recent steps
     prev_uncertain: bool = False
     started: bool = False
-    history: list = field(default_factory=list)
     trace: list = field(default_factory=list)
 
     @classmethod
     def initial(cls, config: PlannerConfig, initial_target: float) -> "PlannerState":
         config.validate()
         return cls(config=config, R=max(initial_target, 0.0),
-                   R_unclamped=initial_target, h=0, r_h=0.0)
+                   R_unclamped=initial_target, h=0, r_h=0.0,
+                   context=Context(config.history_length))
 
 
 def plan_step(ps: PlannerState, state: np.ndarray, prev_reward: float | None,
@@ -363,16 +362,10 @@ def plan_step(ps: PlannerState, state: np.ndarray, prev_reward: float | None,
     record["predictor_failed"] = predictor_failed
 
     # (4) deterministic action from the conditioned policy
-    step = PolicyStep(
-        state=np.asarray(state, dtype=np.float64),
-        h=0 if use_dummy else ps.h,
-        r_h=0.0 if use_dummy else ps.r_h,
-        R=ps.R,
-    )
-    ps.history.append(step)
-    ps.history = ps.history[-cfg.history_length:]
-    action = policy.act(ps.history)
-    step.action = np.asarray(action, dtype=np.float64)
+    ps.context.push(state, h=0 if use_dummy else ps.h,
+                    r_h=0.0 if use_dummy else ps.r_h, R=ps.R)
+    action = policy.act(ps.context)
+    ps.context.record(action)
 
     # (5) carry flags forward
     ps.prev_uncertain = uncertain_now

@@ -17,6 +17,10 @@ through tanh.  ``SequencePolicyModel.run`` is the model's one body: the taped
 over ``nn.TAPE`` and ``nn.ARRAY``.  Both read only each step's state token, so
 the trunk's last block runs on those rows alone, with the bits, gradients
 and dropout draws of the every-row call (see ``nn.CausalTransformer``).
+
+At inference a ``Context`` holds an episode's last steps as one window's
+arrays, and ``Policy.act`` decides its final step.  The planner and both
+baselines keep their window in one.
 """
 
 from __future__ import annotations
@@ -124,14 +128,41 @@ class PolicyNormalizer:
                    nn.Standardizer.from_dict(d, "R"), tuple(d["R_bounds"]))
 
 
-@dataclass
-class PolicyStep:
-    """One inference-time context step; ``action`` is None for the current step."""
-    state: np.ndarray
-    action: np.ndarray | None = None
-    h: int = 0               # 0 = dummy condition
-    r_h: float = 0.0
-    R: float = 0.0
+class Context:
+    """The last ``length`` inference steps as one window's arrays: ``states``,
+    ``actions`` (zero for the step being decided), ``h`` (0 = dummy
+    condition), ``r_h`` and ``R``."""
+
+    def __init__(self, length: int):
+        if length < 1:
+            raise ValueError(f"history_length must be >= 1, got {length}")
+        self.length = length
+        self.states = np.zeros((0, STATE_DIM))
+        self.actions = np.zeros((0, ACTION_DIM))
+        self.h = np.zeros(0, dtype=np.int64)
+        self.r_h = np.zeros(0)
+        self.R = np.zeros(0)
+        self.deciding = False
+
+    def __len__(self) -> int:
+        return len(self.h)
+
+    def push(self, state, h: int = 0, r_h: float = 0.0, R: float = 0.0) -> None:
+        """Add the step being decided; the oldest step past ``length`` goes."""
+        if self.deciding:
+            raise ValueError("only the final context step may lack an action")
+        keep = slice(-self.length, None)
+        self.states = np.concatenate([self.states, [state]])[keep]
+        self.actions = np.concatenate([self.actions, np.zeros((1, ACTION_DIM))])[keep]
+        self.h = np.append(self.h, h)[keep]
+        self.r_h = np.append(self.r_h, r_h)[keep]
+        self.R = np.append(self.R, R)[keep]
+        self.deciding = True
+
+    def record(self, action) -> None:
+        """Set the action taken at the step being decided."""
+        self.actions[-1] = action
+        self.deciding = False
 
 
 class SequencePolicyModel(nn.Module):
@@ -231,32 +262,23 @@ class Policy:
     def kind(self) -> str:
         return self.config.kind
 
-    def _batch_from_steps(self, steps: list) -> dict:
+    def act(self, context: Context) -> np.ndarray:
+        """Deterministic action for the context's final step, in raw units."""
         cfg, nrm = self.config, self.normalizer
-        L = len(steps)
+        L = len(context)
         if not 1 <= L <= cfg.seq_length:
             raise ValueError(f"context of {L} steps outside [1, {cfg.seq_length}]")
-        states = np.stack([s.state for s in steps])
-        actions = np.stack([
-            s.action if s.action is not None else np.zeros(ACTION_DIM)
-            for s in steps])
-        if any(s.action is None for s in steps[:-1]):
-            raise ValueError("only the final context step may lack an action")
-        return {
-            "states": nrm.norm_states(states)[None],
-            "actions": nrm.norm_actions(actions)[None],
-            "h": np.array([[s.h for s in steps]]),
-            "r_h": nrm.norm_rh(np.array([[s.r_h for s in steps]])),
-            "R": nrm.norm_R(np.array([[s.R for s in steps]])),
-            "R_raw": np.array([[s.R for s in steps]]),
+        pred = self.model.infer({
+            "states": nrm.norm_states(context.states)[None],
+            "actions": nrm.norm_actions(context.actions)[None],
+            "h": context.h[None],
+            "r_h": nrm.norm_rh(context.r_h[None]),
+            "R": nrm.norm_R(context.R[None]),
+            "R_raw": context.R[None],
             "R_bounds": nrm.R_bounds,
             "mask": np.ones((1, L), dtype=bool),
-        }
-
-    def act(self, steps: list) -> np.ndarray:
-        """Deterministic action for the final context step, in raw units."""
-        pred = self.model.infer(self._batch_from_steps(steps))
-        return self.normalizer.denorm_action(pred[0, -1])
+        })
+        return nrm.denorm_action(pred[0, -1])
 
     # -- persistence -------------------------------------------------------
 

@@ -349,7 +349,7 @@ def policy_study():
                                              predictor, planner_cfg,
                                              initial_target=target),
             "dt": evaluator.ReturnConditionedActor(policies["dt"], target),
-            "bc": evaluator.ClonedActor(policies["bc"]),
+            "bc": evaluator.ReturnConditionedActor(policies["bc"], 0.0),
         }
         eval_seeds = range(50_000 + seed * 100, 50_000 + seed * 100 + 100)
         results = {name: evaluator.rollout(env_cfg, actor, eval_seeds)

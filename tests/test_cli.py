@@ -422,6 +422,39 @@ def test_zero_steps_exit_2_before_the_stage_reads_its_inputs(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.fixture(scope="module")
+def baselines(pipeline, tmp_path_factory):
+    """dt and bc policies trained on the smoke segmented dataset."""
+    d = tmp_path_factory.mktemp("baselines")
+    for kind in ("dt", "bc"):
+        assert run(["train-policy", "--config", SMOKE / "policy.cfg", "--kind", kind,
+                    "--segmented", pipeline["segmented"], "--out", d / f"{kind}.npz"]) == 0
+    return {kind: d / f"{kind}.npz" for kind in ("dt", "bc")}
+
+
+@pytest.mark.parametrize("kind, length, message", [
+    ("dt", 0, "invalid EvaluateConfig: history_length must be >= 1, got 0"),
+    ("bc", -2, "invalid EvaluateConfig: history_length must be >= 1, got -2"),
+    ("bc", 8, "history_length 8 exceeds the policy's seq_length 5"),
+], ids=["dt-0", "bc-minus-2", "bc-above-seq-length"])
+def test_evaluate_rejects_a_bad_history_length_before_the_first_episode(
+        pipeline, baselines, tmp_path, capsys, monkeypatch, kind, length, message):
+    def no_rollout(*args):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(evaluator, "rollout", no_rollout)
+    lines = (SMOKE / "evaluate.cfg").read_text().splitlines(keepends=True)
+    cfg = tmp_path / "evaluate.cfg"
+    cfg.write_text("".join(line for line in lines if not line.startswith("history_length"))
+                   + f"history_length = {length}\n")
+    report = tmp_path / "report.json"
+    rc = run(["evaluate", "--config", cfg, "--policy", baselines[kind],
+              "--dataset", pipeline["dataset"], "--out", report])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: code=2 command=evaluate: {message}\n"
+    assert not report.exists()
+
+
 def _poison_fit(monkeypatch):
     """Make ``nn.fit``'s loss NaN at the third step of the last epoch."""
     real_fit = nn.fit

@@ -4,7 +4,7 @@ import pytest
 from segdt import trajlog
 from segdt.env import EnvConfig, ExpertConfig
 from segdt.evaluator import (
-    ClonedActor, EpisodeResult, EvalReport, ExpertActor, PlannedActor,
+    EpisodeResult, EvalReport, ExpertActor, PlannedActor,
     RandomActor, ReturnConditionedActor, TabularMdp, calibrate, driving_score,
     rollout, run_episode, theorem_check, uncertainty_histogram,
     unreachable_target_gap,
@@ -81,11 +81,29 @@ def test_random_rollout_fails():
 
 def test_cloned_and_conditioned_actors_complete_episodes():
     cfg = EnvConfig(delta=0.0)
-    for actor in (ClonedActor(tiny_policy("bc")),
+    for actor in (ReturnConditionedActor(tiny_policy("bc"), initial_target=0.0),
                   ReturnConditionedActor(tiny_policy("dt"), initial_target=60.0)):
         res = run_episode(cfg, actor, seed=0)
         assert res.steps >= 1
         assert 0.0 <= res.route_completion <= 1.0
+
+
+def test_conditioned_actor_window_bounded():
+    class Recorder:
+        """Records each context's length; drives straight."""
+
+        def __init__(self):
+            self.lengths = []
+
+        def act(self, context):
+            self.lengths.append(len(context))
+            return np.array([20.0, 0.0])
+
+    policy = Recorder()
+    actor = ReturnConditionedActor(policy, initial_target=60.0, history_length=3)
+    res = run_episode(EnvConfig(delta=0.0), actor, seed=0)
+    assert res.steps > 3
+    assert policy.lengths == [1, 2] + [3] * (res.steps - 2)
 
 
 def test_planned_actor_traces_every_step():

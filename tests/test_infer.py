@@ -9,7 +9,7 @@ import pytest
 from segdt import autodiff, nn, trajlog
 from segdt.autodiff import Tensor, no_grad
 from segdt.planner import TargetPredictorConfig, _TargetMlp
-from segdt.policy import Policy, PolicyConfig, PolicyNormalizer, PolicyStep, \
+from segdt.policy import Context, Policy, PolicyConfig, PolicyNormalizer, \
     SequencePolicyModel, train_policy
 from segdt.return_model import ReturnEnsemble, ReturnMemberModel, ReturnModelConfig, \
     train_return_models
@@ -126,12 +126,13 @@ def test_policy_act_builds_no_tensor(monkeypatch):
         nn.Standardizer(np.zeros(12), np.ones(12)), nn.Standardizer(0.5, 2.0),
         nn.Standardizer(1.0, 3.0), R_bounds=(-10.0, 10.0)))
     rng = np.random.default_rng(6)
-    steps = [PolicyStep(state=rng.normal(size=12), action=rng.normal(size=2),
-                        h=h, r_h=1.5, R=4.0) for h in (3, 0, 9)]
-    steps[-1].action = None
-    with no_grad():
-        want = policy.normalizer.denorm_action(
-            model.forward(policy._batch_from_steps(steps)).data[0, -1])
+    context = Context(5)
+    for h in (3, 0, 9):
+        context.push(rng.normal(size=12), h=h, r_h=1.5, R=4.0)
+        if h != 9:
+            context.record(rng.normal(size=2))
+    batches, infer = [], model.infer
+    monkeypatch.setattr(model, "infer", lambda batch: batches.append(batch) or infer(batch))
     built = []
     init = autodiff.Tensor.__init__
 
@@ -140,8 +141,10 @@ def test_policy_act_builds_no_tensor(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(autodiff.Tensor, "__init__", counting)
-    got = policy.act(steps)
+    got = policy.act(context)
     assert not built
+    with no_grad():
+        want = policy.normalizer.denorm_action(model.forward(batches[0]).data[0, -1])
     assert np.array_equal(got, want)
 
 
@@ -296,7 +299,7 @@ def every_row_trunk(monkeypatch):
     call, infer = nn.CausalTransformer.__call__, nn.CausalTransformer.infer
 
     def full_call(self, tokens, key_mask=None, rng=None, rows=slice(None)):
-        return call(self, tokens, key_mask, rng)[:, rows]
+        return call(self, tokens, key_mask, rng=rng)[:, rows]
 
     def full_infer(self, tokens, key_mask=None, rows=slice(None)):
         return infer(self, tokens, key_mask)[:, rows]

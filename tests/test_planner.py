@@ -314,8 +314,8 @@ class StubPolicy:
     def __init__(self):
         self.contexts = []
 
-    def act(self, steps):
-        self.contexts.append([(s.h, s.r_h, s.R) for s in steps])
+    def act(self, context):
+        self.contexts.append(list(zip(context.h, context.r_h, context.R)))
         return np.array([20.0, 0.0])
 
 

@@ -5,7 +5,7 @@ from segdt import nn, trajlog
 from segdt.env import V_MAX
 from segdt.nn import Standardizer, TrainingDiverged
 from segdt.policy import (
-    Policy, PolicyConfig, PolicyNormalizer, PolicyStep, SequencePolicyModel,
+    Context, Policy, PolicyConfig, PolicyNormalizer, SequencePolicyModel,
     discretize_global_return, train_policy,
 )
 from segdt.segmenter import Part, SegmentedTrajectory
@@ -27,12 +27,14 @@ def identity_policy(config):
     return Policy(model, config, nrm)
 
 
-def make_steps(rng, n, h=3, r_h=1.5, R=5.0, last_action=None):
-    steps = [PolicyStep(state=rng.normal(size=12), action=rng.normal(size=2) * 0.3,
-                        h=h, r_h=r_h, R=R) for _ in range(n - 1)]
-    steps.append(PolicyStep(state=rng.normal(size=12), action=last_action,
-                            h=h, r_h=r_h, R=R))
-    return steps
+def make_context(rng, n, h=3, r_h=1.5, R=5.0):
+    """``n`` steps, each but the last with its action recorded."""
+    context = Context(n)
+    for t in range(n):
+        context.push(rng.normal(size=12), h=h, r_h=r_h, R=R)
+        if t < n - 1:
+            context.record(rng.normal(size=2) * 0.3)
+    return context
 
 
 def synthetic_segs(n_traj, T, rng, steer_gain=0.1):
@@ -81,84 +83,110 @@ def test_config_rejects_unknown_kind():
         PolicyConfig(kind="iql")
 
 
+# -- inference context -------------------------------------------------------
+
+
+def test_context_keeps_the_last_length_steps():
+    context = Context(3)
+    for t in range(5):
+        context.push(np.full(12, float(t)), h=t, r_h=0.5 * t, R=10.0 - t)
+        context.record(np.array([t, -t]))
+        assert len(context) == min(t + 1, 3)
+    assert context.states[:, 0].tolist() == [2.0, 3.0, 4.0]
+    assert context.actions.tolist() == [[2.0, -2.0], [3.0, -3.0], [4.0, -4.0]]
+    assert context.h.tolist() == [2, 3, 4]
+    assert context.r_h.tolist() == [1.0, 1.5, 2.0]
+    assert context.R.tolist() == [8.0, 7.0, 6.0]
+
+
+def test_context_current_step_action_is_zero_until_recorded():
+    context = Context(4)
+    context.push(np.ones(12), h=2, r_h=1.0, R=3.0)
+    context.record(np.array([20.0, 0.5]))
+    context.push(np.ones(12))
+    assert context.actions.tolist() == [[20.0, 0.5], [0.0, 0.0]]
+    assert context.h.tolist() == [2, 0]                 # defaults: the dummy condition
+    assert context.r_h.tolist() == [1.0, 0.0] and context.R.tolist() == [3.0, 0.0]
+    context.record(np.array([10.0, -0.25]))
+    assert context.actions[-1].tolist() == [10.0, -0.25]
+
+
+@pytest.mark.parametrize("length", [0, -2])
+def test_context_rejects_a_length_below_one(length):
+    with pytest.raises(ValueError, match="history_length"):
+        Context(length)
+
+
 # -- conditioning paths -----------------------------------------------------
 
 
 def test_dummy_condition_ignores_rh_value():
     pol = identity_policy(tiny_config())
     rng = np.random.default_rng(0)
-    steps = make_steps(rng, 3, h=0, r_h=0.0)
-    base = pol.act(steps)
-    for s in steps:
-        s.r_h = 123.0
-    assert np.array_equal(pol.act(steps), base)
+    context = make_context(rng, 3, h=0, r_h=0.0)
+    base = pol.act(context)
+    context.r_h[:] = 123.0
+    assert np.array_equal(pol.act(context), base)
 
 
 def test_span_changes_return_token():
     pol = identity_policy(tiny_config())
     rng = np.random.default_rng(1)
-    steps = make_steps(rng, 3, h=2)
-    base = pol.act(steps)
-    for s in steps:
-        s.h = 5
-    assert not np.array_equal(pol.act(steps), base)
+    context = make_context(rng, 3, h=2)
+    base = pol.act(context)
+    context.h[:] = 5
+    assert not np.array_equal(pol.act(context), base)
 
 
 def test_span_embedding_ablation_flag():
     pol = identity_policy(tiny_config(use_return_span=False))
     rng = np.random.default_rng(2)
-    steps = make_steps(rng, 3, h=2)
-    base = pol.act(steps)
-    for s in steps:
-        s.h = 5   # without the span embedding only the dummy routing sees h
-    assert np.array_equal(pol.act(steps), base)
+    context = make_context(rng, 3, h=2)
+    base = pol.act(context)
+    context.h[:] = 5   # without the span embedding only the dummy routing sees h
+    assert np.array_equal(pol.act(context), base)
 
 
 def test_global_return_ablation_flag():
     rng = np.random.default_rng(4)
     off = identity_policy(tiny_config(use_global_return=False))
-    steps = make_steps(rng, 3, R=2.0)
-    base = off.act(steps)
-    for s in steps:
-        s.R = 9.0
-    assert np.array_equal(off.act(steps), base)
+    context = make_context(rng, 3, R=2.0)
+    base = off.act(context)
+    context.R[:] = 9.0
+    assert np.array_equal(off.act(context), base)
 
     on = identity_policy(tiny_config(use_global_return=True))
-    steps = make_steps(rng, 3, R=-9.0)
-    base = on.act(steps)
-    for s in steps:
-        s.R = 9.0
-    assert not np.array_equal(on.act(steps), base)
+    context = make_context(rng, 3, R=-9.0)
+    base = on.act(context)
+    context.R[:] = 9.0
+    assert not np.array_equal(on.act(context), base)
 
 
 def test_dt_kind_conditions_on_global_return():
     pol = identity_policy(tiny_config(kind="dt"))
     rng = np.random.default_rng(5)
-    steps = make_steps(rng, 3, R=1.0)
-    base = pol.act(steps)
-    for s in steps:
-        s.R = 8.0
-    assert not np.array_equal(pol.act(steps), base)
+    context = make_context(rng, 3, R=1.0)
+    base = pol.act(context)
+    context.R[:] = 8.0
+    assert not np.array_equal(pol.act(context), base)
 
 
 def test_bc_kind_ignores_all_conditioning():
     pol = identity_policy(tiny_config(kind="bc"))
     rng = np.random.default_rng(6)
-    steps = make_steps(rng, 3)
-    base = pol.act(steps)
-    for s in steps:
-        s.h, s.r_h, s.R = 0, 99.0, -99.0
-    assert np.array_equal(pol.act(steps), base)
+    context = make_context(rng, 3)
+    base = pol.act(context)
+    context.h[:], context.r_h[:], context.R[:] = 0, 99.0, -99.0
+    assert np.array_equal(pol.act(context), base)
 
 
 def test_action_bounds_for_extreme_inputs():
     pol = identity_policy(tiny_config())
     rng = np.random.default_rng(7)
     for scale in (1.0, 100.0):
-        steps = make_steps(rng, 4, r_h=scale, R=scale)
-        for s in steps:
-            s.state = s.state * scale
-        a = pol.act(steps)
+        context = make_context(rng, 4, r_h=scale, R=scale)
+        context.states *= scale
+        a = pol.act(context)
         assert 0.0 <= a[0] <= V_MAX
         assert -1.0 <= a[1] <= 1.0
 
@@ -168,28 +196,27 @@ def test_current_action_token_invisible():
     # must not influence it even if a value is supplied
     pol = identity_policy(tiny_config())
     rng = np.random.default_rng(8)
-    steps = make_steps(rng, 4, last_action=None)
-    base = pol.act(steps)
-    steps[-1].action = np.array([30.0, 0.9])
-    assert np.array_equal(pol.act(steps), base)
+    context = make_context(rng, 4)
+    base = pol.act(context)
+    context.record(np.array([30.0, 0.9]))
+    assert np.array_equal(pol.act(context), base)
 
 
 def test_missing_intermediate_action_rejected():
     pol = identity_policy(tiny_config())
     rng = np.random.default_rng(9)
-    steps = make_steps(rng, 4)
-    steps[1].action = None
-    with pytest.raises(ValueError):
-        pol.act(steps)
+    context = make_context(rng, 4)
+    with pytest.raises(ValueError, match="only the final context step"):
+        context.push(rng.normal(size=12))
 
 
 def test_context_length_limits():
     pol = identity_policy(tiny_config())
     rng = np.random.default_rng(10)
     with pytest.raises(ValueError):
-        pol.act(make_steps(rng, 6))   # seq_length is 5
+        pol.act(make_context(rng, 6))   # seq_length is 5
     with pytest.raises(ValueError):
-        pol.act([])
+        pol.act(Context(5))
 
 
 # -- training ---------------------------------------------------------------
@@ -218,12 +245,12 @@ def test_policy_recovers_linear_return_map():
     errs = []
     for seg in synthetic_segs(5, 10, np.random.default_rng(99)):
         for t in range(3, 10):
-            steps = [PolicyStep(state=seg.traj.states[k], action=seg.traj.actions[k],
-                                h=int(seg.h[k]), r_h=float(seg.r_h[k]))
-                     for k in range(t - 3, t)]
-            steps.append(PolicyStep(state=seg.traj.states[t], h=int(seg.h[t]),
-                                    r_h=float(seg.r_h[t])))
-            a = pol.act(steps)
+            context = Context(4)
+            for k in range(t - 3, t + 1):
+                context.push(seg.traj.states[k], h=int(seg.h[k]), r_h=float(seg.r_h[k]))
+                if k < t:
+                    context.record(seg.traj.actions[k])
+            a = pol.act(context)
             errs.append(abs(a[1] - 0.1 * seg.r_h[t]))
     assert np.mean(errs) <= 0.02, f"steer MAE {np.mean(errs):.4f}"
 
@@ -238,8 +265,8 @@ def test_checkpoint_roundtrip_bitwise(seg_dataset, tmp_path):
                                      loaded.model.named_parameters(), strict=True):
         assert name == name2 and p.data.tobytes() == q.data.tobytes()
     rng = np.random.default_rng(13)
-    steps = make_steps(rng, 4)
-    assert np.array_equal(pol.act(steps), loaded.act(steps))
+    context = make_context(rng, 4)
+    assert np.array_equal(pol.act(context), loaded.act(context))
     assert loaded.config == cfg
 
 
