@@ -8,14 +8,15 @@ step, each over one fixed batch of 64 windows, it prints one line with:
 - ``tape``: the traced bytes a taped forward holds once the loss is built;
 - ``backward``: the traced peak while that loss runs backward, tape
   included;
-- ``pooled``: the traced peak of steps 2 and 3 of three ``nn.train_step``
-  calls under one ``BufferPool``, the pool's free arrays included;
-- ``pool``: the free arrays the pool keeps after the three steps.
+- ``steady``: the traced peak of steps 2 and 3 of three ``nn.train_step``
+  calls;
+- ``faults``: the minor page faults per step of two more steps, run with
+  ``tracemalloc`` off (its own bookkeeping faults pages in).
 
 MB are 10**6 bytes, traced by ``tracemalloc`` from after the model and its
-AdamW are built, with BLAS pinned to one thread.  The figures depend on the
-code and the numpy build only, so two checkouts on one machine compare
-line by line.
+AdamW are built, with BLAS pinned to one thread.  The MB figures depend on
+the code and the numpy build only, so two checkouts on one machine compare
+line by line; the faults also depend on the C library's allocator.
 """
 
 import os
@@ -23,6 +24,7 @@ import os
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
+import resource
 import sys
 import tracemalloc
 from pathlib import Path
@@ -32,7 +34,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from segdt import nn, return_model  # noqa: E402
-from segdt.autodiff import BufferPool  # noqa: E402
 from segdt.policy import PolicyConfig, SequencePolicyModel  # noqa: E402
 
 B = 64
@@ -74,9 +75,8 @@ def member_step():
 
 
 def figures(model, loss_fn) -> tuple:
-    """(tape, backward peak, pooled peak, pool's kept bytes) in MB."""
+    """(tape, backward peak, steady peak) in MB, and faults per steady step."""
     opt = nn.AdamW(model.parameters())
-    pool = BufferPool()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -86,22 +86,25 @@ def figures(model, loss_fn) -> tuple:
         loss.backward()
         backward = tracemalloc.get_traced_memory()[1] - base
         del loss
-        nn.train_step(pool, opt, loss_fn, "probe", "step 1")
+        nn.train_step(opt, loss_fn, "probe", "step 1")
         tracemalloc.reset_peak()
         for step in (2, 3):
-            nn.train_step(pool, opt, loss_fn, "probe", f"step {step}")
-        pooled = tracemalloc.get_traced_memory()[1] - base
+            nn.train_step(opt, loss_fn, "probe", f"step {step}")
+        steady = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for arrays in pool._free.values() for a in arrays)
-    return tuple(v / 1e6 for v in (tape, backward, pooled, kept))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for step in (4, 5):
+        nn.train_step(opt, loss_fn, "probe", f"step {step}")
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 2
+    return tape / 1e6, backward / 1e6, steady / 1e6, faults
 
 
 def main():
     for name, make in (("policy", policy_step), ("member", member_step)):
-        tape, backward, pooled, kept = figures(*make())
+        tape, backward, steady, faults = figures(*make())
         print(f"{name}: tape {tape:.1f} MB, backward {backward:.1f} MB, "
-              f"pooled {pooled:.1f} MB, pool {kept:.1f} MB")
+              f"steady {steady:.1f} MB, faults {faults:.0f}")
 
 
 if __name__ == "__main__":

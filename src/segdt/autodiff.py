@@ -47,7 +47,7 @@ nothing keeps nothing that only backward reads: an unrecorded GELU makes
 no cdf.  ``backward()`` runs each interior node's closure once and then
 drops that node's ``.grad``, which nothing reads again; only leaves
 (``Parameter``s and ``Tensor(..., requires_grad=True)``) keep a ``.grad``.
-A closure that kept an array of ``_POOLED_BYTES`` or more is dropped once
+A closure that kept an array of ``_SPEND_BYTES`` or more is dropped once
 it has run, so its arrays go as backward proceeds; a graph of smaller
 arrays keeps its closures, and a second ``backward()`` on the same loss
 adds one more gradient into the leaves.  A second ``backward()`` through a
@@ -60,46 +60,31 @@ a ``functools.partial`` of the forward's own elementwise op (``x * cdf``,
 closure keeps anyway, so it remakes the output's bits.  The matmul closure
 that reads such an output keeps its rebuild instead of its array: it
 remakes the input for the weight gradient one run of batch items at a time
-(``_weight_grad``; a 4-D operand whole), giving each back to the pool
-before the input gradient exists, and ``_spend`` counts the arrays a kept
-rebuild captures as the closure's own.  A dropout whose input array only
-its handle holds (a residual branch, not a softmax's output) carries no
-rebuild, which would keep that array from the pool.
+(``_weight_grad``; a 4-D operand whole), dropping each before the input
+gradient exists, and ``_spend`` counts the arrays a kept rebuild captures
+as the closure's own.
 
-Recycling: each ``nn.fit`` step runs in a function scope under the loop's
-``BufferPool`` (``nn.train_step``), so one graph is alive at a time.  Every
-op of the step that allocates an array of ``_POOLED_BYTES`` or more (an
-output, a gradient, a kernel's scratch) takes it from the pool and writes
-into it through ``out=``: the same numpy calls, so the same bits; malloc
-serves smaller arrays from its own free lists.  An array goes back to the
-pool as soon as nothing references it: when the last handle on a forward
-output that no closure keeps dies (``Tensor.__del__``), as a layer's ``run``
-rebinds a name or returns, so the rest of the forward and the backward
-write into it; when backward has consumed an interior gradient; and when a
-dropped closure's arrays are free.  When the step returns, the pool takes
-back whatever is left unreferenced, and the next step's forward writes into
-this step's memory instead of faulting fresh pages in.  A step that had to
-make an array leaves the pool only the free arrays a replay of that step's
-takes and gives needs, so a run of same-shape steps trims once, after the
-first, and takes no new array after it.  A pooled result is laid out in
-C order (or as the transpose of a C-order array for a transposed copy):
-where numpy's own result would be laid out otherwise, the op allocates as
-numpy does.  A default-arch ``unrest`` policy step at batch 64 (BLAS at 1
-thread, ``scripts/step_memory.py``) holds a 24.7 MB forward tape (36.0 MB
-when it kept the arrays its rebuilds remake, 53.6 MB when every output
-stayed on the tape until backward), backward peaks at 30.0 MB, and three
-steps under one pool peak at 36.3 MB, 1.01 times the 36.0 MB tape that
-``tests/test_autodiff.py`` states its bounds against; the pool keeps
-34.4 MB between steps (43.8 MB when the tape kept those arrays).
+Memory between steps: each ``nn.fit`` step runs in its own function scope
+(``nn.train_step``), so one graph is alive at a time and the whole graph is
+freed when the step returns.  glibc serves an allocation of 128 KiB or more
+with a fresh ``mmap`` and unmaps it on free, so every step would fault its
+pages in again.  Importing this module raises glibc's mmap threshold to
+32 MiB and its trim threshold to 1 GiB (``_keep_freed_memory``), so the
+heap keeps what a step frees and malloc's free lists hand it to the next
+step; forked ``nn.map_members`` workers inherit the setting.  A
+default-arch ``unrest`` policy step at batch 64 (BLAS at 1 thread,
+``scripts/step_memory.py``) holds a 24.7 MB forward tape (36.0 MB when it
+kept the arrays its rebuilds remake, 53.6 MB when every output stayed on
+the tape until backward), backward peaks at 30.0 MB, and three steps peak
+at 30.0 MB too, 0.83 times the 36.0 MB tape that ``tests/test_autodiff.py``
+states its bounds against.  A steady step takes about 2 minor page faults,
+against 7.7k-10.2k under glibc's default thresholds.
 """
 
 from __future__ import annotations
 
-import contextlib
+import ctypes
 import functools
-import math
-import sys
-import types
 
 import numpy as np
 from scipy.special import erf
@@ -107,7 +92,6 @@ from scipy.special import erf
 __all__ = [
     "Tensor",
     "ShapeError",
-    "BufferPool",
     "no_grad",
     "concat",
     "linear",
@@ -151,299 +135,41 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _WGRAD_CHUNK_BYTES = 1 << 19
 
 
-_F64, _BOOL = np.dtype(np.float64), np.dtype(bool)
-# arrays smaller than this are not pooled: malloc serves them from its own
-# free lists without faulting, and the pool's bookkeeping would cost more
-_POOLED_BYTES = 1 << 18
-_POOL = None    # the BufferPool of the running training step, if any
+# a closure that kept an array of this many bytes or more is dropped once it
+# has run (``_spend``), so its arrays go as backward proceeds
+_SPEND_BYTES = 1 << 18
+
+# glibc's ``mallopt`` parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
-def _refs(arr) -> int:
-    return sys.getrefcount(arr)
+def _keep_freed_memory():
+    """Let malloc keep what a training step frees for the next step: serve
+    arrays up to 32 MiB from the heap rather than from fresh ``mmap``s, and
+    trim the heap only when 1 GiB lies free at its top.  Skipped where libc
+    has no ``mallopt``; allocation never changes the arithmetic."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
-def _calibrate() -> tuple:
-    """What ``sys.getrefcount`` reports on this interpreter for an array
-    that one local name holds, read in that name's frame and read in a
-    function the name is passed to, and for an array that one object's
-    attribute holds, read as that attribute.  Python versions count
-    differently, so the pool and ``dropout`` compare against these."""
-    probe, holder = np.empty(0), types.SimpleNamespace(data=np.empty(0))
-    return sys.getrefcount(probe), _refs(probe), sys.getrefcount(holder.data)
-
-
-_NAME_REFS, _PASSED_REFS, _SLOT_REFS = _calibrate()
-
-
-class BufferPool:
-    """Free 1-D arrays keyed by (size, dtype), lent as C-contiguous views to
-    one training step's tape at a time; ``with pool:`` runs a step under it.
-
-    ``take`` lends a free array of the size asked for, else the smallest
-    larger free one, else a new one; below ``_POOLED_BYTES`` it returns a
-    plain ``np.empty``.  An array comes back (``_give``, O(1)) as soon as
-    nothing references it: when the last handle of a forward output that no
-    backward reads dies, when backward has consumed an interior gradient, and
-    when a node's closure has run.  Leaving the block takes back every lent
-    array that nothing else references.  A step that had to make an array
-    then trims the pool to the free arrays a replay of its takes and gives
-    needs (``_trim``): it made an array whenever it had no free one that
-    fit, so it made more than a step that starts with all of them needs.  A
-    step that made none leaves the pool as it found it, so training steps of
-    one shape trim once, after the first.  ``borrow`` lends the free arrays
-    between steps.  A step that lent nothing (a tape of small arrays) leaves
-    the pool idle for the steps after it, which then pay none of its
-    bookkeeping and keep the last graph as ``keep`` says.  An exception
-    leaving the block makes the pool forget every array it lent or keeps.
-    """
-
-    def __init__(self):
-        self._free = {}     # (size, dtype) -> arrays ready to lend
-        self._lent = {}     # id -> array lent and not taken back
-        self._log = []      # this step's takes (size, dtype, id) and gives (id)
-        self._made = False  # whether this step made an array
-        self._used = True   # whether the last step lent an array
-        self._kept = None   # an idle pool's last loss (``keep``)
-        self._outer = None
-        self._loan = None   # ids lent in the running ``borrow`` block
-
-    def __enter__(self):
-        global _POOL
-        self._outer = _POOL
-        if self._used:
-            _POOL = self
-        return self
-
-    def __exit__(self, exc_type, *exc):
-        global _POOL
-        _POOL = self._outer
-        if exc_type is not None:
-            self.__init__()
-            return False
-        self._sweep()
-        if self._made:
-            self._trim()
-        self._used = bool(self._log)
-        self._log, self._made = [], False
-        return False
-
-    @contextlib.contextmanager
-    def borrow(self):
-        """Lend the free arrays to a pass between steps that records no tape,
-        and take them back after it, leaving what the pool keeps for the
-        steps as it was: a take that finds no free array first takes back the
-        arrays the pass no longer references, the arrays the block had to
-        make are dropped when it ends, and one still referenced then is
-        forgotten.  An idle pool lends nothing."""
-        global _POOL
-        outer, self._loan = _POOL, set()
-        kept = {id(a) for arrays in self._free.values() for a in arrays} | set(self._lent)
-        if self._used:
-            _POOL = self
-        try:
-            yield self
-        finally:
-            _POOL = outer
-            self._sweep()
-            for key in self._loan & set(self._lent):
-                del self._lent[key]
-            for arrays in self._free.values():
-                arrays[:] = [a for a in arrays if id(a) in kept]
-            self._loan = None
-
-    def keep(self, loss: "Tensor"):
-        """Hold ``loss``, and so its graph, until the next step's loss is
-        built, when the pool is idle: freed whole after each step, a graph
-        of small arrays lets malloc trim its heap, and the next step faults
-        the pages back in (14k minor faults against 226k over twelve
-        20-step trainings of a two-member smoke-arch return ensemble)."""
-        self._kept = None if self._used else loss
-
-    def take(self, shape: tuple, dtype: np.dtype = _F64) -> np.ndarray:
-        """A C-contiguous array of ``shape`` and ``dtype`` whose content is
-        undefined."""
-        if _small(shape, dtype):
-            return np.empty(shape, dtype)
-        n = math.prod(shape)
-        arr = _pick(self._free, n, dtype)
-        if arr is None and self._loan is not None:
-            self._sweep()
-            arr = _pick(self._free, n, dtype)
-        if arr is None:
-            arr = np.empty(n, dtype)
-            if self._loan is None:
-                self._made = True
-        self._lent[id(arr)] = arr
-        if self._loan is not None:
-            self._loan.add(id(arr))
-        else:
-            self._log.append((n, dtype, id(arr)))
-        return (arr if arr.size == n else arr[:n]).reshape(shape)
-
-    def _back(self, arr: np.ndarray):
-        del self._lent[id(arr)]
-        if self._loan is None or id(arr) not in self._loan:
-            self._log.append(id(arr))
-        self._free.setdefault((arr.size, arr.dtype), []).append(arr)
-
-    def _sweep(self):
-        """Take back every lent array that nothing else references."""
-        for arr in list(self._lent.values()):
-            if sys.getrefcount(arr) == _NAME_REFS + 2:    # ``arr``, the list, _lent
-                self._back(arr)
-
-    def _trim(self):
-        """Drop, largest first, each free array without which a replay of
-        the step's takes and gives still finds a free array for every take."""
-        keep = sorted((a for arrays in self._free.values() for a in arrays),
-                      key=lambda a: a.nbytes)
-        for arr in keep[::-1]:
-            rest = [a for a in keep if a is not arr]
-            if _serves(rest, self._log):
-                keep = rest
-        self._free = {}
-        for arr in keep:
-            self._free.setdefault((arr.size, arr.dtype), []).append(arr)
-
-
-def _serves(arrays: list, log: list) -> bool:
-    """Whether replaying the takes and gives of ``log`` (``BufferPool._trim``)
-    on ``arrays`` as the free arrays finds one for every take.  A give of an
-    array an earlier step lent is skipped: the replay starts with it free."""
-    free, lent = {}, {}
-    for arr in arrays:
-        free.setdefault((arr.size, arr.dtype), []).append(arr)
-    for event in log:
-        if isinstance(event, tuple):
-            n, dtype, real = event
-            arr = lent[real] = _pick(free, n, dtype)
-            if arr is None:
-                return False
-        elif event in lent:
-            arr = lent.pop(event)
-            free[(arr.size, arr.dtype)].append(arr)
-    return True
-
-
-def _pick(free: dict, n: int, dtype: np.dtype):
-    """Pop from ``free`` an array of ``n`` elements of ``dtype``, else the
-    smallest larger one; None when there is neither."""
-    arrays = free.get((n, dtype))
-    if not arrays:
-        larger = [key for key, arrays in free.items()
-                  if arrays and key[1] == dtype and key[0] > n]
-        arrays = free[min(larger)] if larger else None
-    return arrays.pop() if arrays else None
-
-
-def _small(shape: tuple, dtype: np.dtype) -> bool:
-    return math.prod(shape) * dtype.itemsize < _POOLED_BYTES
-
-
-def _give(view):
-    """Hand the array ``view`` views back to the running step's pool now, if
-    the pool lent it and the caller's one name for ``view``, which it then
-    drops, is the last reference to either."""
-    arr = view.base
-    if (_POOL is not None and arr is not None and _POOL._lent.get(id(arr)) is arr
-            and sys.getrefcount(view) == _PASSED_REFS
-            and sys.getrefcount(arr) == _NAME_REFS + 2):   # ``arr``, view.base, _lent
-        _POOL._back(arr)
+_keep_freed_memory()
 
 
 def _spend(node: "Node"):
     """Once ``node``'s closure has run (its children's ran before): drop the
-    closure if it keeps an array of ``_POOLED_BYTES`` or more, and hand the
-    arrays it kept that nothing else references back to the pool.  The
-    arrays a kept rebuild captures count as the closure's own.  A closure
-    that keeps only smaller arrays stays, so a graph of small arrays can be
-    run backward again."""
+    closure if it keeps an array of ``_SPEND_BYTES`` or more, so that its
+    arrays go.  The arrays a kept rebuild captures count as the closure's
+    own.  A closure that keeps only smaller arrays stays, so a graph of
+    small arrays can be run backward again."""
     saved = [cell.cell_contents for cell in node._backward.__closure__ or ()]
-    saved = [a for kept in saved
-             for a in (kept.args if isinstance(kept, functools.partial) else (kept,))
-             if isinstance(a, np.ndarray)]
-    if not any(a.nbytes >= _POOLED_BYTES for a in saved):
-        return
-    node._backward = None
-    while saved:
-        arr = saved.pop()
-        _give(arr)
-
-
-def _empty(shape: tuple, dtype: np.dtype = _F64) -> np.ndarray:
-    """``np.empty(shape, dtype)``, from the running step's pool if any."""
-    return np.empty(shape, dtype) if _POOL is None else _POOL.take(shape, dtype)
-
-
-def _c_ordered(x: np.ndarray, batch_only: bool = False) -> bool:
-    """True when ``x``'s strides (its batch axes' only, for a matmul
-    operand) are non-negative and never grow along its axes of more than
-    one element: numpy then lays out an order-K result in C order."""
-    if x.flags.c_contiguous and not batch_only:
-        return True
-    axes = x.ndim - 2 if batch_only else x.ndim
-    strides = [s for s, n in zip(x.strides[:axes], x.shape[:axes]) if n > 1]
-    return all(s >= 0 for s in strides) and all(
-        a >= b for a, b in zip(strides, strides[1:]))
-
-
-def _out(*operands):
-    """The pooled float64 array an elementwise op over ``operands`` (arrays
-    and scalars) writes, at their broadcast shape; None, so that numpy
-    allocates, with no running pool or an operand not laid out in C order."""
-    if _POOL is None:
-        return None
-    arrays = [x for x in operands if isinstance(x, np.ndarray)]
-    shape = arrays[0].shape if arrays else ()
-    for x in arrays[1:]:
-        if x.shape != shape:
-            shape = np.broadcast_shapes(shape, x.shape)
-    if _small(shape, _F64) or not all(map(_c_ordered, arrays)):
-        return None
-    return _POOL.take(shape)
-
-
-def _copy(g: np.ndarray) -> np.ndarray:
-    """``np.array(g)``: a copy laid out in ``g``'s memory order (order K).
-    Under a pool it is a pooled array when that order is C, or a transpose
-    of one when ``g`` has no axis of one element and its strides, all
-    positive, differ: numpy's copy then has the transposed strides too."""
-    if _POOL is None or _small(g.shape, g.dtype):
-        return np.array(g)
-    out = _out(g)
-    if out is not None:
-        np.copyto(out, g)
-        return out
-    if 1 in g.shape or min(g.strides, default=0) <= 0:
-        return np.array(g)
-    perm = sorted(range(g.ndim), key=lambda i: -g.strides[i])
-    if len(set(g.strides)) < g.ndim:
-        return np.array(g)
-    out = _POOL.take(tuple(g.shape[i] for i in perm))
-    np.copyto(out, g.transpose(perm))
-    return out.transpose(np.argsort(perm))
-
-
-def _zeros(shape: tuple) -> np.ndarray:
-    """``np.zeros(shape)``, from the running step's pool if any."""
-    if _POOL is None or _small(shape, _F64):
-        return np.zeros(shape)
-    out = _POOL.take(shape)
-    out.fill(0.0)
-    return out
-
-
-def _reshape(x: np.ndarray, shape) -> np.ndarray:
-    """``x.reshape(shape)``; under a pool, the C-order copy it makes where
-    no view has that shape is a pooled array."""
-    if _POOL is None:
-        return x.reshape(shape)
-    try:
-        return np.reshape(x, shape, copy=False)
-    except ValueError:
-        out = _POOL.take(x.shape)
-        np.copyto(out, x)
-        return out.reshape(shape)
+    if any(a.nbytes >= _SPEND_BYTES for kept in saved
+           for a in (kept.args if isinstance(kept, functools.partial) else (kept,))
+           if isinstance(a, np.ndarray)):
+        node._backward = None
 
 
 def _mean_last(x: np.ndarray) -> np.ndarray:
@@ -456,7 +182,7 @@ def _mean_last(x: np.ndarray) -> np.ndarray:
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
     """The standard normal cdf at ``x``, in one new buffer."""
-    cdf = np.multiply(x, _SQRT1_2, out=_out(x))
+    cdf = x * _SQRT1_2
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
@@ -473,13 +199,13 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x * y`` in one new buffer: a recorded GELU's output and rebuild."""
-    return np.multiply(x, y, out=_out(x, y))
+    return x * y
 
 
 def _affine(normed: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """``normed * gain + shift`` in one new buffer: ``affine_layernorm``'s
     output and rebuild."""
-    out = np.multiply(normed, gain, out=_out(normed, gain))
+    out = normed * gain
     out += shift
     return out
 
@@ -487,7 +213,7 @@ def _affine(normed: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarr
 def _dropped(x: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
     """``(x * keep) * scale`` in one new buffer: ``dropout``'s output and
     rebuild."""
-    out = np.multiply(x, keep, out=_out(x))
+    out = x * keep
     out *= scale
     return out
 
@@ -496,10 +222,8 @@ def layernorm(x: np.ndarray, eps: float = 1e-5) -> tuple:
     """Last axis to zero mean, unit variance (no affine): returns
     ``(normalized, 1 / sqrt(var + eps))``."""
     m = _mean_last(x)
-    xc = np.subtract(x, m, out=_out(x))
-    sq = np.square(xc, out=_out(xc))
-    inv = _mean_last(sq)
-    _give(sq)
+    xc = x - m
+    inv = _mean_last(np.square(xc))
     inv += eps
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -517,38 +241,21 @@ def _exp_normalize(z: np.ndarray, axis: int) -> np.ndarray:
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     top = np.maximum.reduce(x, axis=axis, keepdims=True)
-    return _exp_normalize(np.subtract(x, top, out=_out(x)), axis)
+    return _exp_normalize(x - top, axis)
 
 
 def scaled_softmax(x: np.ndarray, scale: float, mask: np.ndarray) -> np.ndarray:
     """``softmax(x * scale + mask)`` over the last axis, for an additive
     ``mask`` that broadcasts to ``x``'s shape."""
-    z = np.multiply(x, scale, out=_out(x))
+    z = x * scale
     z += mask
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     return _exp_normalize(z, -1)
 
 
-def _matmul_out(a: np.ndarray, b: np.ndarray):
-    """The pooled array ``a @ b`` writes, for operands of two or more axes
-    whose batch axes are laid out in C order; else None."""
-    if _POOL is None or a.ndim < 2 or b.ndim < 2:
-        return None
-    if b.ndim == 2 or a.shape[:-2] == b.shape[:-2]:
-        batch = a.shape[:-2]
-    elif a.ndim == 2:
-        batch = b.shape[:-2]
-    else:
-        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    shape = batch + (a.shape[-2], b.shape[-1])
-    if _small(shape, _F64) or not (_c_ordered(a, True) and _c_ordered(b, True)):
-        return None
-    return _POOL.take(shape)
-
-
 def _matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
-        return np.matmul(a, b, out=_matmul_out(a, b))
+        return np.matmul(a, b)
     except ValueError as exc:
         raise ShapeError(f"matmul: operands {a.shape} @ {b.shape}: {exc}") from None
 
@@ -568,8 +275,7 @@ def _weight_grad(x, g: np.ndarray, D: int) -> np.ndarray:
     for lo in range(0, B, step):
         xs = _items(x, lo, lo + step)
         run = np.matmul(np.swapaxes(xs, -1, -2), g[lo:lo + step], out=part[:min(step, B - lo)])
-        _give(xs)    # rebuilt items go back; a view of a kept input stays
-        del xs
+        del xs    # rebuilt items go before the sum
         if acc is not None:
             run[0] += acc
         acc = np.add.reduce(run, axis=0, out=acc)
@@ -595,11 +301,9 @@ def _input_grad(g: np.ndarray, w: np.ndarray, rows: tuple | None) -> np.ndarray:
     if rows is None:
         return _matmul_data(g, wt)
     T, index = rows
-    full = _zeros(g.shape[:-2] + (T, g.shape[-1]))
+    full = np.zeros(g.shape[:-2] + (T, g.shape[-1]))
     full[..., index, :] = g
-    ga = _matmul_data(full, wt)[..., index, :]
-    _give(full)    # scratch: back before the gradient is added
-    return ga
+    return _matmul_data(full, wt)[..., index, :]
 
 
 def _matmul_backward(x: "Tensor", w: "Tensor", rows: tuple | None, b: "Tensor | None" = None):
@@ -607,10 +311,8 @@ def _matmul_backward(x: "Tensor", w: "Tensor", rows: tuple | None, b: "Tensor | 
     gradient, then ``w``'s, whose run buffer is gone before ``x``'s gradient
     is made, then ``x``'s.  It keeps ``w``'s array only when ``x`` takes a
     gradient, and ``x``'s only when ``w`` does: ``x``'s rebuild where ``x``
-    has one, which it runs for ``w``'s gradient and gives back to the pool
-    before ``x``'s gradient exists.  ``rows`` is ``Tensor.matmul``'s.  Each
-    gradient is handed over unnamed, so that ``_accum`` can give it back to
-    the pool once added."""
+    has one, whose remade array it drops before ``x``'s gradient exists.
+    ``rows`` is ``Tensor.matmul``'s."""
     a, c, bias = x._node, w._node, None if b is None else b._node
     xd = (x.data if x._rebuild is None else x._rebuild) if c is not None else None
     wd = w.data if a is not None else None
@@ -625,8 +327,7 @@ def _matmul_backward(x: "Tensor", w: "Tensor", rows: tuple | None, b: "Tensor | 
                 xa = xd() if isinstance(xd, functools.partial) else xd
                 c._accum(_unbroadcast(_matmul_data(np.swapaxes(xa, -1, -2), g), c.shape),
                          owned=True)
-                _give(xa)    # a rebuilt array; the closure still holds a kept one
-                del xa
+                del xa    # a rebuilt array goes before ``x``'s gradient exists
         if a is not None:
             a._accum(_unbroadcast(_input_grad(g, wd, rows), a.shape), owned=True)
 
@@ -647,14 +348,14 @@ def _scaled(d: np.ndarray, scale: float) -> np.ndarray:
 
 def _tanh_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``g * (1.0 - out**2)`` in one new buffer."""
-    d = np.square(out, out=_out(out))
+    d = np.square(out)
     np.subtract(1.0, d, out=d)
     return np.multiply(g, d, out=d)
 
 
 def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """``g * (cdf + x * pdf)`` at ``x``, in one new buffer."""
-    d = np.multiply(x, -0.5, out=_out(x))
+    d = x * -0.5
     d *= x
     np.exp(d, out=d)
     d /= _SQRT_2PI
@@ -666,7 +367,7 @@ def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     """``out * (g - (g * out).sum(axis))`` in one new buffer."""
-    d = np.multiply(g, out, out=_out(g, out))
+    d = g * out
     dot = np.add.reduce(d, axis=axis, keepdims=True)
     np.subtract(g, dot, out=d)
     d *= out
@@ -679,19 +380,17 @@ def _layernorm_grad(g: np.ndarray, out: np.ndarray, inv: np.ndarray,
     works in ``g`` itself when the caller ``owned`` it, else in one new
     buffer; either way with one scratch array."""
     gm = _mean_last(g)
-    t = np.multiply(g, out, out=_out(g, out))
+    t = g * out
     gy = _mean_last(t)
     np.multiply(out, gy, out=t)
-    d = np.subtract(g, gm, out=g if owned else _out(g))
+    d = np.subtract(g, gm, out=g if owned else None)
     d -= t
-    _give(t)
     d *= inv
     return d
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting; a summed
-    ``grad`` goes back to the pool."""
+    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
@@ -699,8 +398,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and out.shape[i] != 1)
     if axes:
         out = out.sum(axis=axes, keepdims=True)
-    if out is not grad:
-        _give(grad)
     return out.reshape(shape)
 
 
@@ -732,21 +429,16 @@ class Node:
     def _accum(self, g, owned: bool):
         """Add ``g`` into ``grad``.  The first write allocates: it keeps ``g``
         itself when the closure just computed it (``owned``) and copies views
-        and arrays another operand may also receive.  A later write hands an
-        owned ``g`` back to the pool."""
+        and arrays another operand may also receive."""
         if self.grad is None:
-            self.grad = np.asarray(g) if owned else _copy(g)
+            self.grad = np.asarray(g) if owned else np.array(g)
         else:
             self.grad += g
-            if owned:
-                _give(g)
 
 
 class Tensor:
     """A handle on a float64 array, with the tape ``Node`` it was recorded
-    as, if any, and the rebuild that remakes the array, if it has one.  When
-    the last handle on an array that no closure keeps dies during a training
-    step, the array goes back to the step's pool."""
+    as, if any, and the rebuild that remakes the array, if it has one."""
 
     __slots__ = ("data", "_node", "_rebuild")
 
@@ -754,11 +446,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self._node = Node(self.data.shape, np.zeros_like(self.data)) if requires_grad else None
         self._rebuild = None
-
-    def __del__(self):
-        if _POOL is not None:
-            data, self.data = self.data, None
-            _give(data)
 
     # -- basics ------------------------------------------------------------
 
@@ -841,7 +528,6 @@ class Tensor:
             if node._backward is not None:
                 g, node.grad = node.grad, None    # consumed: only leaves keep a gradient
                 node._backward(g)
-                _give(g)
                 if node is not root:
                     _spend(node)
 
@@ -853,7 +539,7 @@ class Tensor:
 
     def __add__(self, other):
         other = Tensor._coerce(other)
-        out_data = np.add(self.data, other.data, out=_out(self.data, other.data))
+        out_data = self.data + other.data
         a, b = self._node, other._node
 
         def backward(g):
@@ -868,9 +554,9 @@ class Tensor:
         a = self._node
 
         def backward(g):
-            a._accum(np.negative(g, out=_out(g)), owned=True)
+            a._accum(-g, owned=True)
 
-        return Tensor._result(np.negative(self.data, out=_out(self.data)), (a,), backward)
+        return Tensor._result(-self.data, (a,), backward)
 
     def __sub__(self, other):
         return self + (-Tensor._coerce(other))
@@ -881,15 +567,14 @@ class Tensor:
     def __mul__(self, other):
         other = Tensor._coerce(other)
         x, y = self.data, other.data
-        out_data = np.multiply(x, y, out=_out(x, y))
+        out_data = x * y
         a, b = self._node, other._node
         x, y = (x if b is not None else None), (y if a is not None else None)
 
         def backward(g):
             for t, o in ((a, y), (b, x)):
                 if t is not None:
-                    t._accum(_unbroadcast(np.multiply(g, o, out=_out(g, o)), t.shape),
-                             owned=True)
+                    t._accum(_unbroadcast(g * o, t.shape), owned=True)
 
         return Tensor._result(out_data, (a, b), backward)
 
@@ -898,7 +583,7 @@ class Tensor:
     def __truediv__(self, other):
         other = Tensor._coerce(other)
         x, y = self.data, other.data
-        out_data = np.divide(x, y, out=_out(x, y))
+        out_data = x / y
         a, b = self._node, other._node
         x = x if b is not None else None
 
@@ -924,10 +609,10 @@ class Tensor:
     # -- unary math --------------------------------------------------------
 
     def exp(self):
-        out_data, a = np.exp(self.data, out=_out(self.data)), self._node
+        out_data, a = np.exp(self.data), self._node
 
         def backward(g):
-            a._accum(np.multiply(g, out_data, out=_out(g, out_data)), owned=True)
+            a._accum(g * out_data, owned=True)
 
         return Tensor._result(out_data, (a,), backward)
 
@@ -940,7 +625,7 @@ class Tensor:
         return Tensor._result(np.log(x), (a,), backward)
 
     def tanh(self):
-        out_data, a = np.tanh(self.data, out=_out(self.data)), self._node
+        out_data, a = np.tanh(self.data), self._node
 
         def backward(g):
             a._accum(_tanh_grad(g, out_data), owned=True)
@@ -997,10 +682,10 @@ class Tensor:
         a = self._node
 
         def backward(g):    # a copy of ``g`` is owned
-            r = _reshape(g, a.shape)
+            r = g.reshape(a.shape)
             a._accum(r, owned=not np.may_share_memory(r, g))
 
-        return Tensor._result(_reshape(self.data, shape), (a,), backward)
+        return Tensor._result(self.data.reshape(shape), (a,), backward)
 
     def transpose(self, axes):
         axes = tuple(axes)
@@ -1013,24 +698,17 @@ class Tensor:
         return Tensor._result(self.data.transpose(axes), (a,), backward)
 
     def __getitem__(self, idx):
-        x, a = self.data, self._node
-        if (_POOL is not None and isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"
-                and idx.size and x.ndim and 0 <= idx.min() and idx.max() < len(x)):
-            # indices in range, so mode "clip" takes ``x[idx]`` as it is
-            out_data = np.take(x, idx, axis=0, mode="clip",
-                               out=_POOL.take(idx.shape + x.shape[1:]))
-        else:
-            out_data = x[idx]
+        a = self._node
 
         def backward(g):
             if a.grad is None:
-                a.grad = _zeros(a.shape)
+                a.grad = np.zeros(a.shape)
             if _is_basic_index(idx):
                 a.grad[idx] += g
             else:  # integer arrays may repeat an index: accumulate each
                 np.add.at(a.grad, idx, g)
 
-        return Tensor._result(out_data, (a,), backward)
+        return Tensor._result(self.data[idx], (a,), backward)
 
     # -- linear algebra ----------------------------------------------------
 
@@ -1069,14 +747,8 @@ class Tensor:
 
 def concat(tensors: list, axis: int = -1) -> Tensor:
     datas = [t.data for t in tensors]
-    sizes = [d.shape[axis] for d in datas]
-    out = None
-    if _POOL is not None and all(map(_c_ordered, datas)):
-        shape = list(datas[0].shape)
-        shape[axis] = sum(sizes)
-        out = _POOL.take(tuple(shape))
-    out_data = np.concatenate(datas, axis=axis, out=out)
-    offsets = np.cumsum([0] + sizes)
+    out_data = np.concatenate(datas, axis=axis)
+    offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
     nodes = [t._node for t in tensors]
 
     def backward(g):
@@ -1118,12 +790,10 @@ def affine_layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) 
     def backward(g):
         _add_backward(g, sn)
         if gn is not None:
-            gn._accum(_unbroadcast(np.multiply(g, normed, out=_out(g, normed)), gn.shape),
-                      owned=True)
+            gn._accum(_unbroadcast(g * normed, gn.shape), owned=True)
         if a is not None:
-            a._accum(_layernorm_grad(
-                _unbroadcast(np.multiply(g, gd, out=_out(g, gd)), normed.shape),
-                normed, inv, owned=True), owned=True)
+            a._accum(_layernorm_grad(_unbroadcast(g * gd, normed.shape), normed, inv,
+                                     owned=True), owned=True)
 
     return Tensor._result(out_data, (a, gn, sn), backward, rebuild)
 
@@ -1149,20 +819,18 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
     holds the rows ``index`` (axis -2) of a T-row activation: the draw is made
     at the full T-row shape and those rows are kept, so the rng stream and
     each row's mask are the ones an unpruned call draws.  The output's
-    rebuild is ``(x * keep) * scale`` again, where a closure keeps ``x``'s
-    array anyway (a softmax's output): over an array that only ``x`` holds,
-    a rebuild would keep it from going back to the pool."""
+    rebuild is ``(x * keep) * scale`` again: a matmul that reads the output
+    (attention's) keeps the bool mask and ``x``'s array, a softmax's output
+    that its own closure keeps anyway, instead of a float64 output."""
     shape = x.shape if rows is None else x.shape[:-2] + (rows[0], x.shape[-1])
-    draw = rng.random(out=_empty(shape))
-    keep = np.greater_equal(draw if rows is None else draw[..., rows[1], :], p,
-                            out=_empty(x.shape, _BOOL))
-    _give(draw)
+    draw = rng.random(shape)
+    keep = np.greater_equal(draw if rows is None else draw[..., rows[1], :], p)
+    del draw    # before the output exists
     scale = 1.0 / (1.0 - p)
-    held = sys.getrefcount(x.data) > _SLOT_REFS    # by more than ``x``
     rebuild = functools.partial(_dropped, x.data, keep, scale)
     a = x._node
 
     def backward(g):
-        a._accum(_scaled(np.multiply(g, keep, out=_out(g)), scale), owned=True)
+        a._accum(_scaled(g * keep, scale), owned=True)
 
-    return Tensor._result(rebuild(), (a,), backward, rebuild if held else None)
+    return Tensor._result(rebuild(), (a,), backward, rebuild)

@@ -81,6 +81,7 @@ class EvaluateConfig:
 
     def __post_init__(self):
         require_steps(self, "history_length")
+        PlannerConfig(span_horizon=self.span_horizon, eta=self.eta)   # the planner's checks
 
 
 @dataclass(frozen=True)

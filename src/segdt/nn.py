@@ -4,11 +4,11 @@ Contains the module system, the causal transformer trunk shared by all three
 model roles, the AdamW optimizer, the Gaussian negative log-likelihood used
 by variance heads, ``Standardizer``, which z-scores every raw input and
 target the networks see, ``fit``, the training loop of all three trainers
-(AdamW steps, one graph at a time, their arrays recycled through one
-``autodiff.BufferPool``), ``map_members``, which trains independent ensemble
-members in parallel worker processes, ``map_chunks``, which spreads the data
-path's per-episode and per-trajectory loops (collect, segment, calibrate)
-over the same pool, and checkpoint IO.
+(AdamW steps, one graph at a time, whose freed memory malloc keeps for the
+next step: see ``autodiff``), ``map_members``, which trains independent
+ensemble members in parallel worker processes, ``map_chunks``, which spreads
+the data path's per-episode and per-trajectory loops (collect, segment,
+calibrate) over the same pool, and checkpoint IO.
 Each layer is written once, as ``run(ops, ...)`` over one of two op sets:
 ``TAPE`` runs it on ``Tensor``s and records the tape for training (the
 layer's ``__call__``), and ``ARRAY`` runs it on plain ndarrays with no tape
@@ -42,8 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import archive
-from .autodiff import (BufferPool, Tensor, ShapeError, affine_layernorm, concat, dropout,
-                       gelu, layernorm, linear, masked_softmax, scaled_softmax)
+from .autodiff import (Tensor, ShapeError, affine_layernorm, concat, dropout, gelu,
+                       layernorm, linear, masked_softmax, scaled_softmax)
 
 NEG_INF = -1e9  # finite mask constant; keeps softmax NaN-free on padded rows
 
@@ -543,22 +543,15 @@ class AdamW:
             p.zero_grad()
 
 
-def train_step(pool: BufferPool, opt: AdamW, loss_fn, who: str, when: str) -> float:
-    """One training step under ``pool``: ``loss_fn()`` builds the taped
-    loss, then backward and one ``opt`` update; returns the loss value.
+def train_step(opt: AdamW, loss_fn, who: str, when: str) -> float:
+    """One training step: ``loss_fn()`` builds the taped loss, then backward
+    and one ``opt`` update; returns the loss value.
 
-    The step's graph lives in ``_step``'s frame only, so it is gone when the
-    pool takes back the step's arrays for the next step to reuse.  A
-    non-finite loss raises TrainingDiverged, naming ``who`` and ``when``,
-    before any update.
+    The step's graph lives in this frame only, so it is freed when the step
+    returns and the next step's arrays reuse its memory.  A non-finite loss
+    raises TrainingDiverged, naming ``who`` and ``when``, before any update.
     """
-    with pool:
-        return _step(pool, opt, loss_fn, who, when)
-
-
-def _step(pool: BufferPool, opt: AdamW, loss_fn, who: str, when: str) -> float:
     loss = loss_fn()
-    pool.keep(loss)
     value = loss.item()
     if not np.isfinite(value):
         raise TrainingDiverged(f"{who}: non-finite loss {value} at {when}")
@@ -570,28 +563,27 @@ def _step(pool: BufferPool, opt: AdamW, loss_fn, who: str, when: str) -> float:
 
 def fit(model: Module, batch, loss, after_epoch, *, epochs: int, iters: int, lr: float,
         who: str, weight_decay: float = 0.0) -> list:
-    """Train ``model`` with AdamW, ``epochs`` x ``iters`` steps under one pool
-    that dies with the call; returns each epoch's ``after_epoch`` value.
+    """Train ``model`` with AdamW, ``epochs`` x ``iters`` steps; returns each
+    epoch's ``after_epoch`` value.
 
     A step draws ``b = batch()``, then runs ``train_step`` on ``loss(b)`` in
-    train mode.  ``after_epoch(epoch, step_losses)`` runs in eval mode under
-    ``pool.borrow()``, and the model returns in eval mode.  A count below 1
-    raises ValueError before the first step.
+    train mode.  ``after_epoch(epoch, step_losses)`` runs in eval mode, and
+    the model returns in eval mode.  A count below 1 raises ValueError
+    before the first step.
     """
     if epochs < 1 or iters < 1:
         raise ValueError(f"{who}: training needs epochs >= 1 and iters >= 1, "
                          f"got epochs={epochs}, iters={iters}")
     opt = AdamW(model.parameters(), lr=lr, weight_decay=weight_decay)
-    pool, results = BufferPool(), []
+    results = []
     for epoch in range(epochs):
         model.train()
         losses = []
         for it in range(iters):
             b = batch()
-            losses.append(train_step(pool, opt, lambda: loss(b), who, f"epoch {epoch}, iter {it}"))
+            losses.append(train_step(opt, lambda: loss(b), who, f"epoch {epoch}, iter {it}"))
         model.eval()
-        with pool.borrow():    # the steps' free arrays, left as they were
-            results.append(after_epoch(epoch, losses))
+        results.append(after_epoch(epoch, losses))
     return results
 
 

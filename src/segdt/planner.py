@@ -288,12 +288,10 @@ class PlannerConfig:
     knn: int = 5
     history_length: int = 5     # max context steps fed to the policy
 
-    def validate(self):
-        if self.span_horizon < 1:
-            raise ValueError("span_horizon must be >= 1")
+    def __post_init__(self):
+        require_steps(self, "span_horizon")
         if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must be in (0, 1)")
-        return self
+            raise ValueError(f"eta must be in (0, 1), got {self.eta}")
 
 
 @dataclass
@@ -310,7 +308,6 @@ class PlannerState:
 
     @classmethod
     def initial(cls, config: PlannerConfig, initial_target: float) -> "PlannerState":
-        config.validate()
         return cls(config=config, R=max(initial_target, 0.0),
                    R_unclamped=initial_target, h=0, r_h=0.0,
                    context=Context(config.history_length))

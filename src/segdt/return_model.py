@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from . import nn, trajlog
-from .autodiff import no_grad
 from .config import require_steps
 from .env import STATE_DIM, ACTION_DIM, norm_actions
 
@@ -308,10 +307,8 @@ def _heldout_nll(member: ReturnMemberModel | None, batches: list) -> float:
         if member is None:
             zero = np.zeros(b["mask"].shape)
             heads = (zero, zero, zero, zero)
-        else:   # the taped ops, recording nothing: under ``BufferPool.borrow``
-            # they write into the pool's arrays, where ``infer`` would allocate
-            with no_grad():
-                heads = [h.data for h in member.forward(b["states"], b["actions"], b["mask"])]
+        else:
+            heads = member.infer(b["states"], b["actions"], b["mask"])
         for mu, lv in (heads[:2], heads[2:]):
             head_total, head_count = nn.masked_nll_sum(mu, lv, b["returns"], b["mask"])
             total += head_total

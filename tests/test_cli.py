@@ -455,6 +455,27 @@ def test_evaluate_rejects_a_bad_history_length_before_the_first_episode(
     assert not report.exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("span_horizon", 0, "span_horizon must be >= 1, got 0"),
+    ("eta", 1.0, "eta must be in (0, 1), got 1.0"),
+], ids=["span-horizon-0", "eta-1"])
+def test_evaluate_rejects_a_bad_planner_field_before_any_load(tmp_path, capsys, field, value,
+                                                              message):
+    """The planner's fields are checked with the config, before any artifact
+    is read: none of the paths given exists."""
+    lines = (SMOKE / "evaluate.cfg").read_text().splitlines(keepends=True)
+    cfg = tmp_path / "evaluate.cfg"
+    cfg.write_text("".join(line for line in lines if not line.startswith(field))
+                   + f"{field} = {value}\n")
+    missing = tmp_path / "missing"
+    rc = run(["evaluate", "--config", cfg, "--policy", missing / "policy.npz",
+              "--dataset", missing / "data.npz", "--index", missing / "index.npz",
+              "--predictor", missing / "predictor", "--out", tmp_path / "report.json"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: code=2 command=evaluate: invalid EvaluateConfig: {message}\n")
+
+
 def _poison_fit(monkeypatch):
     """Make ``nn.fit``'s loss NaN at the third step of the last epoch."""
     real_fit = nn.fit

@@ -1,10 +1,9 @@
-import contextlib
 import json
 
 import numpy as np
 import pytest
 
-from segdt import autodiff, nn
+from segdt import nn
 from segdt.autodiff import Tensor
 from segdt.nn import Standardizer
 from segdt.planner import TargetPredictorConfig, TargetReturnPredictor
@@ -114,34 +113,33 @@ def test_target_predictor_normalizer_layout(tmp_path):
 # -- the training loop -----------------------------------------------------
 
 
-def test_fit_steps_in_train_mode_and_hooks_each_epoch_in_eval_mode(monkeypatch):
-    """Steps run in train mode; each epoch's hook runs in eval mode inside
-    the pool's ``borrow``, gets that epoch's step losses, and its values
-    come back in epoch order."""
+def test_fit_steps_in_train_mode_and_hooks_each_epoch_in_eval_mode():
+    """Steps run in train mode; each epoch's hook runs in eval mode, gets
+    that epoch's step losses, and its values come back in epoch order."""
     model = nn.Linear(3, 1, np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(4, 3))
-    seen, lending, borrow = [], [], autodiff.BufferPool.borrow
-
-    @contextlib.contextmanager
-    def spied_borrow(pool):
-        with borrow(pool):
-            lending.append(pool)
-            yield pool
-            lending.pop()
+    seen = []
 
     def loss(b):
-        seen.append((model.training, bool(lending)))
+        seen.append(model.training)
         return nn.mse_loss(model(Tensor(b)), np.zeros((4, 1)))
 
     def hook(epoch, losses):
-        seen.append((model.training, bool(lending)))
+        seen.append(model.training)
         return epoch, losses
 
-    monkeypatch.setattr(autodiff.BufferPool, "borrow", spied_borrow)
     out = nn.fit(model, lambda: x, loss, hook, epochs=2, iters=3, lr=0.1, who="probe")
-    assert seen == ([(True, False)] * 3 + [(False, True)]) * 2 and not model.training
+    assert seen == ([True] * 3 + [False]) * 2 and not model.training
     assert [epoch for epoch, _ in out] == [0, 1]
     assert all(len(losses) == 3 and all(type(v) is float for v in losses) for _, losses in out)
+
+
+def test_train_step_raises_on_a_non_finite_loss_before_any_update():
+    w = nn.Parameter(np.ones(3))
+    x = np.array([1.0, np.nan, 1.0])
+    with pytest.raises(nn.TrainingDiverged, match="^probe: non-finite loss nan at step 0$"):
+        nn.train_step(nn.AdamW([w]), lambda: (w * Tensor(x)).exp().sum(), "probe", "step 0")
+    assert np.array_equal(w.data, np.ones(3)) and not np.any(w.grad)
 
 
 @pytest.mark.parametrize("epochs, iters", [(0, 3), (2, 0), (-1, 1)])

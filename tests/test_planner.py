@@ -227,9 +227,9 @@ def _unit_reward_trajs(n=8, length=30):
 
 
 def test_predictor_matches_a_loop_without_the_pool():
-    """Five steps at the default architecture by hand, with no pool (forward,
-    NLL, backward, AdamW), give the member's parameters and per-iteration
-    losses bit for bit."""
+    """Five steps at the default architecture by hand, outside ``nn.fit``
+    (forward, NLL, backward, AdamW), give the member's parameters and
+    per-iteration losses bit for bit."""
     cfg = TargetPredictorConfig(ensemble_size=1, iters=5, span_max=10)
     trajs = _unit_reward_trajs()
     trained = TargetReturnPredictor.train(trajs, cfg)
@@ -445,9 +445,9 @@ def test_history_window_bounded():
 
 def test_planner_config_validation():
     with pytest.raises(ValueError):
-        PlannerConfig(span_horizon=0).validate()
+        PlannerConfig(span_horizon=0)
     with pytest.raises(ValueError):
-        PlannerConfig(eta=1.5).validate()
+        PlannerConfig(eta=1.5)
 
 
 def test_initial_global_target_percentile():

@@ -271,8 +271,8 @@ def test_checkpoint_roundtrip_bitwise(seg_dataset, tmp_path):
 
 
 def test_train_policy_matches_a_loop_without_the_pool(seg_dataset):
-    """Three default-arch steps by hand, with no pool (forward, mse_loss,
-    backward, AdamW), give ``train_policy``'s parameters bit for bit."""
+    """Three default-arch steps by hand, outside ``nn.fit`` (forward,
+    mse_loss, backward, AdamW), give ``train_policy``'s parameters bit for bit."""
     cfg = PolicyConfig(n_layers=2, n_heads=4, embed_dim=64, seq_length=10, dropout=0.1,
                        batch_size=64, epochs=1, iters_per_epoch=3)
     trained, _ = train_policy(seg_dataset, cfg)

@@ -225,8 +225,8 @@ def test_untrained_nll_is_a_fresh_members(dataset, val_fraction, monkeypatch):
 
 
 def test_member_matches_a_loop_without_the_pool(dataset):
-    """Two epochs of three default-arch steps by hand, with dropout and no
-    pool (forward, the two heads' NLL sum, backward, AdamW), held out
+    """Two epochs of three default-arch steps by hand, with dropout, outside
+    ``nn.fit`` (forward, the two heads' NLL sum, backward, AdamW), held out
     through ``infer``, give the member's parameters and curve bit for bit."""
     cfg = ReturnModelConfig(ensemble_size=1, epochs=2, iters_per_epoch=3)
     assert cfg.dropout > 0 and cfg.embed_dim == 64
