@@ -296,14 +296,20 @@ def _items(x, lo: int, hi: int) -> np.ndarray:
 
 def _input_grad(g: np.ndarray, w: np.ndarray, rows: tuple | None) -> np.ndarray:
     """``g @ w.T``, the gradient of ``a`` in ``a @ w``; ``rows`` is
-    ``Tensor.matmul``'s."""
+    ``Tensor.matmul``'s.  For a 2-D ``w`` it is one 2-D GEMM over ``g``'s
+    rows flattened: each row is the same dot products as in the per-item
+    stack, and one call spares the stack's per-item dispatch."""
     wt = np.swapaxes(w, -1, -2)
-    if rows is None:
-        return _matmul_data(g, wt)
-    T, index = rows
-    full = np.zeros(g.shape[:-2] + (T, g.shape[-1]))
-    full[..., index, :] = g
-    return _matmul_data(full, wt)[..., index, :]
+    if rows is not None:
+        T, index = rows
+        full = np.zeros(g.shape[:-2] + (T, g.shape[-1]))
+        full[..., index, :] = g
+        g = full
+    if w.ndim == 2 and g.ndim > 2:
+        out = _matmul_data(g.reshape(-1, g.shape[-1]), wt).reshape(g.shape[:-1] + wt.shape[-1:])
+    else:
+        out = _matmul_data(g, wt)
+    return out if rows is None else out[..., rows[1], :]
 
 
 def _matmul_backward(x: "Tensor", w: "Tensor", rows: tuple | None, b: "Tensor | None" = None):

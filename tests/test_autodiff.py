@@ -437,12 +437,13 @@ def test_linear_kernel_matches_oracle(B, rows):
     R = 7 if rows is None else len(range(7)[rows[1]])
     x, w, b = hard_inputs((B, R, D_IN), RNG), RNG.normal(size=(D_IN, D_OUT)), RNG.normal(size=D_OUT)
     g = upstream((B, R, D_OUT))
-    if rows is None:
-        want_gx = g @ w.T
-    else:
+    full = g
+    if rows is not None:
         full = np.zeros((B, 7, D_OUT))
         full[:, rows[1]] = g
-        want_gx = (full @ w.T)[:, rows[1]]
+    # the input gradient is one 2-D product over the batch's rows flattened
+    want_gx = (full.reshape(-1, D_OUT) @ w.T).reshape(full.shape[:-1] + (D_IN,))
+    want_gx = want_gx if rows is None else want_gx[:, rows[1]]
     want_gw = (np.swapaxes(x, -1, -2) @ g).sum(axis=0)     # the whole (B, D, O) stack
 
     out, (gx, gw, gb) = tape_bits(lambda t, u, v: linear(t, u, v, rows), [x, w, b])
