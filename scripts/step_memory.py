@@ -16,7 +16,13 @@ step, each over one fixed batch of 64 windows, it prints one line with:
 MB are 10**6 bytes, traced by ``tracemalloc`` from after the model and its
 AdamW are built, with BLAS pinned to one thread.  The MB figures depend on
 the code and the numpy build only, so two checkouts on one machine compare
-line by line; the faults also depend on the C library's allocator.
+line by line; the faults also depend on the C library's allocator.  With
+the models in float32 (numpy 2.4, glibc) it printed:
+
+    policy: tape 12.8 MB, backward 15.5 MB, steady 15.5 MB, faults 1
+    member: tape 18.5 MB, backward 20.6 MB, steady 20.7 MB, faults 2
+
+and with them in float64, 24.7/30.0/30.0 MB and 35.9/40.0/40.1 MB.
 """
 
 import os

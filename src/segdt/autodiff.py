@@ -1,11 +1,15 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense floating-point arrays.
 
 A small dynamic tape in the micrograd style: every operation records a
 backward closure on its output node, and ``Tensor.backward()`` replays the
-closures in reverse topological (creation) order.  Everything is float64 so
-gradients can be checked against central finite differences at tight
-tolerances.  Broadcasting is supported for elementwise ops and the batch
-dimensions of matmul; nothing fancier is needed by the models built on top.
+closures in reverse topological (creation) order.  A ``Tensor`` keeps a
+floating input's dtype and makes float64 of anything else; a Python scalar
+operand takes the dtype of the tensor it meets, and every buffer a backward
+allocates takes its gradient's dtype.  So the models train in ``nn``'s
+float32 while the gradient checks run in float64, against central finite
+differences at tight tolerances.  Broadcasting is supported for elementwise
+ops and the batch dimensions of matmul; nothing fancier is needed by the
+models built on top.
 
 ``gelu``, ``layernorm``, ``softmax`` and ``scaled_softmax`` are also plain
 array functions: the ``Tensor`` ops and ``nn.ArrayOps``, the op set the
@@ -27,6 +31,8 @@ runs of batch items of at most ``_WGRAD_CHUNK_BYTES`` and adds the sum so far
 into each run's first item: numpy sums axis 0 item after item, so these are
 the whole stack's additions in their order, and the sum's bits are the
 same.  Flattening the batch into one 2-D product would add in another order.
+The input gradient ``g @ w.T`` under a 2-D weight is one 2-D product over
+the rows of ``g`` flattened (``_input_grad``).
 
 The layers' composite ops are single tape nodes: ``linear`` (``x @ w + b``),
 ``affine_layernorm`` (``layernorm(x) * gain + shift``) and
@@ -72,13 +78,13 @@ pages in again.  Importing this module raises glibc's mmap threshold to
 32 MiB and its trim threshold to 1 GiB (``_keep_freed_memory``), so the
 heap keeps what a step frees and malloc's free lists hand it to the next
 step; forked ``nn.map_members`` workers inherit the setting.  A
-default-arch ``unrest`` policy step at batch 64 (BLAS at 1 thread,
-``scripts/step_memory.py``) holds a 24.7 MB forward tape (36.0 MB when it
-kept the arrays its rebuilds remake, 53.6 MB when every output stayed on
-the tape until backward), backward peaks at 30.0 MB, and three steps peak
-at 30.0 MB too, 0.83 times the 36.0 MB tape that ``tests/test_autodiff.py``
-states its bounds against.  A steady step takes about 2 minor page faults,
-against 7.7k-10.2k under glibc's default thresholds.
+default-arch ``unrest`` policy step at batch 64 in float32 (BLAS at 1
+thread, ``scripts/step_memory.py``) holds a 12.8 MB forward tape (24.7 MB
+in float64), backward peaks at 15.5 MB, and three steps peak at 15.5 MB
+too, under the tape plus the arrays its rebuilds remake that
+``tests/test_autodiff.py`` states its bounds against.  A steady step takes
+a few minor page faults, against 7.7k-10.2k (in float64) under glibc's
+default thresholds.
 """
 
 from __future__ import annotations
@@ -127,17 +133,19 @@ class no_grad:
         return False
 
 
-_SQRT1_2 = 1.0 / np.sqrt(2.0)
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
+# Python floats, which take the dtype of the array they meet
+_SQRT1_2 = float(1.0 / np.sqrt(2.0))
+_SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 # the batch items a 3-D input's weight gradient stacks at a time
-# (``_weight_grad``): (step, D, O) float64 parts of at most this many bytes
+# (``_weight_grad``): (step, D, O) parts of at most this many bytes
 _WGRAD_CHUNK_BYTES = 1 << 19
 
 
-# a closure that kept an array of this many bytes or more is dropped once it
-# has run (``_spend``), so its arrays go as backward proceeds
-_SPEND_BYTES = 1 << 18
+# a closure that kept an array of this many bytes or more (32k float32
+# elements) is dropped once it has run (``_spend``), so its arrays go as
+# backward proceeds
+_SPEND_BYTES = 1 << 17
 
 # glibc's ``mallopt`` parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -270,8 +278,8 @@ def _weight_grad(x, g: np.ndarray, D: int) -> np.ndarray:
     remakes one run's items at a time (``_items``), so the whole input is
     never rebuilt."""
     B, O = g.shape[0], g.shape[-1]
-    step = max(1, _WGRAD_CHUNK_BYTES // (8 * D * O))
-    part, acc = np.empty((min(step, B), D, O)), None
+    step = max(1, _WGRAD_CHUNK_BYTES // (g.itemsize * D * O))
+    part, acc = np.empty((min(step, B), D, O), dtype=g.dtype), None
     for lo in range(0, B, step):
         xs = _items(x, lo, lo + step)
         run = np.matmul(np.swapaxes(xs, -1, -2), g[lo:lo + step], out=part[:min(step, B - lo)])
@@ -302,7 +310,7 @@ def _input_grad(g: np.ndarray, w: np.ndarray, rows: tuple | None) -> np.ndarray:
     wt = np.swapaxes(w, -1, -2)
     if rows is not None:
         T, index = rows
-        full = np.zeros(g.shape[:-2] + (T, g.shape[-1]))
+        full = np.zeros(g.shape[:-2] + (T, g.shape[-1]), dtype=g.dtype)
         full[..., index, :] = g
         g = full
     if w.ndim == 2 and g.ndim > 2:
@@ -443,13 +451,15 @@ class Node:
 
 
 class Tensor:
-    """A handle on a float64 array, with the tape ``Node`` it was recorded
-    as, if any, and the rebuild that remakes the array, if it has one."""
+    """A handle on a floating-point array, with the tape ``Node`` it was
+    recorded as, if any, and the rebuild that remakes the array, if it has
+    one.  A floating input keeps its dtype; anything else becomes float64."""
 
     __slots__ = ("data", "_node", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self._node = Node(self.data.shape, np.zeros_like(self.data)) if requires_grad else None
         self._rebuild = None
 
@@ -539,12 +549,16 @@ class Tensor:
 
     # -- elementwise arithmetic -------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
+    def _coerce(self, other) -> "Tensor":
+        """``other`` as a ``Tensor``: a Python scalar at ``self``'s dtype."""
+        if isinstance(other, Tensor):
+            return other
+        if isinstance(other, (int, float)):
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return Tensor(other)
 
     def __add__(self, other):
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
         out_data = self.data + other.data
         a, b = self._node, other._node
 
@@ -565,13 +579,13 @@ class Tensor:
         return Tensor._result(-self.data, (a,), backward)
 
     def __sub__(self, other):
-        return self + (-Tensor._coerce(other))
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
-        return Tensor._coerce(other) + (-self)
+        return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
         x, y = self.data, other.data
         out_data = x * y
         a, b = self._node, other._node
@@ -587,7 +601,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
         x, y = self.data, other.data
         out_data = x / y
         a, b = self._node, other._node
@@ -602,7 +616,7 @@ class Tensor:
         return Tensor._result(out_data, (a, b), backward)
 
     def __rtruediv__(self, other):
-        return Tensor._coerce(other) / self
+        return self._coerce(other) / self
 
     def __pow__(self, exponent: float):
         x, a = self.data, self._node
@@ -708,7 +722,7 @@ class Tensor:
 
         def backward(g):
             if a.grad is None:
-                a.grad = np.zeros(a.shape)
+                a.grad = np.zeros(a.shape, dtype=g.dtype)
             if _is_basic_index(idx):
                 a.grad[idx] += g
             else:  # integer arrays may repeat an index: accumulate each
@@ -725,7 +739,7 @@ class Tensor:
         and those rows are kept.  The bits of a row of ``g @ W.T`` can depend
         on the product's row count, and the padding gives each row the bits
         of the T-row product's."""
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
         return Tensor._result(_matmul_data(self.data, other.data),
                               (self._node, other._node), _matmul_backward(self, other, rows))
 
@@ -827,7 +841,8 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
     each row's mask are the ones an unpruned call draws.  The output's
     rebuild is ``(x * keep) * scale`` again: a matmul that reads the output
     (attention's) keeps the bool mask and ``x``'s array, a softmax's output
-    that its own closure keeps anyway, instead of a float64 output."""
+    that its own closure keeps anyway, instead of a floating output.  The
+    draws are float64 whatever ``x``'s dtype, so each mask is the same."""
     shape = x.shape if rows is None else x.shape[:-2] + (rows[0], x.shape[-1])
     draw = rng.random(shape)
     keep = np.greater_equal(draw if rows is None else draw[..., rows[1], :], p)

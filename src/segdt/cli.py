@@ -304,17 +304,18 @@ def cmd_build_kdtree(args) -> int:
     return EXIT_OK
 
 
-def _make_actor(kind: str, trained: Policy, cfg: EvaluateConfig, args,
-                manifest: RunManifest):
+# the inputs beside --policy that each policy kind's evaluation reads
+_EVALUATE_READS = {"unrest": ("dataset", "index", "predictor"), "dt": ("dataset",), "bc": ()}
+
+
+def _make_actor(kind: str, trained: Policy, cfg: EvaluateConfig, args):
     if cfg.history_length > trained.config.seq_length:
         raise CliError(EXIT_CONFIG, f"history_length {cfg.history_length} exceeds the "
                        f"policy's seq_length {trained.config.seq_length}")
     if kind == "bc":   # reads no return token, so needs no target
         return evaluator.ReturnConditionedActor(trained, 0.0, cfg.history_length)
 
-    dataset = _require(args.dataset, "--dataset")
-    manifest.add_input("dataset", dataset)
-    trajs = trajlog.load(dataset)
+    trajs = trajlog.load(_require(args.dataset, "--dataset"))
     target = cfg.initial_target
     if not np.isfinite(target):
         target = initial_global_target(trajs, cfg.target_quantile)
@@ -326,8 +327,6 @@ def _make_actor(kind: str, trained: Policy, cfg: EvaluateConfig, args,
         index = KdUncertaintyIndex.load(_require(args.index, "--index"))
         predictor = TargetReturnPredictor.load(
             _require(args.predictor, "--predictor"))
-        manifest.add_input("index", Path(args.index))
-        manifest.add_input("predictor", Path(args.predictor))
         planner_cfg = PlannerConfig(
             span_horizon=cfg.span_horizon, eta=cfg.eta, epsilon=index.epsilon,
             knn=index.k, history_length=cfg.history_length)
@@ -348,7 +347,15 @@ def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     trained = Policy.load(policy_path)
     kind = trained.config.kind
-    actor = _make_actor(kind, trained, cfg, args, manifest)
+    actor = _make_actor(kind, trained, cfg, args)
+    for name in ("dataset", "index", "predictor"):   # every input given, read or not
+        path = getattr(args, name)
+        if path is None:
+            continue
+        if name not in _EVALUATE_READS[kind]:
+            print(f"warning: a {kind} policy does not read --{name}; {path} is recorded "
+                  "in the manifest but not used", file=sys.stderr)
+        manifest.add_input(name, _require(path, f"--{name}"))
     t1 = time.perf_counter()
 
     env_config = EnvConfig(delta=cfg.delta)

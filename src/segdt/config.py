@@ -9,6 +9,7 @@ values, which win over dataclass defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 
@@ -77,6 +78,19 @@ def require_steps(config, *names: str):
         value = getattr(config, name)
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def require_trainer(config):
+    """Raise ValueError for the first of a transformer trainer config's
+    ``dropout`` (in [0, 1)), ``n_heads`` (>= 1), ``learning_rate`` (finite
+    and > 0) and ``batch_size`` (>= 1) that is out of range."""
+    if not 0.0 <= config.dropout < 1.0:
+        raise ValueError(f"dropout must be in [0, 1), got {config.dropout}")
+    if config.n_heads < 1:
+        raise ValueError(f"n_heads must be >= 1, got {config.n_heads}")
+    if not (math.isfinite(config.learning_rate) and config.learning_rate > 0.0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {config.learning_rate}")
+    require_steps(config, "batch_size")
 
 
 def build_config(cls, file_values: dict | None = None, overrides: dict | None = None):

@@ -9,10 +9,14 @@ next step: see ``autodiff``), ``map_members``, which trains independent
 ensemble members in parallel worker processes, ``map_chunks``, which spreads
 the data path's per-episode and per-trajectory loops (collect, segment,
 calibrate) over the same pool, and checkpoint IO.
+Every model computes in one dtype, ``DTYPE`` (float32): a ``Parameter``
+casts its initial draws to it, and so do both op sets' ``const``, the
+attention masks and the losses' targets and masks, so no float64 array
+enters a training tape.
 Each layer is written once, as ``run(ops, ...)`` over one of two op sets:
 ``TAPE`` runs it on ``Tensor``s and records the tape for training (the
-layer's ``__call__``), and ``ARRAY`` runs it on plain ndarrays with no tape
-(its ``infer``).  Each array op computes what its taped twin's ``.data``
+layer's ``__call__``), and ``ARRAY`` runs it on plain ``DTYPE`` ndarrays
+with no tape (its ``infer``).  Each array op computes what its taped twin's ``.data``
 holds, so ``infer`` returns the taped call's bits by construction.  The
 taped ``linear``, ``layernorm``, ``softmax`` and ``dropout`` entries are
 the fused single-node ops of ``autodiff`` (``x @ w + b``, ``layernorm(x) *
@@ -25,14 +29,16 @@ the every-row call.  ``autodiff.dropout`` draws its mask at the full shape,
 the pruned ``Linear`` layers pad their input gradient back to every row
 (``rows`` of ``autodiff.linear``), and ``CausalTransformer._last_rows``
 sends a single-row read through every row.
-A checkpoint is one ``archive`` container: each parameter a float64 array
-entry, and the config and normalizers in one JSON ``meta`` entry, so a
-save/load round trip is bitwise exact.
+A checkpoint is one ``archive`` container: each parameter an array entry
+at its dtype, and the config and normalizers in one JSON ``meta`` entry, so
+a save/load round trip is bitwise exact.  A checkpoint whose parameters are
+stored at another dtype is refused, never cast.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import multiprocessing
 import operator
 import os
@@ -46,6 +52,7 @@ from .autodiff import (Tensor, ShapeError, affine_layernorm, concat, dropout, ge
                        layernorm, linear, masked_softmax, scaled_softmax)
 
 NEG_INF = -1e9  # finite mask constant; keeps softmax NaN-free on padded rows
+DTYPE = np.float32  # every model's parameters, activations and gradients
 
 
 class TrainingDiverged(RuntimeError):
@@ -58,14 +65,21 @@ class TrainingDiverged(RuntimeError):
 
 
 class Parameter(Tensor):
+    """A trainable leaf: its initial values cast to ``DTYPE``."""
+
     def __init__(self, data):
-        super().__init__(data, requires_grad=True)
+        super().__init__(np.asarray(data, dtype=DTYPE), requires_grad=True)
+
+
+def _const(x) -> Tensor:
+    """A raw input or constant operand as a ``DTYPE`` ``Tensor``."""
+    return Tensor(np.asarray(x, dtype=DTYPE))
 
 
 class TapeOps:
     """The taped op set: ``Tensor``s in and out, every op recorded for backward."""
 
-    const = Tensor                          # a raw input or constant operand
+    const = staticmethod(_const)            # a raw input or constant operand
     concat = staticmethod(concat)
     linear = staticmethod(linear)           # (x, w, b=None, rows=None)
     tanh = staticmethod(Tensor.tanh)
@@ -85,8 +99,9 @@ class TapeOps:
 
 
 class ArrayOps:
-    """The tape-free op set: plain float64 ndarrays in and out, no ``Tensor``
-    built.  Each op computes what its ``TapeOps`` twin's ``.data`` holds."""
+    """The tape-free op set: plain ``DTYPE`` ndarrays in and out, no
+    ``Tensor`` built.  Each op computes what its ``TapeOps`` twin's ``.data``
+    holds."""
 
     concat = staticmethod(np.concatenate)
     tanh = np.tanh
@@ -94,7 +109,7 @@ class ArrayOps:
 
     @staticmethod
     def const(x) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64)
+        return np.asarray(x, dtype=DTYPE)
 
     @staticmethod
     def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
@@ -197,9 +212,10 @@ class Module:
         if missing or extra:
             raise KeyError(f"state dict mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         for name, p in own.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise ShapeError(f"{name}: checkpoint shape {arr.shape} != model shape {p.data.shape}")
+            arr = np.asarray(state[name])
+            if arr.shape != p.data.shape or arr.dtype != p.data.dtype:
+                raise ShapeError(f"{name}: state {arr.shape} {arr.dtype} != model "
+                                 f"{p.data.shape} {p.data.dtype}")
             p.data[...] = arr
 
 
@@ -268,9 +284,9 @@ class Dropout(Module):
 
 @functools.lru_cache(maxsize=None)   # T never exceeds a trunk's max_tokens
 def causal_mask(T: int) -> np.ndarray:
-    """Read-only (T, T) additive mask: NEG_INF above the diagonal, else 0;
-    built once per length and shared by every caller."""
-    mask = np.triu(np.full((T, T), NEG_INF), k=1)
+    """Read-only (T, T) ``DTYPE`` additive mask: NEG_INF above the
+    diagonal, else 0; built once per length and shared by every caller."""
+    mask = np.triu(np.full((T, T), NEG_INF, dtype=DTYPE), k=1)
     mask.flags.writeable = False
     return mask
 
@@ -282,7 +298,7 @@ def _attention_mask(T: int, key_mask: np.ndarray | None,
     mask = causal_mask(T)[rows]
     if key_mask is None:
         return mask
-    pad = np.where(key_mask, 0.0, NEG_INF)[:, None, None, :]  # (B,1,1,T)
+    pad = np.where(key_mask, DTYPE(0.0), DTYPE(NEG_INF))[:, None, None, :]  # (B,1,1,T)
     return mask[None, None, :, :] + pad
 
 
@@ -320,7 +336,7 @@ class CausalSelfAttention(Module):
         v = qkv[:, :, 2 * D:3 * D].reshape(B, T, H, hd).transpose((0, 2, 1, 3))
 
         scores = q @ k.transpose((0, 1, 3, 2))  # (B,H,R,T)
-        att = ops.softmax(scores, 1.0 / np.sqrt(hd), _attention_mask(T, key_mask, rows))
+        att = ops.softmax(scores, 1.0 / math.sqrt(hd), _attention_mask(T, key_mask, rows))
         del scores
         att = self.drop.run(ops, att, pad, rng)
         out = att @ v
@@ -412,7 +428,7 @@ def masked_nll_sum(mu, log_var, target, mask) -> tuple:
     """(the sum of the per-element Gaussian NLL over ``mask``, the mask's
     count): ``Tensor`` and float for ``Tensor`` forecasts, two floats for
     arrays."""
-    m = np.asarray(mask, dtype=np.float64)
+    m = np.asarray(mask, dtype=DTYPE)
     per = _nll_terms(mu, log_var, target)
     return (per * m).sum(), m.sum()
 
@@ -426,7 +442,7 @@ def gaussian_nll(mu: Tensor, log_var: Tensor, target: Tensor | np.ndarray,
     averages over valid elements only.
     """
     if not isinstance(target, Tensor):
-        target = Tensor(target)
+        target = _const(target)
     if mu.shape != log_var.shape or mu.shape != target.shape:
         raise ShapeError(f"gaussian_nll: shapes {mu.shape}/{log_var.shape}/{target.shape} differ")
     if mask is None:
@@ -437,14 +453,14 @@ def gaussian_nll(mu: Tensor, log_var: Tensor, target: Tensor | np.ndarray,
 
 def mse_loss(pred: Tensor, target: Tensor | np.ndarray, mask: np.ndarray | None = None) -> Tensor:
     if not isinstance(target, Tensor):
-        target = Tensor(target)
+        target = _const(target)
     diff = pred - target
     per = diff * diff
     if mask is None:
         return per.mean()
-    m = np.asarray(mask, dtype=np.float64)
+    m = np.asarray(mask, dtype=DTYPE)
     if m.ndim == per.ndim - 1:  # broadcast step mask over the action dim
-        m = m[..., None] * np.ones(per.shape[-1])
+        m = m[..., None] * np.ones(per.shape[-1], dtype=DTYPE)
     return (per * Tensor(m)).sum() / max(m.sum(), 1.0)
 
 
@@ -664,7 +680,8 @@ def _prefixed(modules: dict):
 def save_checkpoint(path, tag: str, meta: dict, modules: dict) -> None:
     """Write the JSON ``meta`` and the parameters of ``modules``, which maps a
     prefix to a module, as one ``archive`` at ``path``, creating its
-    directory: parameter ``name`` is the float64 entry ``prefix + name``."""
+    directory: parameter ``name`` is the entry ``prefix + name``, at its
+    dtype."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     archive.write(path, tag, meta=meta, **{name: p.data for name, p in _prefixed(modules)})
 
@@ -674,13 +691,14 @@ def load_checkpoint(path, tag: str, build):
 
     ``build`` returns ``(obj, modules)``: the object, made from the meta
     alone, and its modules keyed by prefix as saved, which receive the
-    stored parameters; these must be exactly theirs, each at its shape.
+    stored parameters; these must be exactly theirs, each at its shape and
+    dtype, or the archive's ValueError names ``path``.
     """
     built = {}
 
     def layout(entries: dict) -> dict:
         built["obj"], built["modules"] = build(entries["meta"])
-        return {name: (p.data.shape, np.float64) for name, p in _prefixed(built["modules"])}
+        return {name: (p.data.shape, p.data.dtype) for name, p in _prefixed(built["modules"])}
 
     entries = archive.read(path, tag, layout, json_entries=("meta",))
     for name, p in _prefixed(built["modules"]):

@@ -16,7 +16,6 @@ Three pieces cooperate at every step of a rollout:
 
 from __future__ import annotations
 
-import bisect
 import logging
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -128,18 +127,33 @@ class TargetPredictorConfig:
         return asdict(self)
 
 
-def _choice_cdf(weights: np.ndarray) -> list:
-    """The cdf ``Generator.choice(n, p=weights / weights.sum())`` draws from,
-    as a list of floats."""
-    cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
-    return cdf.tolist()
+def _span_sampler(trajs: list, config: TargetPredictorConfig, z_states: np.ndarray):
+    """``sample_batch(rng)``, which draws one predictor batch ``(xs, ys)``
+    from ``trajs`` in three array draws: the trajectories, in proportion to
+    their length, then a step within each and a span in [1, span_max].  A
+    row of ``xs`` is the step's standardized state (a row of ``z_states``,
+    the trajectories' states standardized in order) and the span fraction
+    ``h / span_max``; ``ys`` is the reward sum over the span, cut at the
+    episode's end."""
+    lengths = np.array([len(t) for t in trajs])
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    # each trajectory's reward prefix sums, from 0: its steps + 1 entries
+    prefix = np.concatenate([np.concatenate([[0.0], np.cumsum(t.rewards)]) for t in trajs])
+    p = lengths / lengths.sum()
 
+    def sample_batch(rng):
+        n = config.batch_size
+        which = rng.choice(len(trajs), size=n, p=p)
+        t = rng.integers(lengths[which])
+        h = rng.integers(1, config.span_max + 1, size=n)
+        end = np.minimum(t + h, lengths[which])
+        first = starts[which] + which    # each trajectory's first prefix entry
+        ys = prefix[first + end] - prefix[first + t]
+        xs = np.concatenate([z_states[starts[which] + t], (h / config.span_max)[:, None]],
+                            axis=1)
+        return xs, ys
 
-def _choice_draw(cdf: list, rng: np.random.Generator) -> int:
-    """``int(rng.choice(n, p=p))`` for the ``p`` behind ``cdf``: the same
-    index from the same stream, without re-validating ``p`` on every draw."""
-    return bisect.bisect_right(cdf, rng.random())
+    return sample_batch
 
 
 class _TargetMlp(nn.Module):
@@ -185,9 +199,9 @@ class TargetReturnPredictor:
         ])[None]
         mus, vars_ = [], []
         for m in self.members:
-            mu, lv = m.infer(x)
-            mus.append(self.y.inverse(mu[0]))
-            vars_.append(self.y.inverse_var(np.exp(lv[0])))
+            mu, lv = (float(v[0]) for v in m.infer(x))
+            mus.append(self.y.inverse(mu))
+            vars_.append(self.y.inverse_var(np.exp(lv)))
         mu, var = mixture_moments(np.array(mus)[:, None], np.array(vars_)[:, None],
                                   floor=1e-12)
         return float(mu[0]), float(var[0])
@@ -209,23 +223,9 @@ class TargetReturnPredictor:
         """Fit on random-span undiscounted reward sums from the dataset."""
         if not trajs:
             raise ValueError("empty dataset")
-        states = nn.Standardizer.fit(np.concatenate([t.states for t in trajs]))
-
-        # trajectories are drawn in proportion to their length
-        cdf = _choice_cdf(np.array([len(t) for t in trajs], dtype=np.float64))
-
-        def sample_batch(rng):
-            xs = np.empty((config.batch_size, STATE_DIM + 1))
-            ys = np.empty(config.batch_size)
-            for i in range(config.batch_size):
-                traj = trajs[_choice_draw(cdf, rng)]
-                t = int(rng.integers(len(traj)))
-                h = int(rng.integers(1, config.span_max + 1))
-                xs[i, :STATE_DIM] = traj.states[t]
-                xs[i, STATE_DIM] = h / config.span_max
-                ys[i] = traj.rewards[t: t + h].sum()  # truncated by episode end
-            xs[:, :STATE_DIM] = states(xs[:, :STATE_DIM])
-            return xs, ys
+        all_states = np.concatenate([t.states for t in trajs])
+        states = nn.Standardizer.fit(all_states)
+        sample_batch = _span_sampler(trajs, config, states(all_states))
 
         stat_rng = np.random.default_rng(config.seed + 100)
         y = nn.Standardizer.fit(np.concatenate([sample_batch(stat_rng)[1] for _ in range(10)]))

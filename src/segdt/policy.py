@@ -32,7 +32,7 @@ import numpy as np
 
 from . import nn, trajlog
 from .autodiff import Tensor
-from .config import require_steps
+from .config import require_steps, require_trainer
 from .env import ACTION_DIM, STATE_DIM, denorm_action, norm_actions
 
 log = logging.getLogger(__name__)
@@ -79,6 +79,7 @@ class PolicyConfig:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         require_steps(self, "epochs", "iters_per_epoch")
+        require_trainer(self)
 
     @property
     def tokens_per_step(self) -> int:
@@ -194,7 +195,7 @@ class SequencePolicyModel(nn.Module):
         tok = ops.call(self.embed_rh, ops.const(batch["r_h"][..., None]))
         if cfg.use_return_span:
             tok = tok + ops.call(self.embed_h, np.clip(batch["h"], 0, cfg.h_max))
-        dummy = (batch["h"] == 0).astype(np.float64)[..., None]   # (B, L, 1)
+        dummy = (batch["h"] == 0).astype(nn.DTYPE)[..., None]   # (B, L, 1)
         dummy_tok = ops.param(self.dummy_emb) * ops.const(np.ones((B, L, 1)))
         return tok * ops.const(1.0 - dummy) + dummy_tok * ops.const(dummy)
 
@@ -263,7 +264,8 @@ class Policy:
         return self.config.kind
 
     def act(self, context: Context) -> np.ndarray:
-        """Deterministic action for the context's final step, in raw units."""
+        """Deterministic action for the context's final step, in raw units,
+        as float64."""
         cfg, nrm = self.config, self.normalizer
         L = len(context)
         if not 1 <= L <= cfg.seq_length:
@@ -278,7 +280,7 @@ class Policy:
             "R_bounds": nrm.R_bounds,
             "mask": np.ones((1, L), dtype=bool),
         })
-        return nrm.denorm_action(pred[0, -1])
+        return nrm.denorm_action(pred[0, -1].astype(np.float64))
 
     # -- persistence -------------------------------------------------------
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn, trajlog
-from .config import require_steps
+from .config import require_steps, require_trainer
 from .env import STATE_DIM, ACTION_DIM, norm_actions
 
 log = logging.getLogger(__name__)
@@ -105,6 +105,7 @@ class ReturnModelConfig:
 
     def __post_init__(self):
         require_steps(self, "epochs", "iters_per_epoch")
+        require_trainer(self)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -191,7 +192,7 @@ class ReturnMemberModel(nn.Module):
         B, L, _ = np.shape(states)
         tokens, key_mask = self._tokens(nn.ARRAY, states, actions), self._key_mask(mask)
         rows = slice(2 * L - 2, 2 * L)
-        buf_s = np.zeros((B, L, self.config.embed_dim))
+        buf_s = np.zeros((B, L, self.config.embed_dim), dtype=nn.DTYPE)
         buf_a = np.zeros_like(buf_s)
         buf_s[:, -1] = self.trunk_state.infer(tokens, key_mask, rows)[:, 1]
         buf_a[:, -1] = self.trunk_action.infer(tokens, key_mask, rows)[:, 0]
@@ -238,8 +239,8 @@ class ReturnEnsemble:
     def predict_trajectory(self, states: np.ndarray, actions: np.ndarray) -> dict:
         """Per-member, per-step distributions for a whole trajectory.
 
-        Returns arrays of shape (K, T): mu_s, var_s, mu_a, var_a
-        (denormalized).
+        Returns float64 arrays of shape (K, T): mu_s, var_s, mu_a, var_a
+        (denormalized from the members' float64-cast outputs).
         """
         if states.shape[0] == 0:
             raise ValueError("empty trajectory")
@@ -250,7 +251,8 @@ class ReturnEnsemble:
         ret = self.returns
         for k, member in enumerate(self.members):
             # each window's final slot is step t
-            mu_s, lv_s, mu_a, lv_a = member.infer_last(ws, wa, mask)
+            mu_s, lv_s, mu_a, lv_a = (x.astype(np.float64)
+                                      for x in member.infer_last(ws, wa, mask))
             out["mu_s"][k] = ret.inverse(mu_s)
             out["var_s"][k] = ret.inverse_var(np.exp(lv_s))
             out["mu_a"][k] = ret.inverse(mu_a)

@@ -11,7 +11,7 @@ from scipy.special import erf
 
 from segdt.autodiff import (Tensor, ShapeError, affine_layernorm, concat, linear,
                             masked_softmax, no_grad)
-from segdt import autodiff, nn, planner, return_model
+from segdt import archive, autodiff, nn, planner, return_model
 from segdt.policy import PolicyConfig, SequencePolicyModel
 
 from gradcheck import finite_diff_check
@@ -486,7 +486,7 @@ def test_second_backward_adds_one_more_gradient():
 
 
 def test_second_backward_through_a_dropped_closure_raises():
-    """A closure that kept an array of 256 KiB or more is dropped once it
+    """A closure that kept an array of 128 KiB or more is dropped once it
     has run, so a second backward() would miss its gradient: it raises."""
     x = Tensor(np.ones(autodiff._SPEND_BYTES // 8), requires_grad=True)
     loss = (x * x).sum()
@@ -697,6 +697,35 @@ def test_tape_keeps_only_what_backward_reads(make, monkeypatch):
                 checked += 1
     assert checked > 10 and len(made) > 1
     assert rebuilt == sum(isinstance(a, np.ndarray) for r in _rebuilds(loss) for a in r.args) > 1
+
+
+@pytest.mark.parametrize("make", [policy_step, member_step], ids=["policy", "member"])
+def test_a_training_step_records_only_float32_arrays(make, monkeypatch):
+    """No float64 array enters a default-arch training tape: every array a
+    ``Tensor`` holds, every gradient a backward adds into a node, every
+    floating array a closure keeps and every parameter gradient is float32."""
+    made, added = set(), set()
+    init, accum = autodiff.Tensor.__init__, autodiff.Node._accum
+
+    def spy_init(self, data, requires_grad=False):
+        init(self, data, requires_grad)
+        made.add(self.data.dtype)
+
+    def spy_accum(self, g, owned):
+        added.add(np.asarray(g).dtype)
+        accum(self, g, owned)
+
+    monkeypatch.setattr(autodiff.Tensor, "__init__", spy_init)
+    monkeypatch.setattr(autodiff.Node, "_accum", spy_accum)
+    model, loss_fn = make()
+    loss = loss_fn()
+    kept = {a.dtype for node in _tape_nodes(loss) for cell in node._backward.__closure__ or ()
+            for a in (cell.cell_contents.args if isinstance(cell.cell_contents, functools.partial)
+                      else (cell.cell_contents,))
+            if isinstance(a, np.ndarray) and a.dtype.kind == "f"}
+    loss.backward()
+    assert made == added == kept == {np.dtype(np.float32)}
+    assert {p.grad.dtype for p in model.parameters()} == {np.dtype(np.float32)}
 
 
 def hard_with_nonfinite(shape, rng):
@@ -913,6 +942,18 @@ def test_cut_checkpoint_names_the_file(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(ValueError, match="policy.npz: cut or corrupt archive"):
+        nn.load_checkpoint(path, "linear-v1", _linear)
+
+
+def test_a_float64_checkpoint_is_refused_naming_the_file(tmp_path):
+    """Parameters stored at float64, as before models computed in float32,
+    are never cast on load: the archive's input error names the file."""
+    path = tmp_path / "policy.npz"
+    layer = _linear({})[0]
+    archive.write(path, "linear-v1", meta={},
+                  **{name: p.data.astype(np.float64) for name, p in layer.named_parameters()})
+    with pytest.raises(ValueError, match=r"policy.npz: entry 'weight' has shape \(3, 2\) and "
+                                         r"dtype float64, expected \(3, 2\) and float32"):
         nn.load_checkpoint(path, "linear-v1", _linear)
 
 

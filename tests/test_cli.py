@@ -422,6 +422,37 @@ def test_zero_steps_exit_2_before_the_stage_reads_its_inputs(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+BAD_TRAINER_FIELDS = [
+    ("train-policy", "dropout", "1.0", "invalid PolicyConfig: dropout must be in [0, 1), "
+                                       "got 1.0"),
+    ("train-policy", "learning_rate", "nan", "invalid PolicyConfig: learning_rate must be "
+                                             "finite and > 0, got nan"),
+    ("train-return", "n_heads", "0", "invalid ReturnModelConfig: n_heads must be >= 1, got 0"),
+    ("train-return", "batch_size", "-1", "invalid ReturnModelConfig: batch_size must be >= 1, "
+                                         "got -1"),
+]
+
+
+@pytest.mark.parametrize("stage, key, value, message", BAD_TRAINER_FIELDS,
+                         ids=["policy-dropout-1", "policy-lr-nan", "return-heads-0",
+                              "return-batch-minus-1"])
+def test_a_bad_trainer_field_exits_2_before_the_stage_reads_its_inputs(
+        tmp_path, capsys, stage, key, value, message):
+    """A dropout of 1 (which divided by zero at the first step), a NaN
+    learning rate (which exited 4 as a diverged run), no heads or a negative
+    batch are config errors when the config is read."""
+    lines = (SMOKE / CONFIG_FILES[stage]).read_text().splitlines(keepends=True)
+    cfg = tmp_path / CONFIG_FILES[stage]
+    cfg.write_text("".join(line for line in lines if not line.startswith(f"{key} ="))
+                   + f"{key} = {value}\n")
+    flag = "--dataset" if stage == "train-return" else "--segmented"
+    rc = run([stage, "--config", cfg, "--out", tmp_path / "model", flag,
+              tmp_path / "missing.npz"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: code=2 command={stage}: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.fixture(scope="module")
 def baselines(pipeline, tmp_path_factory):
     """dt and bc policies trained on the smoke segmented dataset."""
@@ -570,3 +601,28 @@ def test_segment_rejects_a_v2_jsonl_dataset_exit_2(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{v2}: not an npz archive" in err
     assert not (tmp_path / "seg.npz").exists()
+
+
+@pytest.mark.parametrize("kind, unread", [("bc", ("dataset", "index", "predictor")),
+                                          ("dt", ("index", "predictor"))])
+def test_evaluate_records_every_input_and_warns_on_unread_ones(
+        pipeline, baselines, tmp_path, capsys, kind, unread):
+    """Every input path given is in the manifest; one the policy kind does
+    not read is also named, by its flag, in a warning on stderr."""
+    report = tmp_path / "report.json"
+    rc = run(["evaluate", "--config", SMOKE / "evaluate.cfg", "--policy", baselines[kind],
+              "--dataset", pipeline["dataset"], "--index", pipeline["index"],
+              "--predictor", pipeline["predictor"], "--episodes", 1, "--out", report])
+    assert rc == 0
+    err = capsys.readouterr().err
+    for name in ("dataset", "index", "predictor"):
+        assert (f"warning: a {kind} policy does not read --{name};" in err) == (name in unread)
+    m = RunManifest.load(RunManifest.manifest_path(report))
+    assert list(m.inputs) == ["policy", "dataset", "index", "predictor"]
+    for name in ("dataset", "index", "predictor"):
+        assert m.inputs[name]["sha256"] == hash_artifact(pipeline[name])
+
+
+def test_an_unrest_evaluate_warns_of_nothing(pipeline):
+    m = RunManifest.load(RunManifest.manifest_path(pipeline["report"]))
+    assert list(m.inputs) == ["policy", "dataset", "index", "predictor"]

@@ -106,3 +106,39 @@ def test_library_config_roundtrip():
     cfg = build_config(ReturnModelConfig, {"embed_dim": "16", "epochs": "2"})
     assert cfg.embed_dim == 16 and cfg.epochs == 2
     assert cfg.n_layers == ReturnModelConfig().n_layers
+
+
+TRAINERS = ["policy", "return"]
+
+
+def _trainer(name):
+    from segdt.policy import PolicyConfig
+    from segdt.return_model import ReturnModelConfig
+    return {"policy": PolicyConfig, "return": ReturnModelConfig}[name]
+
+
+@pytest.mark.parametrize("cls", TRAINERS)
+@pytest.mark.parametrize("key, value, message", [
+    ("dropout", "1.0", r"dropout must be in \[0, 1\), got 1.0"),
+    ("dropout", "-0.1", r"dropout must be in \[0, 1\), got -0.1"),
+    ("dropout", "nan", r"dropout must be in \[0, 1\), got nan"),
+    ("n_heads", "0", "n_heads must be >= 1, got 0"),
+    ("learning_rate", "nan", "learning_rate must be finite and > 0, got nan"),
+    ("learning_rate", "inf", "learning_rate must be finite and > 0, got inf"),
+    ("learning_rate", "0", "learning_rate must be finite and > 0, got 0.0"),
+    ("learning_rate", "-1e-3", "learning_rate must be finite and > 0, got -0.001"),
+    ("batch_size", "0", "batch_size must be >= 1, got 0"),
+    ("batch_size", "-1", "batch_size must be >= 1, got -1"),
+])
+def test_trainer_configs_check_their_fields_when_built(cls, key, value, message):
+    cls = _trainer(cls)
+    with pytest.raises(ConfigError, match=f"invalid {cls.__name__}: {message}"):
+        build_config(cls, {key: value})
+
+
+@pytest.mark.parametrize("cls", TRAINERS)
+def test_trainer_configs_accept_their_edge_values(cls):
+    cfg = build_config(_trainer(cls), {"dropout": "0.0", "n_heads": "1",
+                                       "learning_rate": "1e-12", "batch_size": "1"})
+    assert (cfg.dropout, cfg.n_heads, cfg.batch_size) == (0.0, 1, 1)
+    assert build_config(_trainer(cls), {"dropout": "0.99"}).dropout == 0.99

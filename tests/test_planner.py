@@ -11,7 +11,7 @@ from segdt.autodiff import Tensor
 from segdt.nn import TrainingDiverged
 from segdt.planner import (
     KdUncertaintyIndex, PlannerConfig, PlannerState, TargetPredictorConfig,
-    TargetReturnPredictor, _TargetMlp, _choice_cdf, _choice_draw,
+    TargetReturnPredictor, _TargetMlp, _span_sampler,
     initial_global_target, plan_step,
 )
 from segdt.segmenter import UncertaintyTrace
@@ -207,15 +207,31 @@ def test_predictor_roundtrip(trained_predictor, tmp_path):
             trained_predictor.predict_target(s, h, 0.7)
 
 
-def test_choice_draw_matches_generator_choice():
-    lengths = np.array([130, 7, 55, 130, 1, 99, 130, 42, 3, 130], dtype=np.float64)
-    probs = lengths / lengths.sum()
-    cdf = _choice_cdf(lengths)
-    ours, ref = np.random.default_rng(11), np.random.default_rng(11)
-    for _ in range(20_000):  # interleaved with integers, as sample_batch draws
-        assert _choice_draw(cdf, ours) == ref.choice(len(lengths), p=probs)
-        assert ours.integers(130) == ref.integers(130)
-        assert ours.integers(1, 101) == ref.integers(1, 101)
+def test_span_sampler_matches_a_per_item_loop():
+    """Three array draws give each item's trajectory (weighted by length),
+    step and span: its row is the step's standardized state and the span
+    fraction, and its target the reward sum over the span, cut at the end
+    of the episode."""
+    rng = np.random.default_rng(8)
+    trajs = [trajlog.Trajectory(
+        states=rng.normal(size=(n, 12)), actions=rng.normal(size=(n, 2)),
+        rewards=rng.normal(size=n), reward_terms=[{}] * n, infractions=[None] * n)
+        for n in (1, 40, 7, 130, 3)]
+    cfg = TargetPredictorConfig(batch_size=64, span_max=50)
+    all_states = np.concatenate([t.states for t in trajs])
+    states = nn.Standardizer.fit(all_states)
+    xs, ys = _span_sampler(trajs, cfg, states(all_states))(np.random.default_rng(2))
+    ref = np.random.default_rng(2)
+    lengths = np.array([len(t) for t in trajs])
+    which = ref.choice(len(trajs), size=64, p=lengths / lengths.sum())
+    steps = ref.integers(lengths[which])
+    spans = ref.integers(1, 51, size=64)
+    assert xs.shape == (64, 13) and ys.shape == (64,)
+    for i, (k, t, h) in enumerate(zip(which, steps, spans)):
+        assert 0 <= t < len(trajs[k])
+        assert np.array_equal(xs[i, :12], states(trajs[k].states[t]))
+        assert xs[i, 12] == h / 50
+        assert ys[i] == pytest.approx(trajs[k].rewards[t: t + h].sum(), rel=1e-12, abs=1e-12)
 
 
 def _unit_reward_trajs(n=8, length=30):
@@ -234,17 +250,8 @@ def test_predictor_matches_a_loop_without_the_pool():
     trajs = _unit_reward_trajs()
     trained = TargetReturnPredictor.train(trajs, cfg)
 
-    states = nn.Standardizer.fit(np.concatenate([t.states for t in trajs]))
-    cdf = _choice_cdf(np.array([len(t) for t in trajs], dtype=np.float64))
-
-    def sample(rng):
-        xs, ys = np.empty((cfg.batch_size, 13)), np.empty(cfg.batch_size)
-        for i in range(cfg.batch_size):
-            traj = trajs[_choice_draw(cdf, rng)]
-            t, h = int(rng.integers(len(traj))), int(rng.integers(1, cfg.span_max + 1))
-            xs[i] = [*states(traj.states[t]), h / cfg.span_max]
-            ys[i] = traj.rewards[t: t + h].sum()
-        return xs, ys
+    all_states = np.concatenate([t.states for t in trajs])
+    sample = _span_sampler(trajs, cfg, nn.Standardizer.fit(all_states)(all_states))
 
     stat_rng = np.random.default_rng(cfg.seed + 100)
     y = nn.Standardizer.fit(np.concatenate([sample(stat_rng)[1] for _ in range(10)]))
