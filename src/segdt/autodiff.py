@@ -305,8 +305,10 @@ def _items(x, lo: int, hi: int) -> np.ndarray:
 def _input_grad(g: np.ndarray, w: np.ndarray, rows: tuple | None) -> np.ndarray:
     """``g @ w.T``, the gradient of ``a`` in ``a @ w``; ``rows`` is
     ``Tensor.matmul``'s.  For a 2-D ``w`` it is one 2-D GEMM over ``g``'s
-    rows flattened: each row is the same dot products as in the per-item
-    stack, and one call spares the stack's per-item dispatch."""
+    rows flattened, in place of numpy's per-item stack.  Each row's bits
+    match the stack's at the default arch's row counts, but can differ for
+    items of a dozen rows or fewer, whose small products BLAS computes with
+    another kernel."""
     wt = np.swapaxes(w, -1, -2)
     if rows is not None:
         T, index = rows

@@ -16,8 +16,9 @@ enters a training tape.
 Each layer is written once, as ``run(ops, ...)`` over one of two op sets:
 ``TAPE`` runs it on ``Tensor``s and records the tape for training (the
 layer's ``__call__``), and ``ARRAY`` runs it on plain ``DTYPE`` ndarrays
-with no tape (its ``infer``).  Each array op computes what its taped twin's ``.data``
-holds, so ``infer`` returns the taped call's bits by construction.  The
+with no tape (its ``infer``).  Each array op computes what its taped twin's
+``.data`` holds, so ``infer`` returns the taped call's bits by
+construction.  The
 taped ``linear``, ``layernorm``, ``softmax`` and ``dropout`` entries are
 the fused single-node ops of ``autodiff`` (``x @ w + b``, ``layernorm(x) *
 gain + shift``, ``softmax(x * scale + mask)`` and ``x`` times a bool mask
