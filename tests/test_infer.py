@@ -143,6 +143,7 @@ def test_policy_act_builds_no_tensor(monkeypatch):
     monkeypatch.setattr(autodiff.Tensor, "__init__", counting)
     got = policy.act(context)
     assert not built
+    assert got.dtype == np.float64    # from a float32 model
     with no_grad():
         want = policy.normalizer.denorm_action(model.forward(batches[0]).data[0, -1])
     assert np.array_equal(got, want)
@@ -270,6 +271,7 @@ def test_return_member_infer_last_matches_infer_final_slot(arch):
             assert g.shape == (T,)
             assert np.array_equal(g, w[:, -1]), T
         forecast = ensemble.predict_trajectory(states, actions)
+        assert {v.dtype for v in forecast.values()} == {np.dtype(np.float64)}
         assert np.array_equal(forecast["mu_s"][0], want[0][:, -1])
         assert np.array_equal(forecast["mu_a"][0], want[2][:, -1])
 
