@@ -14,12 +14,17 @@ models built on top.
 ``gelu``, ``layernorm``, ``softmax`` and ``scaled_softmax`` are also plain
 array functions: the ``Tensor`` ops and ``nn.ArrayOps``, the op set the
 models' tape-free ``infer`` runs their one body on, both call them, so each
-formula has one implementation.
+formula has one implementation.  GELU is the tanh form (Hendrycks & Gimpel
+2016), ``x * s`` with the gate ``s = 0.5 * (1 + tanh(sqrt(2/pi) * (x +
+0.044715 * x**3)))``, for training and inference alike: numpy's SIMD
+``tanh`` costs a small fraction of scipy's ``erf``, which the exact form
+needs.
 
 Owned buffers: these formulas, and the backward formulas the tape shares
 (GELU's, ``_softmax_grad``, ``_layernorm_grad``), allocate the array they
 return and do the rest of their arithmetic in place in it (LayerNorm and its
-gradient take one scratch array more), with the operands of the composed
+gradient take one scratch array more, GELU's gradient a scratch of at most
+``_GELU_SCRATCH_BYTES``), with the operands of the composed
 numpy expression in its order, so the bits are that expression's.  In-place
 writes touch only buffers the function allocated itself, never a received
 gradient or an operand's ``.data``.  A mean is ``np.add.reduce(x, axis) /
@@ -46,11 +51,11 @@ made it records a ``Node``, which owns the gradient, the backward closure
 and the parent nodes.  A closure keeps the nodes it adds gradients into and
 only the arrays its backward reads: the operands of ``linear``, ``matmul``,
 ``*`` and ``/`` (each only where the other operand takes a gradient),
-GELU's input and cdf, the outputs of ``exp``, ``tanh`` and softmax, the
+GELU's input and gate, the outputs of ``exp``, ``tanh`` and softmax, the
 fused ops' normalized arrays and masks, and shapes.  So a forward output
 that no backward reads dies with its last handle.  An op that records
 nothing keeps nothing that only backward reads: an unrecorded GELU makes
-no cdf.  ``backward()`` runs each interior node's closure once and then
+no gate.  ``backward()`` runs each interior node's closure once and then
 drops that node's ``.grad``, which nothing reads again; only leaves
 (``Parameter``s and ``Tensor(..., requires_grad=True)``) keep a ``.grad``.
 A closure that kept an array of ``_SPEND_BYTES`` or more is dropped once
@@ -61,7 +66,7 @@ dropped closure raises.
 
 Rebuild, don't keep: the recorded outputs of ``Tensor.gelu``,
 ``affine_layernorm`` and ``dropout`` carry a rebuild (``Tensor._rebuild``),
-a ``functools.partial`` of the forward's own elementwise op (``x * cdf``,
+a ``functools.partial`` of the forward's own elementwise op (``x * s``,
 ``normalized * gain + shift``, ``(x * keep) * scale``) over arrays that a
 closure keeps anyway, so it remakes the output's bits.  The matmul closure
 that reads such an output keeps its rebuild instead of its array: it
@@ -93,7 +98,6 @@ import ctypes
 import functools
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -133,9 +137,14 @@ class no_grad:
         return False
 
 
-# Python floats, which take the dtype of the array they meet
-_SQRT1_2 = float(1.0 / np.sqrt(2.0))
-_SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+# the tanh-form GELU's constants (Hendrycks & Gimpel 2016, arXiv
+# 1606.08415), Python floats, which take the dtype of the array they meet
+_SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
+_GELU_CUBIC = 0.044715
+
+# GELU's backward makes ``s * (1 - s)`` in a scratch of at most this many
+# bytes at a time (``_gelu_grad``)
+_GELU_SCRATCH_BYTES = 1 << 15
 
 # the batch items a 3-D input's weight gradient stacks at a time
 # (``_weight_grad``): (step, D, O) parts of at most this many bytes
@@ -188,21 +197,27 @@ def _mean_last(x: np.ndarray) -> np.ndarray:
     return m
 
 
-def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """The standard normal cdf at ``x``, in one new buffer."""
-    cdf = x * _SQRT1_2
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    return cdf
+def _gelu_gate(x: np.ndarray) -> np.ndarray:
+    """GELU's gate ``s = 0.5 * (1 + tanh(u))`` with ``u = sqrt(2/pi) * (x +
+    0.044715 * x**3)``, the tanh form of the standard normal cdf at ``x``,
+    in one new buffer.  ``u`` is computed as ``x * (c * 0.044715 * x**2 +
+    c)`` with ``c = sqrt(2/pi)``, one pass fewer."""
+    s = x * x
+    s *= _SQRT_2_OVER_PI * _GELU_CUBIC
+    s += _SQRT_2_OVER_PI
+    s *= x
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact (erf-based) GELU, ``x * cdf`` with ``cdf`` the standard normal
-    cdf at ``x``, in the cdf's buffer."""
-    cdf = _normal_cdf(x)
-    cdf *= x
-    return cdf
+    """Tanh-form GELU, ``x * s`` with ``s`` the gate at ``x``
+    (``_gelu_gate``), in the gate's buffer."""
+    s = _gelu_gate(x)
+    s *= x
+    return s
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -369,14 +384,27 @@ def _tanh_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(g, d, out=d)
 
 
-def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """``g * (cdf + x * pdf)`` at ``x``, in one new buffer."""
-    d = x * -0.5
+def _gelu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``g * (s + 2 * x * u'(x) * s * (1 - s))``, the exact derivative of
+    the tanh-form GELU ``x * s`` at ``x`` with ``u'(x) = c + 3 * c *
+    0.044715 * x**2`` and ``c = sqrt(2/pi)``, in one new buffer.  ``s * (1 -
+    s)`` needs a second buffer beside ``x``'s polynomial, so it is made in a
+    scratch of at most ``_GELU_SCRATCH_BYTES``, one run of C-order elements
+    at a time."""
+    d = np.square(x, order="C")
+    d *= 6.0 * _SQRT_2_OVER_PI * _GELU_CUBIC
+    d += 2.0 * _SQRT_2_OVER_PI
     d *= x
-    np.exp(d, out=d)
-    d /= _SQRT_2PI
-    d *= x
-    d += cdf
+    flat, gate = d.reshape(-1), np.ravel(s)
+    step = max(1, _GELU_SCRATCH_BYTES // d.itemsize)
+    scratch = np.empty(min(step, flat.size), d.dtype)
+    for i in range(0, flat.size, step):
+        part = gate[i:i + step]
+        t = scratch[:part.size]
+        np.subtract(1.0, part, out=t)
+        t *= part
+        flat[i:i + step] *= t
+    d += s
     d *= g
     return d
 
@@ -663,17 +691,17 @@ class Tensor:
         return Tensor._result(np.maximum(x, 0.0), (a,), backward)
 
     def gelu(self):
-        """Exact (erf-based) GELU.  Recorded, it keeps its input and the
-        normal cdf, and its output's rebuild is their product; unrecorded,
-        it makes no cdf beside its output."""
+        """Tanh-form GELU.  Recorded, it keeps its input and the gate, and
+        its output's rebuild is their product; unrecorded, it makes no gate
+        beside its output."""
         x, a = self.data, self._node
         if not (_GRAD_ENABLED and a is not None):
             return Tensor(gelu(x))
-        cdf = _normal_cdf(x)
-        rebuild = functools.partial(_product, x, cdf)
+        s = _gelu_gate(x)
+        rebuild = functools.partial(_product, x, s)
 
         def backward(g):
-            a._accum(_gelu_grad(g, x, cdf), owned=True)
+            a._accum(_gelu_grad(g, x, s), owned=True)
 
         return Tensor._result(rebuild(), (a,), backward, rebuild)
 

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -61,11 +62,20 @@ class SegmentConfig:
     epsilon: float = 1.0
     c: int = 3
 
+    def __post_init__(self):
+        if not math.isfinite(self.epsilon):     # NaN would mark every step certain
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        require_steps(self, "c")
+
 
 @dataclass(frozen=True)
 class IndexConfig(TargetPredictorConfig):
     """KD-index plus fresh-target predictor (the two planner artifacts)."""
     knn: int = 5
+
+    def __post_init__(self):
+        super().__post_init__()
+        require_steps(self, "knn")
 
 
 @dataclass(frozen=True)

@@ -72,8 +72,8 @@ def _field_type(field):
 
 
 def require_steps(config, *names: str):
-    """Raise ValueError for the first field of ``config`` in ``names``, a
-    step count, that is below 1."""
+    """Raise ValueError for the first field of ``config`` in ``names``
+    (counts that must be at least 1) that is below 1."""
     for name in names:
         value = getattr(config, name)
         if value < 1:
@@ -88,9 +88,14 @@ def require_trainer(config):
         raise ValueError(f"dropout must be in [0, 1), got {config.dropout}")
     if config.n_heads < 1:
         raise ValueError(f"n_heads must be >= 1, got {config.n_heads}")
+    require_learning_rate(config)
+    require_steps(config, "batch_size")
+
+
+def require_learning_rate(config):
+    """Raise ValueError unless ``config.learning_rate`` is finite and > 0."""
     if not (math.isfinite(config.learning_rate) and config.learning_rate > 0.0):
         raise ValueError(f"learning_rate must be finite and > 0, got {config.learning_rate}")
-    require_steps(config, "batch_size")
 
 
 def build_config(cls, file_values: dict | None = None, overrides: dict | None = None):

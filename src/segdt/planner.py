@@ -25,7 +25,7 @@ from scipy.spatial import cKDTree
 from scipy.special import ndtri
 
 from . import archive, nn
-from .config import require_steps
+from .config import require_learning_rate, require_steps
 from .env import STATE_DIM
 from .policy import Context
 from .return_model import mixture_moments
@@ -121,7 +121,9 @@ class TargetPredictorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_steps(self, "iters")
+        require_steps(self, "hidden_dim", "n_hidden", "ensemble_size", "batch_size", "iters",
+                      "span_max")
+        require_learning_rate(self)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -250,7 +252,7 @@ class TargetReturnPredictor:
 
     # -- persistence -------------------------------------------------------
 
-    SCHEMA_VERSION = "target-predictor-v1"
+    SCHEMA_VERSION = "target-predictor-v2"   # v2: tanh-form GELU
     FILE = "predictor.npz"
 
     def save(self, directory) -> None:

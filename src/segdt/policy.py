@@ -250,7 +250,7 @@ class SequencePolicyModel(nn.Module):
 class Policy:
     """Trained policy bundle: model + config + normalization, ready to act."""
 
-    SCHEMA_VERSION = "policy-v1"
+    SCHEMA_VERSION = "policy-v2"   # v2: tanh-form GELU
 
     def __init__(self, model: SequencePolicyModel, config: PolicyConfig,
                  normalizer: PolicyNormalizer):

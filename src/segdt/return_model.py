@@ -261,7 +261,7 @@ class ReturnEnsemble:
 
     # -- persistence -------------------------------------------------------
 
-    SCHEMA_VERSION = "return-ensemble-v1"
+    SCHEMA_VERSION = "return-ensemble-v2"   # v2: tanh-form GELU
     FILE = "ensemble.npz"
 
     def save(self, directory) -> None:

@@ -381,23 +381,23 @@ ZERO_STEPS = [
 ]
 ZERO_STEP_IDS = ["policy-epochs", "policy-iters", "return-epochs", "predictor-iters"]
 CONFIG_FILES = {"train-policy": "policy.cfg", "train-return": "return.cfg",
-                "build-kdtree": "index.cfg"}
+                "build-kdtree": "index.cfg", "segment": "segment.cfg"}
 
 
-def _zero_step_config(tmp_path, stage: str, key: str) -> Path:
-    """The smoke config of ``stage`` with ``key = 0``."""
+def _config_with(tmp_path, stage: str, key: str, value: str = "0") -> Path:
+    """The smoke config of ``stage`` with ``key = value``."""
     config = CONFIG_FILES[stage]
     lines = (SMOKE / config).read_text().splitlines(keepends=True)
     cfg = tmp_path / config
     cfg.write_text("".join(line for line in lines if not line.startswith(f"{key} ="))
-                   + f"{key} = 0\n")
+                   + f"{key} = {value}\n")
     return cfg
 
 
 @pytest.mark.parametrize("stage, key, message", ZERO_STEPS, ids=ZERO_STEP_IDS)
 def test_a_trainer_with_zero_steps_exits_2_and_writes_nothing(pipeline, tmp_path, capsys,
                                                               stage, key, message):
-    cfg = _zero_step_config(tmp_path, stage, key)
+    cfg = _config_with(tmp_path, stage, key)
     inputs = {"train-policy": ["--segmented", pipeline["segmented"]],
               "train-return": ["--dataset", pipeline["dataset"]],
               "build-kdtree": ["--segmented", pipeline["segmented"],
@@ -413,7 +413,7 @@ def test_zero_steps_exit_2_before_the_stage_reads_its_inputs(tmp_path, capsys,
                                                              stage, key, message):
     """The config rejects the count when the stage reads it: a missing input
     file, which would exit 3, is never looked at."""
-    cfg = _zero_step_config(tmp_path, stage, key)
+    cfg = _config_with(tmp_path, stage, key)
     missing = tmp_path / "missing.npz"
     flag = "--dataset" if stage == "train-return" else "--segmented"
     rc = run([stage, "--config", cfg, "--out", tmp_path / "model", flag, missing])
@@ -441,13 +441,42 @@ def test_a_bad_trainer_field_exits_2_before_the_stage_reads_its_inputs(
     """A dropout of 1 (which divided by zero at the first step), a NaN
     learning rate (which exited 4 as a diverged run), no heads or a negative
     batch are config errors when the config is read."""
-    lines = (SMOKE / CONFIG_FILES[stage]).read_text().splitlines(keepends=True)
-    cfg = tmp_path / CONFIG_FILES[stage]
-    cfg.write_text("".join(line for line in lines if not line.startswith(f"{key} ="))
-                   + f"{key} = {value}\n")
+    cfg = _config_with(tmp_path, stage, key, value)
     flag = "--dataset" if stage == "train-return" else "--segmented"
     rc = run([stage, "--config", cfg, "--out", tmp_path / "model", flag,
               tmp_path / "missing.npz"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: code=2 command={stage}: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+BAD_STAGE_FIELDS = [
+    ("segment", "c", "0", "invalid SegmentConfig: c must be >= 1, got 0"),
+    ("segment", "epsilon", "nan", "invalid SegmentConfig: epsilon must be finite, got nan"),
+    ("build-kdtree", "knn", "0", "invalid IndexConfig: knn must be >= 1, got 0"),
+    ("build-kdtree", "ensemble_size", "0", "invalid IndexConfig: ensemble_size must be >= 1, "
+                                           "got 0"),
+    ("build-kdtree", "span_max", "0", "invalid IndexConfig: span_max must be >= 1, got 0"),
+    ("build-kdtree", "learning_rate", "inf", "invalid IndexConfig: learning_rate must be "
+                                             "finite and > 0, got inf"),
+]
+
+
+@pytest.mark.parametrize("stage, key, value, message", BAD_STAGE_FIELDS,
+                         ids=["segment-c-0", "segment-epsilon-nan", "index-knn-0",
+                              "predictor-members-0", "predictor-span-0", "predictor-lr-inf"])
+def test_a_bad_segment_or_index_field_exits_2_before_the_stage_reads_its_inputs(
+        tmp_path, capsys, stage, key, value, message):
+    """``c = 0`` (which failed only inside the segment workers, after the
+    forecasts), a NaN epsilon (which marked every step certain), no
+    neighbours, no predictor members, no spans or an infinite learning rate
+    are config errors when the config is read, before any data work."""
+    cfg = _config_with(tmp_path, stage, key, value)
+    inputs = {"segment": ["--dataset", tmp_path / "missing.npz",
+                          "--ensemble", tmp_path / "missing"],
+              "build-kdtree": ["--segmented", tmp_path / "missing.npz",
+                               "--predictor-out", tmp_path / "predictor"]}[stage]
+    rc = run([stage, "--config", cfg, "--out", tmp_path / "out.npz", *inputs])
     assert rc == 2
     assert capsys.readouterr().err == f"error: code=2 command={stage}: {message}\n"
     assert list(tmp_path.iterdir()) == [cfg]

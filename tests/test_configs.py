@@ -142,3 +142,52 @@ def test_trainer_configs_accept_their_edge_values(cls):
                                        "learning_rate": "1e-12", "batch_size": "1"})
     assert (cfg.dropout, cfg.n_heads, cfg.batch_size) == (0.0, 1, 1)
     assert build_config(_trainer(cls), {"dropout": "0.99"}).dropout == 0.99
+
+
+def _stage(name):
+    from segdt.cli import IndexConfig, SegmentConfig
+    from segdt.planner import TargetPredictorConfig
+    return {"predictor": TargetPredictorConfig, "index": IndexConfig,
+            "segment": SegmentConfig}[name]
+
+
+PREDICTOR_FIELDS = [
+    ("ensemble_size", "0", "ensemble_size must be >= 1, got 0"),
+    ("hidden_dim", "0", "hidden_dim must be >= 1, got 0"),
+    ("n_hidden", "0", "n_hidden must be >= 1, got 0"),
+    ("batch_size", "-1", "batch_size must be >= 1, got -1"),
+    ("span_max", "0", "span_max must be >= 1, got 0"),
+    ("learning_rate", "nan", "learning_rate must be finite and > 0, got nan"),
+    ("learning_rate", "-inf", "learning_rate must be finite and > 0, got -inf"),
+    ("learning_rate", "0", "learning_rate must be finite and > 0, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("cls", ["predictor", "index"])
+@pytest.mark.parametrize("key, value, message", PREDICTOR_FIELDS)
+def test_predictor_configs_check_their_fields_when_built(cls, key, value, message):
+    cls = _stage(cls)
+    with pytest.raises(ConfigError, match=f"invalid {cls.__name__}: {message}"):
+        build_config(cls, {key: value})
+
+
+@pytest.mark.parametrize("cls, key, value, message", [
+    ("index", "knn", "0", "knn must be >= 1, got 0"),
+    ("index", "knn", "-3", "knn must be >= 1, got -3"),
+    ("segment", "c", "0", "c must be >= 1, got 0"),
+    ("segment", "epsilon", "nan", "epsilon must be finite, got nan"),
+    ("segment", "epsilon", "inf", "epsilon must be finite, got inf"),
+])
+def test_index_and_segment_configs_check_their_fields_when_built(cls, key, value, message):
+    cls = _stage(cls)
+    with pytest.raises(ConfigError, match=f"invalid {cls.__name__}: {message}"):
+        build_config(cls, {key: value})
+
+
+def test_predictor_index_and_segment_configs_accept_their_edge_values():
+    edges = {"ensemble_size": "1", "hidden_dim": "1", "n_hidden": "1", "batch_size": "1",
+             "span_max": "1", "iters": "1", "learning_rate": "1e-12"}
+    assert build_config(_stage("predictor"), edges).span_max == 1
+    assert build_config(_stage("index"), dict(edges, knn="1")).knn == 1
+    cfg = build_config(_stage("segment"), {"c": "1", "epsilon": "-0.5"})
+    assert (cfg.c, cfg.epsilon) == (1, -0.5)

@@ -145,7 +145,9 @@ def test_policy_act_builds_no_tensor(monkeypatch):
     assert not built
     assert got.dtype == np.float64    # from a float32 model
     with no_grad():
-        want = policy.normalizer.denorm_action(model.forward(batches[0]).data[0, -1])
+        row = model.forward(batches[0]).data[0, -1]
+    # ``act`` denormalizes the float32 row in float64, as this oracle does
+    want = policy.normalizer.denorm_action(row.astype(np.float64))
     assert np.array_equal(got, want)
 
 

@@ -6,7 +6,7 @@ import pytest
 from segdt import nn
 from segdt.autodiff import Tensor
 from segdt.nn import Standardizer
-from segdt.planner import TargetPredictorConfig, TargetReturnPredictor
+from segdt.planner import TargetPredictorConfig, TargetReturnPredictor, _TargetMlp
 from segdt.policy import Policy, PolicyConfig, PolicyNormalizer, SequencePolicyModel
 from segdt.return_model import ReturnEnsemble, ReturnModelConfig
 
@@ -100,14 +100,55 @@ def test_policy_normalizer_layout(tmp_path):
     assert loaded.to_dict() == saved and loaded.R_bounds == (-3.0, 40.0)
 
 
+def _predictor(y: Standardizer) -> TargetReturnPredictor:
+    """A one-member predictor over ``STATE`` (a config needs a member)."""
+    cfg = TargetPredictorConfig(ensemble_size=1, hidden_dim=4, n_hidden=1)
+    return TargetReturnPredictor(cfg, [_TargetMlp(cfg, np.random.default_rng(0))], STATE, y)
+
+
 def test_target_predictor_normalizer_layout(tmp_path):
-    cfg = TargetPredictorConfig(ensemble_size=0)
-    TargetReturnPredictor(cfg, [], STATE, Standardizer(4.5, 0.125)).save(tmp_path)
+    predictor = _predictor(Standardizer(4.5, 0.125))
+    cfg = predictor.config
+    predictor.save(tmp_path)
     meta = saved_meta(tmp_path / TargetReturnPredictor.FILE)
     assert meta == dict(STATE_D, config=cfg.to_dict(), y_mean=4.5, y_std=0.125)
     loaded = TargetReturnPredictor.load(tmp_path)
     assert loaded.states.std.tolist() == STATE_D["state_std"]
     assert (loaded.y.mean, loaded.y.std) == (4.5, 0.125)
+
+
+def _families(tmp_path):
+    """(model family, a save of it to ``tmp_path``, its load, the file)."""
+    cfg = PolicyConfig(kind="bc", n_layers=1, n_heads=2, embed_dim=8, seq_length=3)
+    nrm = PolicyNormalizer(STATE, Standardizer(0.0, 1.0), Standardizer(0.0, 1.0),
+                           R_bounds=(0.0, 1.0))
+    policy = Policy(SequencePolicyModel(cfg, np.random.default_rng(0)), cfg, nrm)
+    ensemble = ReturnEnsemble(ReturnModelConfig(), [], STATE, Standardizer(0.0, 1.0), [])
+    predictor = _predictor(Standardizer(0.0, 1.0))
+    return {
+        "policy": (Policy, lambda: policy.save(tmp_path / "p.npz"),
+                   lambda: Policy.load(tmp_path / "p.npz"), tmp_path / "p.npz"),
+        "return-ensemble": (ReturnEnsemble, lambda: ensemble.save(tmp_path),
+                            lambda: ReturnEnsemble.load(tmp_path),
+                            tmp_path / ReturnEnsemble.FILE),
+        "target-predictor": (TargetReturnPredictor, lambda: predictor.save(tmp_path),
+                             lambda: TargetReturnPredictor.load(tmp_path),
+                             tmp_path / TargetReturnPredictor.FILE),
+    }
+
+
+@pytest.mark.parametrize("family", ["policy", "return-ensemble", "target-predictor"])
+def test_an_erf_gelu_checkpoint_is_refused(family, tmp_path, monkeypatch):
+    """A ``-v1`` checkpoint was trained with the exact (erf) GELU; its
+    float32 parameters would load and run another activation, so the tag
+    check refuses it with an error that names the file."""
+    cls, save, load, path = _families(tmp_path)[family]
+    monkeypatch.setattr(cls, "SCHEMA_VERSION", f"{family}-v1")
+    save()
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=f"{path.name}: schema version mismatch: expected "
+                                         f"'{family}-v2', found '{family}-v1'"):
+        load()
 
 
 # -- the training loop -----------------------------------------------------

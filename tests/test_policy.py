@@ -307,7 +307,7 @@ def test_load_rejects_wrong_family(tmp_path, seg_dataset):
     path = tmp_path / "x.json"
     nn.save_checkpoint(path, "other", {"config": cfg.to_dict()}, {"": model})
     with pytest.raises(ValueError, match="x.json: schema version mismatch: expected "
-                                         "'policy-v1', found 'other'"):
+                                         "'policy-v2', found 'other'"):
         Policy.load(path)
 
 

@@ -324,7 +324,7 @@ def test_load_rejects_wrong_kind(tmp_path):
     d = tmp_path / "bad"
     d.mkdir()
     archive.write(d / ReturnEnsemble.FILE, "other", meta={})
-    with pytest.raises(ValueError, match="expected 'return-ensemble-v1', found 'other'"):
+    with pytest.raises(ValueError, match="expected 'return-ensemble-v2', found 'other'"):
         ReturnEnsemble.load(d)
 
 
