@@ -117,22 +117,18 @@ def test_target_predictor_normalizer_layout(tmp_path):
     assert (loaded.y.mean, loaded.y.std) == (4.5, 0.125)
 
 
-def _families(tmp_path):
-    """(model family, a save of it to ``tmp_path``, its load, the file)."""
+def _checkpoints(tmp_path) -> dict:
+    """Each model family: (an instance, where its ``save`` and ``load`` take
+    it, the file written)."""
     cfg = PolicyConfig(kind="bc", n_layers=1, n_heads=2, embed_dim=8, seq_length=3)
     nrm = PolicyNormalizer(STATE, Standardizer(0.0, 1.0), Standardizer(0.0, 1.0),
                            R_bounds=(0.0, 1.0))
     policy = Policy(SequencePolicyModel(cfg, np.random.default_rng(0)), cfg, nrm)
     ensemble = ReturnEnsemble(ReturnModelConfig(), [], STATE, Standardizer(0.0, 1.0), [])
-    predictor = _predictor(Standardizer(0.0, 1.0))
     return {
-        "policy": (Policy, lambda: policy.save(tmp_path / "p.npz"),
-                   lambda: Policy.load(tmp_path / "p.npz"), tmp_path / "p.npz"),
-        "return-ensemble": (ReturnEnsemble, lambda: ensemble.save(tmp_path),
-                            lambda: ReturnEnsemble.load(tmp_path),
-                            tmp_path / ReturnEnsemble.FILE),
-        "target-predictor": (TargetReturnPredictor, lambda: predictor.save(tmp_path),
-                             lambda: TargetReturnPredictor.load(tmp_path),
+        "policy": (policy, tmp_path / "p.npz", tmp_path / "p.npz"),
+        "return-ensemble": (ensemble, tmp_path, tmp_path / ReturnEnsemble.FILE),
+        "target-predictor": (_predictor(Standardizer(0.0, 1.0)), tmp_path,
                              tmp_path / TargetReturnPredictor.FILE),
     }
 
@@ -142,13 +138,14 @@ def test_an_erf_gelu_checkpoint_is_refused(family, tmp_path, monkeypatch):
     """A ``-v1`` checkpoint was trained with the exact (erf) GELU; its
     float32 parameters would load and run another activation, so the tag
     check refuses it with an error that names the file."""
-    cls, save, load, path = _families(tmp_path)[family]
+    model, where, path = _checkpoints(tmp_path)[family]
+    cls = type(model)
     monkeypatch.setattr(cls, "SCHEMA_VERSION", f"{family}-v1")
-    save()
+    model.save(where)
     monkeypatch.undo()
     with pytest.raises(ValueError, match=f"{path.name}: schema version mismatch: expected "
                                          f"'{family}-v2', found '{family}-v1'"):
-        load()
+        cls.load(where)
 
 
 # -- the training loop -----------------------------------------------------
