@@ -19,10 +19,12 @@ the code and the numpy build only, so two checkouts on one machine compare
 line by line; the faults also depend on the C library's allocator.  With
 the models in float32 (numpy 2.4, glibc) it printed:
 
-    policy: tape 12.8 MB, backward 15.5 MB, steady 15.5 MB, faults 1
-    member: tape 18.5 MB, backward 20.6 MB, steady 20.7 MB, faults 2
+    policy: tape 12.8 MB, backward 14.1 MB, steady 15.5 MB, faults 2
+    member: tape 18.5 MB, backward 19.9 MB, steady 20.3 MB, faults 2
 
-and with them in float64, 24.7/30.0/30.0 MB and 35.9/40.0/40.1 MB.
+Backward read 15.5 and 20.6 MB while the pruned last block's input
+gradients were zero-padded back to every row; with the models in float64,
+24.7/30.0/30.0 MB and 35.9/40.0/40.1 MB.
 """
 
 import os

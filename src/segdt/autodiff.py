@@ -37,7 +37,9 @@ into each run's first item: numpy sums axis 0 item after item, so these are
 the whole stack's additions in their order, and the sum's bits are the
 same.  Flattening the batch into one 2-D product would add in another order.
 The input gradient ``g @ w.T`` under a 2-D weight is one 2-D product over
-the rows of ``g`` flattened (``_input_grad``).
+the rows of ``g`` flattened (``_input_grad``): at the models' shapes a row
+has the same bits in a pruned block's product as in the every-row one, so no
+gradient is padded (the read-rows tests of ``tests/test_infer.py``).
 
 The layers' composite ops are single tape nodes: ``linear`` (``x @ w + b``),
 ``affine_layernorm`` (``layernorm(x) * gain + shift``) and
@@ -317,33 +319,25 @@ def _items(x, lo: int, hi: int) -> np.ndarray:
                     else a for a in x.args))
 
 
-def _input_grad(g: np.ndarray, w: np.ndarray, rows: tuple | None) -> np.ndarray:
-    """``g @ w.T``, the gradient of ``a`` in ``a @ w``; ``rows`` is
-    ``Tensor.matmul``'s.  For a 2-D ``w`` it is one 2-D GEMM over ``g``'s
-    rows flattened, in place of numpy's per-item stack.  Each row's bits
-    match the stack's at the default arch's row counts, but can differ for
-    items of a dozen rows or fewer, whose small products BLAS computes with
-    another kernel."""
+def _input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``g @ w.T``, the gradient of ``a`` in ``a @ w``.  For a 2-D ``w`` it
+    is one 2-D GEMM over ``g``'s rows flattened, in place of numpy's
+    per-item stack of products of a dozen rows or fewer.  So the rows of a
+    pruned operand get the bits of the every-row product's at the models'
+    shapes (B·R ≥ 160 rows); a product of a few rows in all can still take
+    other bits, as BLAS computes it with another kernel."""
     wt = np.swapaxes(w, -1, -2)
-    if rows is not None:
-        T, index = rows
-        full = np.zeros(g.shape[:-2] + (T, g.shape[-1]), dtype=g.dtype)
-        full[..., index, :] = g
-        g = full
     if w.ndim == 2 and g.ndim > 2:
-        out = _matmul_data(g.reshape(-1, g.shape[-1]), wt).reshape(g.shape[:-1] + wt.shape[-1:])
-    else:
-        out = _matmul_data(g, wt)
-    return out if rows is None else out[..., rows[1], :]
+        return _matmul_data(g.reshape(-1, g.shape[-1]), wt).reshape(g.shape[:-1] + wt.shape[-1:])
+    return _matmul_data(g, wt)
 
 
-def _matmul_backward(x: "Tensor", w: "Tensor", rows: tuple | None, b: "Tensor | None" = None):
+def _matmul_backward(x: "Tensor", w: "Tensor", b: "Tensor | None" = None):
     """The backward closure of ``x @ w`` (``+ b`` with ``b``): it adds ``b``'s
     gradient, then ``w``'s, whose run buffer is gone before ``x``'s gradient
     is made, then ``x``'s.  It keeps ``w``'s array only when ``x`` takes a
     gradient, and ``x``'s only when ``w`` does: ``x``'s rebuild where ``x``
-    has one, whose remade array it drops before ``x``'s gradient exists.
-    ``rows`` is ``Tensor.matmul``'s."""
+    has one, whose remade array it drops before ``x``'s gradient exists."""
     a, c, bias = x._node, w._node, None if b is None else b._node
     xd = (x.data if x._rebuild is None else x._rebuild) if c is not None else None
     wd = w.data if a is not None else None
@@ -360,7 +354,7 @@ def _matmul_backward(x: "Tensor", w: "Tensor", rows: tuple | None, b: "Tensor | 
                          owned=True)
                 del xa    # a rebuilt array goes before ``x``'s gradient exists
         if a is not None:
-            a._accum(_unbroadcast(_input_grad(g, wd, rows), a.shape), owned=True)
+            a._accum(_unbroadcast(_input_grad(g, wd), a.shape), owned=True)
 
     return backward
 
@@ -762,16 +756,10 @@ class Tensor:
 
     # -- linear algebra ----------------------------------------------------
 
-    def matmul(self, other, rows: tuple | None = None):
-        """``self @ other``.  ``rows = (T, index)`` says that ``self`` holds
-        the rows ``index`` (axis -2) of a T-row operand: ``self``'s gradient
-        is then computed on the output gradient zero-padded back to T rows,
-        and those rows are kept.  The bits of a row of ``g @ W.T`` can depend
-        on the product's row count, and the padding gives each row the bits
-        of the T-row product's."""
+    def matmul(self, other):
         other = self._coerce(other)
         return Tensor._result(_matmul_data(self.data, other.data),
-                              (self._node, other._node), _matmul_backward(self, other, rows))
+                              (self._node, other._node), _matmul_backward(self, other))
 
     __matmul__ = matmul
 
@@ -811,16 +799,14 @@ def concat(tensors: list, axis: int = -1) -> Tensor:
     return Tensor._result(out_data, nodes, backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
-           rows: tuple | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w + b`` (``x @ w`` without ``b``) as one tape node, with the bits
-    and gradients of ``x.matmul(w, rows) + b``; the tape keeps no ``x @ w``
-    array.  ``rows`` is ``Tensor.matmul``'s."""
+    and gradients of ``x @ w + b``; the tape keeps no ``x @ w`` array."""
     out_data = _matmul_data(x.data, w.data)
     if b is not None:
         out_data += b.data
     parents = (x._node, w._node) if b is None else (x._node, w._node, b._node)
-    return Tensor._result(out_data, parents, _matmul_backward(x, w, rows, b))
+    return Tensor._result(out_data, parents, _matmul_backward(x, w, b))
 
 
 def affine_layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:

@@ -56,6 +56,10 @@ class CollectConfig:
     base_seed: int = 0
     episode_horizon: int = 130
 
+    def __post_init__(self):
+        require_steps(self, "episodes")
+        EnvConfig(delta=self.delta, episode_horizon=self.episode_horizon)   # the env's checks
+
 
 @dataclass(frozen=True)
 class SegmentConfig:
@@ -99,6 +103,10 @@ class CalibrateConfig:
     """The held-out split is the ensemble's own (its val_fraction and seed)."""
     epsilon: float = 1.0
     bins: int = 30
+
+    def __post_init__(self):
+        require_steps(self, "bins")
+        SegmentConfig(epsilon=self.epsilon)   # the segmenter's epsilon check
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ The policy-visible state is a 12-float vector; the lead vehicle's latents
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,7 +80,7 @@ class EnvConfig:
     route_length: float = 900.0
     v_desired_range: tuple = (24.0, 32.0)
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
         for name in ("lead_speed_range", "lead_visibility_range", "v_desired_range"):
@@ -88,7 +89,8 @@ class EnvConfig:
                 raise ValueError(f"{name} must be non-degenerate, got ({lo}, {hi})")
         if self.episode_horizon < 1:
             raise ValueError("episode_horizon must be positive")
-        return self
+        if not (math.isfinite(self.route_length) and self.route_length > 0.0):
+            raise ValueError(f"route_length must be finite and > 0, got {self.route_length}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ class HighwayEnv:
     """One instance per episode stream; not shared across threads."""
 
     def __init__(self, config: EnvConfig):
-        self.config = config.validate()
+        self.config = config
         self._active = False
 
     # -- episode control ---------------------------------------------------

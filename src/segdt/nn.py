@@ -26,10 +26,11 @@ and a scale); the array twins of the first three compose the same
 arithmetic, and ``ARRAY.dropout`` is the identity.  A trunk can compute
 only the rows its caller reads (``rows=``): the last block, its dropout and
 ``ln_f`` then run on those rows, with the bits, gradients and rng draws of
-the every-row call.  ``autodiff.dropout`` draws its mask at the full shape,
-the pruned ``Linear`` layers pad their input gradient back to every row
-(``rows`` of ``autodiff.linear``), and ``CausalTransformer._last_rows``
-sends a single-row read through every row.
+the every-row call.  ``autodiff.dropout`` draws its mask at the full shape
+and ``CausalTransformer._last_rows`` sends a single-row read through every
+row.  The pruned ``Linear`` layers need no rule: their input gradient is one
+GEMM over the batch's rows flattened (``autodiff._input_grad``), which the
+read-rows tests of ``tests/test_infer.py`` check at the default arch.
 A checkpoint is one ``archive`` container: each parameter an array entry
 at its dtype, and the config and normalizers in one JSON ``meta`` entry, so
 a save/load round trip is bitwise exact.  A checkpoint whose parameters are
@@ -82,7 +83,7 @@ class TapeOps:
 
     const = staticmethod(_const)            # a raw input or constant operand
     concat = staticmethod(concat)
-    linear = staticmethod(linear)           # (x, w, b=None, rows=None)
+    linear = staticmethod(linear)           # (x, w, b=None)
     tanh = staticmethod(Tensor.tanh)
     gelu = staticmethod(Tensor.gelu)
     softmax = staticmethod(masked_softmax)  # (x, scale, mask)
@@ -113,9 +114,8 @@ class ArrayOps:
         return np.asarray(x, dtype=DTYPE)
 
     @staticmethod
-    def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
-               rows: tuple | None = None) -> np.ndarray:
-        out = x @ w       # ``rows`` only shapes the taped backward
+    def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+        out = x @ w
         if b is not None:
             out += b
         return out
@@ -241,12 +241,9 @@ class Linear(Module):
         self.weight = Parameter(w)
         self.bias = Parameter(np.zeros(out_dim)) if bias else None
 
-    def run(self, ops, x, rows: tuple | None = None):
-        """``rows = (T, index)``: ``x`` holds those rows of a T-row input, and
-        its gradient is computed on the zero-padded T-row gradient (see
-        ``Tensor.matmul``), in one ``x @ w + b`` tape node."""
+    def run(self, ops, x):
         bias = None if self.bias is None else ops.param(self.bias)
-        return ops.linear(x, ops.param(self.weight), bias, rows)
+        return ops.linear(x, ops.param(self.weight), bias)
 
 
 class Embedding(Module):
@@ -328,7 +325,7 @@ class CausalSelfAttention(Module):
         attention, which no backward keeps, go once read."""
         B, T, D = x.shape
         H, hd = self.heads, self.head_dim
-        pad = None if rows == slice(None) else (T, rows)   # for Linear and Dropout
+        pad = None if rows == slice(None) else (T, rows)   # for Dropout
         qkv = self.qkv.run(ops, x)  # (B, T, 3D)
         q = qkv[:, rows, 0 * D:1 * D]
         R = q.shape[1]
@@ -343,7 +340,7 @@ class CausalSelfAttention(Module):
         out = att @ v
         del att
         out = out.transpose((0, 2, 1, 3)).reshape(B, R, D)
-        return self.drop.run(ops, self.proj.run(ops, out, pad), pad, rng)
+        return self.drop.run(ops, self.proj.run(ops, out), pad, rng)
 
 
 class TransformerBlock(Module):
@@ -364,8 +361,8 @@ class TransformerBlock(Module):
         pad = None if rows == slice(None) else (x.shape[1], rows)
         res = x if pad is None else x[:, rows]
         x = res + self.attn.run(ops, self.ln1.run(ops, x), key_mask, rows, rng)
-        h = ops.gelu(self.fc1.run(ops, self.ln2.run(ops, x), pad))
-        h = self.fc2.run(ops, h, pad)
+        h = ops.gelu(self.fc1.run(ops, self.ln2.run(ops, x)))
+        h = self.fc2.run(ops, h)
         h = self.drop.run(ops, h, pad, rng)
         return x + h
 

@@ -381,7 +381,8 @@ ZERO_STEPS = [
 ]
 ZERO_STEP_IDS = ["policy-epochs", "policy-iters", "return-epochs", "predictor-iters"]
 CONFIG_FILES = {"train-policy": "policy.cfg", "train-return": "return.cfg",
-                "build-kdtree": "index.cfg", "segment": "segment.cfg"}
+                "build-kdtree": "index.cfg", "segment": "segment.cfg",
+                "collect": "collect.cfg", "calibrate": "calibrate.cfg"}
 
 
 def _config_with(tmp_path, stage: str, key: str, value: str = "0") -> Path:
@@ -477,6 +478,34 @@ def test_a_bad_segment_or_index_field_exits_2_before_the_stage_reads_its_inputs(
               "build-kdtree": ["--segmented", tmp_path / "missing.npz",
                                "--predictor-out", tmp_path / "predictor"]}[stage]
     rc = run([stage, "--config", cfg, "--out", tmp_path / "out.npz", *inputs])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: code=2 command={stage}: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+BAD_DATA_STAGE_FIELDS = [
+    ("collect", "episodes", "0", "invalid CollectConfig: episodes must be >= 1, got 0"),
+    ("collect", "delta", "1.5", "invalid CollectConfig: delta must be in [0, 1], got 1.5"),
+    ("calibrate", "epsilon", "nan", "invalid CalibrateConfig: epsilon must be finite, got nan"),
+    ("calibrate", "bins", "0", "invalid CalibrateConfig: bins must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("stage, key, value, message", BAD_DATA_STAGE_FIELDS,
+                         ids=["collect-episodes-0", "collect-delta-1.5",
+                              "calibrate-epsilon-nan", "calibrate-bins-0"])
+def test_a_bad_collect_or_calibrate_field_exits_2_before_any_file_work(
+        tmp_path, capsys, stage, key, value, message):
+    """No episodes (which wrote an empty dataset and exited 0), a delta
+    above 1 (which exited 2 only after making the output's directory), a
+    NaN epsilon (which wrote ``"epsilon": NaN``, not valid JSON) and no
+    bins (which failed after the forecasts) are config errors when the
+    config is read: no input is looked at and no directory is made."""
+    cfg = _config_with(tmp_path, stage, key, value)
+    inputs = {"collect": [],
+              "calibrate": ["--dataset", tmp_path / "missing.npz",
+                            "--ensemble", tmp_path / "missing"]}[stage]
+    rc = run([stage, "--config", cfg, "--out", tmp_path / "out" / "out.npz", *inputs])
     assert rc == 2
     assert capsys.readouterr().err == f"error: code=2 command={stage}: {message}\n"
     assert list(tmp_path.iterdir()) == [cfg]

@@ -169,11 +169,20 @@ def test_schedule_alternates_red_green():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EnvConfig(delta=1.5).validate()
+        EnvConfig(delta=1.5)
     with pytest.raises(ValueError):
-        EnvConfig(lead_speed_range=(30.0, 20.0)).validate()
+        EnvConfig(lead_speed_range=(30.0, 20.0))
     with pytest.raises(ValueError):
-        EnvConfig(episode_horizon=0).validate()
+        EnvConfig(episode_horizon=0)
+
+
+@pytest.mark.parametrize("length", [float("nan"), float("inf"), 0.0, -900.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_config_rejects_a_route_length_that_is_not_finite_and_positive(length):
+    """A NaN route failed only at ``reset``, inside a worker, and a negative
+    one ran with a route completion of -0.0."""
+    with pytest.raises(ValueError, match=f"route_length must be finite and > 0, got {length}"):
+        EnvConfig(route_length=length)
 
 
 def test_expert_success_rate_delta_zero():
